@@ -221,9 +221,10 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
         raise DomainError("need r_end / r_start >= 1e3 for reliable asymptotics")
     if r_end > p.domain_end:
         raise DomainError("r_end beyond the potential's domain")
-    for r in np.geomspace(r_start, r_end, 65):
-        if p.phi(r) <= 0.0:
-            raise DomainError(f"phi({r}) <= 0 inside the requested range")
+    probe = np.geomspace(r_start, r_end, 65)
+    closed = p.phi(probe) <= 0.0
+    if closed.any():
+        raise DomainError(f"phi({probe[closed][0]}) <= 0 inside the requested range")
 
     x0, x1 = math.log(r_end), math.log(r_start)
     c_end = -p.tail(r_end) * r_end / 6.0

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,14 +47,8 @@ TRAJECTORY_COLUMNS = ("t", "r", "rho", "area", "H", "hawking_mass",
                       "geroch_rate", "scalar_curvature")
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """One sampled flow surface.
-
-    Coordinate spheres are umbilic with constant mean curvature, so the
-    trace-free second fundamental form vanishes identically and the Euler
-    characteristic never jumps.
-    """
+class FlowState(NamedTuple):
+    """One sampled flow surface: a row of the trajectory's columns."""
 
     t: float
     r: float
@@ -61,19 +56,41 @@ class FlowState:
     mean_curvature: float
     hawking_mass: float
     geroch_rate: float
-    traceless_a_norm: float
-    euler_char: int
+    scalar_curvature: float
 
 
-@dataclass(frozen=True)
+_COLUMNS = FlowState._fields
+
+
+@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    states: tuple[FlowState, ...]
+    """The sampled flow, stored as read-only columns named as FlowState's fields."""
+
+    t: np.ndarray
+    r: np.ndarray
+    area: np.ndarray
+    mean_curvature: np.ndarray
+    hawking_mass: np.ndarray
+    geroch_rate: np.ndarray
+    scalar_curvature: np.ndarray
     start_radius: float
     monotone: bool
     max_violation: float
 
+    def __post_init__(self):
+        for name in _COLUMNS:
+            getattr(self, name).setflags(write=False)
+
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.states])
+        if name not in _COLUMNS:
+            raise KeyError(f"no trajectory column {name!r}; expected one of {_COLUMNS}")
+        return getattr(self, name)
+
+    @cached_property
+    def states(self) -> tuple[FlowState, ...]:
+        """Row view of the columns, built on first access."""
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return tuple(FlowState._make(row) for row in rows)
 
 
 def _speed(r: float) -> float:
@@ -103,9 +120,10 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     r_final = r0 * math.exp(0.5 * t_max)
     if r_final > p.domain_end:
         raise DomainError("flow leaves the tabulated domain")
-    for r in np.geomspace(r0 * (1.0 + 1e-9), r_final, 257):
-        if p.phi(r) <= 0.0:
-            raise FlowError(f"horizon encountered at r = {r} ahead of the flow")
+    ahead = np.geomspace(r0 * (1.0 + 1e-9), r_final, 257)
+    closed = p.phi(ahead) <= 0.0
+    if closed.any():
+        raise FlowError(f"horizon encountered at r = {ahead[closed][0]} ahead of the flow")
 
     dt = t_max / steps
     if dt <= 0.0 or r0 + _speed(r0) * dt == r0 and r0 > 0:
@@ -122,42 +140,46 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         r = r + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         radii[i + 1] = r
 
-    states = []
-    for i, ri in enumerate(radii):
-        ti = i * dt
-        states.append(FlowState(
-            t=ti,
-            r=float(ri),
-            area=inf.area * ri * ri,
-            mean_curvature=geometry.mean_curvature_sphere(p, ri),
-            hawking_mass=geometry.hawking_mass_sphere(inf, p, ri),
-            geroch_rate=geroch_rate(inf, p, ri),
-            traceless_a_norm=0.0,
-            euler_char=inf.euler_char,
-        ))
-
-    masses = np.array([s.hawking_mass for s in states])
+    curvature = geometry.scalar_curvature(p, radii)
+    masses = geometry.hawking_mass_sphere(inf, p, radii)
     # largest drawdown below the running maximum: total decrease, not the
     # per-step dip, so genuine violations are not diluted by small steps
     drawdown = np.maximum.accumulate(masses) - masses
-    max_violation = float(drawdown.max()) if drawdown.size else 0.0
+    max_violation = float(drawdown.max())
     tol = MONOTONE_TOL * max(1.0, float(np.max(np.abs(masses))))
-    return FlowTrajectory(states=tuple(states), start_radius=float(r0),
-                          monotone=max_violation <= tol,
-                          max_violation=max_violation)
+    return FlowTrajectory(
+        t=np.arange(steps + 1) * dt,
+        r=radii,
+        area=inf.area * radii * radii,
+        mean_curvature=geometry.mean_curvature_sphere(p, radii),
+        hawking_mass=masses,
+        geroch_rate=_geroch_rate(inf, radii, curvature),
+        scalar_curvature=curvature,
+        start_radius=float(r0),
+        monotone=max_violation <= tol,
+        max_violation=max_violation)
 
 
-def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r: float) -> float:
+def _geroch_rate(inf: ConformalInfinity, r, curvature):
+    area = inf.area * r * r
+    if isinstance(area, np.ndarray):
+        # libm pow per entry: the vector power can differ in the last bit
+        power = np.array([a ** 1.5 for a in area.tolist()])
+    else:
+        power = area ** 1.5
+    return SIXTEEN_PI ** -1.5 * power * (curvature + 6.0)
+
+
+def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
     """Time derivative of the Hawking mass on umbilic constant-H spheres.
 
     The monotonicity integrand reduces to (16 pi)^(-3/2) |Sigma|^(3/2) (R+6)
     once the trace-free and gradient terms vanish and the Euler
-    characteristic matches the infinity.
+    characteristic matches the infinity.  r is a float or an array.
     """
     if inf.curvature_sign != p.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
-    area = inf.area * r * r
-    return SIXTEEN_PI ** -1.5 * area ** 1.5 * (geometry.scalar_curvature(p, r) + 6.0)
+    return _geroch_rate(inf, r, geometry.scalar_curvature(p, r))
 
 
 def bracket_check(traj: FlowTrajectory, sub_map) -> bool:
@@ -168,18 +190,15 @@ def bracket_check(traj: FlowTrajectory, sub_map) -> bool:
     The barrier argument only applies for large starts; starts below
     rho_0 = 10 are rejected as not applicable.
     """
-    rho0 = sub_map.rho(traj.start_radius)
+    rho = sub_map.rho(traj.r)
+    rho0 = rho[0]
     if rho0 < BRACKET_MIN_RHO:
         raise DomainError(
             f"bracket check not applicable: start rho {rho0:.3f} < {BRACKET_MIN_RHO}")
-    for s in traj.states[1:]:
-        rho = sub_map.rho(s.r)
-        grow = math.exp(0.5 * s.t)
-        lower = (rho0 - 1.0) * grow + 1.0
-        upper = (rho0 + 1.0) * grow - 1.0
-        if not (lower - 1e-12 <= rho <= upper + 1e-12):
-            return False
-    return True
+    grow = np.exp(0.5 * traj.t[1:])
+    lower = (rho0 - 1.0) * grow + 1.0
+    upper = (rho0 + 1.0) * grow - 1.0
+    return bool(np.all((lower - 1e-12 <= rho[1:]) & (rho[1:] <= upper + 1e-12)))
 
 
 def penrose_rhs(genus: int, area: float) -> float:
@@ -276,11 +295,16 @@ def jump_bound_check(area_before: float, area_after: float,
 
 def write_trajectory_csv(traj: FlowTrajectory, p: RadialPotential, sub_map,
                          path) -> None:
-    """Write the fixed-column trajectory table with 17 significant digits."""
+    """Write the fixed-column trajectory table with 17 significant digits.
+
+    The columns come from the trajectory itself, so `p` (the potential it
+    was computed on) is not evaluated again.
+    """
+    columns = (traj.t, traj.r, sub_map.rho(traj.r), traj.area,
+               traj.mean_curvature, traj.hawking_mass, traj.geroch_rate,
+               traj.scalar_curvature)
+    row = ",".join(["%.17g"] * len(columns))  # the bytes of format(v, ".17g")
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for s in traj.states:
-        row = (s.t, s.r, sub_map.rho(s.r), s.area, s.mean_curvature,
-               s.hawking_mass, s.geroch_rate, geometry.scalar_curvature(p, s.r))
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")

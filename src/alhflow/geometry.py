@@ -116,7 +116,8 @@ class RadialPotential:
 
     `tail` evaluates phi(r) - r^2 - k_hat.  Analytic families supply it in
     closed form so that large-radius asymptotics are free of catastrophic
-    cancellation; the default falls back to plain subtraction.
+    cancellation; the default falls back to plain subtraction.  Every
+    evaluator takes a float or an array of radii.
     """
 
     k_hat: int
@@ -129,15 +130,23 @@ class RadialPotential:
     domain_end: float = math.inf
     params: dict = field(default_factory=dict)
 
-    def require_inside(self, r: float) -> None:
+    def require_inside(self, r) -> None:
         """Accept radii in [domain_start, domain_end] with r > 0.
 
-        The lower endpoint (the horizon, when present) belongs to the
-        manifold; operations needing phi > 0 there check that separately.
+        r is a float or an array; an array passes only if every entry does,
+        and the error names its first offending entry.  The lower endpoint
+        (the horizon, when present) belongs to the manifold; operations
+        needing phi > 0 there check that separately.
         """
-        if not (r > 0.0 and self.domain_start <= r <= self.domain_end):
-            raise DomainError(
-                f"r = {r} outside domain [{self.domain_start}, {self.domain_end}]")
+        if isinstance(r, np.ndarray):
+            outside = ~((r > 0.0) & (r >= self.domain_start) & (r <= self.domain_end))
+            if not outside.any():
+                return
+            r = r[outside][0]
+        elif r > 0.0 and self.domain_start <= r <= self.domain_end:
+            return
+        raise DomainError(
+            f"r = {r} outside domain [{self.domain_start}, {self.domain_end}]")
 
 
 @dataclass(frozen=True)
@@ -401,7 +410,7 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
         r_hi = p.domain_end
     r_lo = max(p.domain_start, 1e-8) if p.kind == "tabulated" else 1e-8
     grid = np.geomspace(r_hi, max(r_lo, r_hi * 1e-10), 2048)
-    vals = np.array([p.phi(r) for r in grid])
+    vals = p.phi(grid)
     if vals[0] <= 0:
         raise DomainError("potential not positive at the outer scan radius")
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
@@ -428,9 +437,30 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
 
 # ---------------------------------------------------------------------------
 # pointwise quantities
+#
+# Each function takes r as a float or as an array of radii.  An array call
+# returns arrays, equal entry by entry to the scalar calls, and raises the
+# DomainError the scalar call would raise at its first offending radius.
 
 
-def scalar_curvature(p: RadialPotential, r: float):
+def _raise_where(r, bad: np.ndarray, message: str) -> None:
+    """DomainError naming the first radius where the array mask holds."""
+    if bad.any():
+        at = np.broadcast_to(r, bad.shape)[bad][0]
+        raise DomainError(message.format(r=at))
+
+
+def _check_horizon(r, phi) -> None:
+    """DomainError where phi is negative beyond the rounding noise
+    -1e-12 max(1, r^2) tolerated at the horizon root."""
+    if isinstance(phi, np.ndarray):
+        _raise_where(r, phi < -1e-12 * np.maximum(1.0, r * r),
+                     "phi({r}) < 0: inside the horizon")
+    elif phi < -1e-12 * max(1.0, r * r):
+        raise DomainError(f"phi({r}) < 0: inside the horizon")
+
+
+def scalar_curvature(p: RadialPotential, r):
     """Scalar curvature R = -2 phi'/r + 2 (k_hat - phi)/r^2."""
     p.require_inside(r)
     return -2.0 * p.dphi(r) / r + 2.0 * (p.k_hat - p.phi(r)) / (r * r)
@@ -449,25 +479,28 @@ def ricci_components(p: RadialPotential, r: float) -> tuple[float, float]:
     return radial, tangential
 
 
-def mean_curvature_sphere(p: RadialPotential, r: float) -> float:
+def mean_curvature_sphere(p: RadialPotential, r):
     """Outward mean curvature H = 2 sqrt(phi)/r of the sphere {r} x Sigma_hat."""
     p.require_inside(r)
     phi = p.phi(r)
+    # negative phi that passes the horizon check is rounding noise at the root
+    if isinstance(phi, np.ndarray):
+        _check_horizon(r, phi)
+        return 2.0 * np.sqrt(np.where(phi < 0.0, 0.0, phi)) / r
     if phi < 0.0:
-        if phi < -1e-12 * max(1.0, r * r):
-            raise DomainError(f"phi({r}) = {phi} < 0: inside the horizon")
-        phi = 0.0  # rounding noise at the horizon root
+        _check_horizon(r, phi)
+        phi = 0.0
     return 2.0 * math.sqrt(phi) / r
 
 
-def potential_gradient_squared(p: RadialPotential, r: float) -> float:
+def potential_gradient_squared(p: RadialPotential, r):
     """|grad V|^2 = (phi')^2 / 4 for V = sqrt(phi)."""
     p.require_inside(r)
     d = p.dphi(r)
     return 0.25 * d * d
 
 
-def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r: float) -> float:
+def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
     """Hawking mass of the coordinate sphere {r} x Sigma_hat.
 
     On these spheres the area is 4*pi*c*r^2 and H^2 = 4 phi/r^2, so the
@@ -483,12 +516,13 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r: float) ->
         raise DomainError(
             f"infinity curvature {inf.curvature_sign} != potential k_hat {p.k_hat}")
     p.require_inside(r)
-    if p.phi(r) < -1e-12 * max(1.0, r * r):
-        raise DomainError(f"phi({r}) < 0: inside the horizon")
+    phi = p.phi(r)
+    if isinstance(phi, np.ndarray) or phi < 0.0:
+        _check_horizon(r, phi)
     return -(inf.c ** 1.5) * 0.5 * r * p.tail(r)
 
 
-def static_residual(p: RadialPotential, r: float) -> StaticResidual:
+def static_residual(p: RadialPotential, r) -> StaticResidual:
     """Residuals of the static vacuum equations at radius r.
 
     For a radial potential V = sqrt(phi) the system reduces to two
@@ -497,14 +531,23 @@ def static_residual(p: RadialPotential, r: float) -> StaticResidual:
         Laplace:     sqrt(phi) * (phi'/r + phi''/2 - 3) = 0
         Ricci (rad): 3 - phi'/r - phi''/2               = 0
         Ricci (tan): 3 - phi'/r + (k_hat - phi)/r^2     = 0
+
+    For an array of radii both fields are arrays.
     """
     p.require_inside(r)
     phi = p.phi(r)
+    dphi, d2phi = p.dphi(r), p.d2phi(r)
+    slope = dphi / r
+    ric_rad = 3.0 - slope - 0.5 * d2phi
+    ric_tan = 3.0 - slope + (p.k_hat - phi) / (r * r)
+    if isinstance(phi, np.ndarray):
+        _raise_where(r, phi <= 0.0, "phi({r}) <= 0: V is not smooth here")
+        lap = np.sqrt(phi) * (slope + 0.5 * d2phi - 3.0)
+        return StaticResidual(laplace_residual=np.abs(lap),
+                              ricci_residual=np.maximum(np.abs(ric_rad),
+                                                        np.abs(ric_tan)))
     if phi <= 0.0:
         raise DomainError(f"phi({r}) <= 0: V is not smooth here")
-    dphi, d2phi = p.dphi(r), p.d2phi(r)
-    lap = math.sqrt(phi) * (dphi / r + 0.5 * d2phi - 3.0)
-    ric_rad = 3.0 - dphi / r - 0.5 * d2phi
-    ric_tan = 3.0 - dphi / r + (p.k_hat - phi) / (r * r)
+    lap = math.sqrt(phi) * (slope + 0.5 * d2phi - 3.0)
     return StaticResidual(laplace_residual=abs(lap),
                           ricci_residual=max(abs(ric_rad), abs(ric_tan)))

@@ -49,8 +49,6 @@ class TestIntegrate:
         assert s.area == pytest.approx(inf.area * s.r ** 2, rel=1e-14)
         assert s.mean_curvature == pytest.approx(
             2 * math.sqrt(p.phi(s.r)) / s.r, rel=1e-14)
-        assert s.traceless_a_norm == 0.0
-        assert s.euler_char == inf.euler_char
         assert traj.states[0].t == 0.0
         assert np.all(np.diff(traj.column("t")) > 0)
         assert np.all(np.diff(traj.column("r")) > 0)
