@@ -140,7 +140,6 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         r = r + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         radii[i + 1] = r
 
-    curvature = geometry.scalar_curvature(p, radii)
     masses = geometry.hawking_mass_sphere(inf, p, radii)
     # largest drawdown below the running maximum: total decrease, not the
     # per-step dip, so genuine violations are not diluted by small steps
@@ -153,21 +152,11 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         area=inf.area * radii * radii,
         mean_curvature=geometry.mean_curvature_sphere(p, radii),
         hawking_mass=masses,
-        geroch_rate=_geroch_rate(inf, radii, curvature),
-        scalar_curvature=curvature,
+        geroch_rate=geroch_rate(inf, p, radii),
+        scalar_curvature=geometry.scalar_curvature(p, radii),
         start_radius=float(r0),
         monotone=max_violation <= tol,
         max_violation=max_violation)
-
-
-def _geroch_rate(inf: ConformalInfinity, r, curvature):
-    area = inf.area * r * r
-    if isinstance(area, np.ndarray):
-        # libm pow per entry: the vector power can differ in the last bit
-        power = np.array([a ** 1.5 for a in area.tolist()])
-    else:
-        power = area ** 1.5
-    return SIXTEEN_PI ** -1.5 * power * (curvature + 6.0)
 
 
 def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
@@ -175,11 +164,15 @@ def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
 
     The monotonicity integrand reduces to (16 pi)^(-3/2) |Sigma|^(3/2) (R+6)
     once the trace-free and gradient terms vanish and the Euler
-    characteristic matches the infinity.  r is a float or an array.
+    characteristic matches the infinity.  With q = tail(r),
+    R + 6 = -2 (q + r q')/r^2, so the rate is evaluated as
+    -(c^(3/2)/4) r (q + r q'): forming R + 6 directly would cancel, with a
+    rounding error growing like r^3.  r is a float or an array.
     """
     if inf.curvature_sign != p.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
-    return _geroch_rate(inf, r, geometry.scalar_curvature(p, r))
+    p.require_inside(r)
+    return -0.25 * inf.c ** 1.5 * r * (p.tail(r) + r * p.dtail(r))
 
 
 def bracket_check(traj: FlowTrajectory, sub_map) -> bool:

@@ -114,10 +114,11 @@ def conformal_infinity(genus: int) -> ConformalInfinity:
 class RadialPotential:
     """Radial profile phi(r) = V(r)^2 of a warped-product metric.
 
-    `tail` evaluates phi(r) - r^2 - k_hat.  Analytic families supply it in
-    closed form so that large-radius asymptotics are free of catastrophic
-    cancellation; the default falls back to plain subtraction.  Every
-    evaluator takes a float or an array of radii.
+    `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its derivative.
+    Analytic families supply both in closed form so that large-radius
+    asymptotics are free of catastrophic cancellation; tabulated profiles
+    fall back to plain subtraction.  Every evaluator takes a float or an
+    array of radii.
     """
 
     k_hat: int
@@ -127,6 +128,7 @@ class RadialPotential:
     dphi: Callable
     d2phi: Callable
     tail: Callable
+    dtail: Callable
     domain_end: float = math.inf
     params: dict = field(default_factory=dict)
 
@@ -310,6 +312,7 @@ def kottler_potential(k_hat: int, m: float) -> RadialPotential:
         dphi=lambda r: 2.0 * r + 2.0 * m / (r * r),
         d2phi=lambda r: 2.0 - 4.0 * m / (r * r * r),
         tail=lambda r: -2.0 * m / r,
+        dtail=lambda r: 2.0 * m / (r * r),
         params={"m": float(m)},
     )
 
@@ -332,6 +335,7 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
         k_hat=k_hat, kind="perturbed-kottler", domain_start=0.0,
         phi=phi, dphi=dphi, d2phi=d2phi,
         tail=lambda r: -2.0 * m / r + eps / (r * r),
+        dtail=lambda r: 2.0 * m / (r * r) - 2.0 * eps / (r * r * r),
         params={"m": float(m), "eps": float(eps)},
     )
     start = horizon_radius(p)
@@ -339,15 +343,16 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
         return p
     return RadialPotential(
         k_hat=k_hat, kind="perturbed-kottler", domain_start=start,
-        phi=phi, dphi=dphi, d2phi=d2phi, tail=p.tail, params=p.params)
+        phi=phi, dphi=dphi, d2phi=d2phi, tail=p.tail, dtail=p.dtail,
+        params=p.params)
 
 
 def tabulated_potential(k_hat: int, r_samples, phi_samples) -> RadialPotential:
     """Monotone cubic interpolation of sampled phi values.
 
-    Derivatives come from the interpolant; the tail falls back to plain
-    subtraction, so asymptotic extraction from tabulated data degrades at
-    very large radii.
+    Derivatives come from the interpolant; the tail and its derivative fall
+    back to plain subtraction, so asymptotic extraction from tabulated data
+    degrades at very large radii.
     """
     _check_k(k_hat)
     r_arr = np.asarray(r_samples, dtype=float)
@@ -369,12 +374,13 @@ def tabulated_potential(k_hat: int, r_samples, phi_samples) -> RadialPotential:
             return float(out) if np.isscalar(r) else out
         return call
 
-    phi_eval = as_float(interp)
+    phi_eval, dphi_eval = as_float(interp), as_float(d1)
     return RadialPotential(
         k_hat=k_hat, kind="tabulated",
         domain_start=float(r_arr[0]), domain_end=float(r_arr[-1]),
-        phi=phi_eval, dphi=as_float(d1), d2phi=as_float(d2),
+        phi=phi_eval, dphi=dphi_eval, d2phi=as_float(d2),
         tail=lambda r: phi_eval(r) - r * r - k,
+        dtail=lambda r: dphi_eval(r) - 2.0 * r,
     )
 
 

@@ -11,6 +11,7 @@ from alhflow import (DomainError, FlowError, HypothesesNotMet, bracket_check,
                      jump_bound_check, kottler_build, kottler_potential,
                      penrose_rhs, perturbed_kottler_potential,
                      write_trajectory_csv)
+from alhflow.cli import run_scenario
 from alhflow.flow import TRAJECTORY_COLUMNS
 
 FOUR_PI = 4.0 * math.pi
@@ -90,6 +91,28 @@ class TestGerochRate:
         inf = conformal_infinity(0)
         p = kottler_potential(1, 0.0)
         assert abs(geroch_rate(inf, p, 5.0)) <= 1e-12
+
+    @pytest.mark.parametrize("genus,m,eps", [(2, 0.0, 0.15), (0, 0.0, 0.1),
+                                             (2, -0.1, 0.15), (3, 0.3, 0.1)])
+    def test_long_flow_rate(self, tmp_path, genus, m, eps):
+        # R + 6 formed directly carries a rounding error growing like r^3,
+        # which swamps the rate c^(3/2) eps/(4r) long before r = 5e3
+        k_hat = conformal_infinity(genus).curvature_sign
+        r0 = 5.0
+        cfg = {"kind": "flow", "k_hat": k_hat, "genus": genus, "m": m,
+               "eps": eps, "r0": r0, "t_max": 2.0 * math.log(5e3 / r0)}
+        report = run_scenario(cfg, tmp_path)
+        checks = {c["name"]: c for c in report.checks}
+        assert checks["rate_matches_difference"]["passed"]
+        data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        r, rate = data[:, 1], data[:, 6]
+        assert r[-1] == pytest.approx(5e3, rel=1e-12)
+        gamma = conformal_infinity(genus).c ** 1.5
+        closed = gamma * eps / (4.0 * r)
+        # the tail's m terms cancel in q + r q', leaving a rounding of about
+        # u |m| gamma that does not grow with r
+        tol = 1e-13 * closed + 8.0 * 2.0 ** -53 * gamma * abs(m)
+        assert np.all(np.abs(rate - closed) <= tol)
 
     def test_rate_equals_mass_derivative(self):
         # centered difference of m_H along the flow, O(dt^2)
