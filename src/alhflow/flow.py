@@ -1,10 +1,11 @@
 """Inverse mean curvature flow of coordinate spheres and mass-bound checks.
 
 Coordinate spheres move outward with normal speed 1/H.  In the warped
-product the normal speed converts to the coordinate speed
-dr/dt = sqrt(phi)/H = r/2, which is regular through the horizon, so flows
-may start on the minimal boundary itself.  The Hawking mass along the flow
-is monotone whenever the scalar curvature stays >= -6.
+product this is the coordinate speed dr/dt = sqrt(phi)/H = r/2, regular
+through the horizon, so a flow may start on the minimal boundary itself and
+follows r(t) = r0 e^(t/2) on every profile.  A trajectory stores its samples
+as columns.  The Hawking mass along the flow is monotone whenever the
+scalar curvature stays >= -6.
 """
 
 from __future__ import annotations
@@ -93,19 +94,14 @@ class FlowTrajectory:
         return tuple(FlowState._make(row) for row in rows)
 
 
-def _speed(r: float) -> float:
-    # (1/H) * sqrt(phi) for H = 2 sqrt(phi)/r; the cancellation is exact
-    # and keeps the ODE regular at the horizon.
-    return 0.5 * r
-
-
 def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
                    t_max: float, steps: int = 4096) -> FlowTrajectory:
-    """Integrate the flow from radius r0 up to time t_max with fixed-step RK4.
+    """Sample the flow from radius r0 at steps + 1 equally spaced times up to t_max.
 
-    The generic ODE path is kept (the closed form r0*exp(t/2) is reserved
-    for tests).  Requires phi(r0) >= 0 and phi > 0 strictly beyond r0 up to
-    the final radius.
+    The coordinate speed is r/2 on every warped product, so the flow is
+    r(t) = r0 e^(t/2) exactly; `steps` sets only the sampling density.
+    Requires phi(r0) >= 0 and phi > 0 strictly beyond r0 up to the final
+    radius.
     """
     if inf.curvature_sign != p.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
@@ -126,19 +122,10 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         raise FlowError(f"horizon encountered at r = {ahead[closed][0]} ahead of the flow")
 
     dt = t_max / steps
-    if dt <= 0.0 or r0 + _speed(r0) * dt == r0 and r0 > 0:
+    if r0 + 0.5 * r0 * dt == r0:
         raise FlowError("step size underflow")
-
-    radii = np.empty(steps + 1)
-    radii[0] = r0
-    r = r0
-    for i in range(steps):
-        k1 = _speed(r)
-        k2 = _speed(r + 0.5 * dt * k1)
-        k3 = _speed(r + 0.5 * dt * k2)
-        k4 = _speed(r + dt * k3)
-        r = r + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        radii[i + 1] = r
+    t = np.arange(steps + 1) * dt
+    radii = r0 * np.exp(0.5 * t)
 
     masses = geometry.hawking_mass_sphere(inf, p, radii)
     # largest drawdown below the running maximum: total decrease, not the
@@ -147,7 +134,7 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     max_violation = float(drawdown.max())
     tol = MONOTONE_TOL * max(1.0, float(np.max(np.abs(masses))))
     return FlowTrajectory(
-        t=np.arange(steps + 1) * dt,
+        t=t,
         r=radii,
         area=inf.area * radii * radii,
         mean_curvature=geometry.mean_curvature_sphere(p, radii),
