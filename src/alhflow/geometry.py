@@ -140,13 +140,14 @@ class RadialPotential:
         (the horizon, when present) belongs to the manifold; operations
         needing phi > 0 there check that separately.
         """
-        if isinstance(r, np.ndarray):
+        if isinstance(r, float) or not isinstance(r, np.ndarray):
+            if r > 0.0 and self.domain_start <= r <= self.domain_end:
+                return
+        else:
             outside = ~((r > 0.0) & (r >= self.domain_start) & (r <= self.domain_end))
             if not outside.any():
                 return
             r = r[outside][0]
-        elif r > 0.0 and self.domain_start <= r <= self.domain_end:
-            return
         raise DomainError(
             f"r = {r} outside domain [{self.domain_start}, {self.domain_end}]")
 
@@ -445,8 +446,8 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
 # pointwise quantities
 #
 # Each function takes r as a float or as an array of radii.  An array call
-# returns arrays, equal entry by entry to the scalar calls, and raises the
-# DomainError the scalar call would raise at its first offending radius.
+# returns arrays equal entry by entry to the scalar calls, and raises
+# DomainError where a scalar call would, naming the first offending radius.
 
 
 def _raise_where(r, bad: np.ndarray, message: str) -> None:
@@ -472,7 +473,7 @@ def scalar_curvature(p: RadialPotential, r):
     return -2.0 * p.dphi(r) / r + 2.0 * (p.k_hat - p.phi(r)) / (r * r)
 
 
-def ricci_components(p: RadialPotential, r: float) -> tuple[float, float]:
+def ricci_components(p: RadialPotential, r):
     """Unit-frame Ricci eigenvalues (radial, tangential).
 
     radial = -phi'/r, tangential = -(phi'/(2r) + (phi - k_hat)/r^2);
@@ -490,13 +491,13 @@ def mean_curvature_sphere(p: RadialPotential, r):
     p.require_inside(r)
     phi = p.phi(r)
     # negative phi that passes the horizon check is rounding noise at the root
-    if isinstance(phi, np.ndarray):
-        _check_horizon(r, phi)
-        return 2.0 * np.sqrt(np.where(phi < 0.0, 0.0, phi)) / r
-    if phi < 0.0:
-        _check_horizon(r, phi)
-        phi = 0.0
-    return 2.0 * math.sqrt(phi) / r
+    if isinstance(phi, float):
+        if phi < 0.0:
+            _check_horizon(r, phi)
+            phi = 0.0
+        return 2.0 * math.sqrt(phi) / r
+    _check_horizon(r, phi)
+    return 2.0 * np.sqrt(np.where(phi < 0.0, 0.0, phi)) / r
 
 
 def potential_gradient_squared(p: RadialPotential, r):
@@ -523,7 +524,7 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
             f"infinity curvature {inf.curvature_sign} != potential k_hat {p.k_hat}")
     p.require_inside(r)
     phi = p.phi(r)
-    if isinstance(phi, np.ndarray) or phi < 0.0:
+    if not isinstance(phi, float) or phi < 0.0:
         _check_horizon(r, phi)
     return -(inf.c ** 1.5) * 0.5 * r * p.tail(r)
 
@@ -542,18 +543,16 @@ def static_residual(p: RadialPotential, r) -> StaticResidual:
     """
     p.require_inside(r)
     phi = p.phi(r)
+    array = not isinstance(phi, float)
+    if array:
+        _raise_where(r, phi <= 0.0, "phi({r}) <= 0: V is not smooth here")
+    elif phi <= 0.0:
+        raise DomainError(f"phi({r}) <= 0: V is not smooth here")
     dphi, d2phi = p.dphi(r), p.d2phi(r)
     slope = dphi / r
-    ric_rad = 3.0 - slope - 0.5 * d2phi
-    ric_tan = 3.0 - slope + (p.k_hat - phi) / (r * r)
-    if isinstance(phi, np.ndarray):
-        _raise_where(r, phi <= 0.0, "phi({r}) <= 0: V is not smooth here")
-        lap = np.sqrt(phi) * (slope + 0.5 * d2phi - 3.0)
-        return StaticResidual(laplace_residual=np.abs(lap),
-                              ricci_residual=np.maximum(np.abs(ric_rad),
-                                                        np.abs(ric_tan)))
-    if phi <= 0.0:
-        raise DomainError(f"phi({r}) <= 0: V is not smooth here")
-    lap = math.sqrt(phi) * (slope + 0.5 * d2phi - 3.0)
-    return StaticResidual(laplace_residual=abs(lap),
-                          ricci_residual=max(abs(ric_rad), abs(ric_tan)))
+    lap = (np.sqrt(phi) if array else math.sqrt(phi)) * (slope + 0.5 * d2phi - 3.0)
+    ric_rad = abs(3.0 - slope - 0.5 * d2phi)
+    ric_tan = abs(3.0 - slope + (p.k_hat - phi) / (r * r))
+    return StaticResidual(
+        laplace_residual=abs(lap),
+        ricci_residual=np.maximum(ric_rad, ric_tan) if array else max(ric_rad, ric_tan))
