@@ -91,7 +91,7 @@ class FlowTrajectory:
     def states(self) -> tuple[FlowState, ...]:
         """Row view of the columns, built on first access."""
         rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        return tuple(FlowState._make(row) for row in rows)
+        return tuple(map(FlowState._make, rows))
 
 
 def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,

@@ -8,7 +8,8 @@ radius.
 import numpy as np
 import pytest
 
-from alhflow import (DomainError, conformal_infinity, geroch_rate,
+from alhflow import (DomainError, FlowError, build_substitution,
+                     conformal_infinity, geroch_rate,
                      hawking_mass_sphere, horizon_radius, imcf_integrate,
                      kottler_potential, mean_curvature_sphere,
                      perturbed_kottler_potential, potential_gradient_squared,
@@ -148,3 +149,27 @@ def test_trajectory_csv_matches_scalar_rendering(tmp_path, submap):
                s.hawking_mass, s.geroch_rate, scalar_curvature(p, s.r))
         lines.append(",".join(format(v, ".17g") for v in row))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _dipping_table():
+    # phi > 0 near r = 1, closed on [2, 3], open again beyond
+    grid = np.linspace(1.0, 8.0, 141)
+    return tabulated_potential(0, grid, (grid - 2.0) * (grid - 3.0))
+
+
+def test_flow_look_ahead_names_first_closed_radius():
+    p = _dipping_table()
+    r0, t_max = 1.0, 2.0 * np.log(6.0)
+    ahead = np.geomspace(r0 * (1.0 + 1e-9), r0 * np.exp(0.5 * t_max), 257)
+    first = next(r for r in ahead if p.phi(r) <= 0.0)
+    with pytest.raises(FlowError, match=f"horizon encountered at r = {first} "):
+        imcf_integrate(conformal_infinity(1), p, r0, t_max)
+
+
+def test_substitution_probe_names_first_closed_radius():
+    p = kottler_potential(-1, 0.3)
+    r_start = 0.5 * p.domain_start
+    first = next(r for r in np.geomspace(r_start, 1e4 * r_start, 65)
+                 if p.phi(r) <= 0.0)
+    with pytest.raises(DomainError, match=rf"phi\({first}\) <= 0"):
+        build_substitution(p, r_start, 1e4 * r_start)
