@@ -130,6 +130,16 @@ class TestGerochRate:
         assert errs[0] <= 1e-6
         assert errs[1] <= errs[0] / 3.0  # second order in dt
 
+    def test_rate_check_large_step(self, tmp_path):
+        # a correct flow whose step is large enough that the second-order
+        # difference's truncation, about rate dt^2/24, exceeds 1e-8 on its own
+        r0 = 2.0
+        cfg = {"kind": "flow", "k_hat": -1, "genus": 2, "m": -0.1, "eps": 0.15,
+               "r0": r0, "t_max": 2.0 * math.log(5e3 / r0), "steps": 4096}
+        report = run_scenario(cfg, tmp_path)
+        checks = {c["name"]: c for c in report.checks}
+        assert checks["rate_matches_difference"]["value"] <= 1e-12
+
 
 class TestMonotonicity:
     @settings(max_examples=20, deadline=None)
