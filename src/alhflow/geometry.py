@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NumericalError
 
@@ -178,81 +179,73 @@ class StaticResidual:
 # ---------------------------------------------------------------------------
 # root finding
 
-_SCAN_PER_DECADE = 256
-_BISECT_TOL = 1e-14
+
+def _three_root_seed(sq, s, h, g):
+    # 2 sqrt(q) cos(theta/3), theta = 2 atan2(sqrt(s - h), sqrt(s + h)) the
+    # half-angle form of cos(theta) = h/s: accurate as g = s + h -> 0
+    return 2.0 * sq * math.cos(2.0 / 3.0 * math.atan2(math.sqrt(s - h), math.sqrt(g)))
 
 
-def _largest_cubic_root(a: float, b: float) -> Optional[tuple[float, bool]]:
-    """Largest positive root of p(r) = r^3 + a*r - b, or None.
+def _one_root_seed(q, h):
+    # Cardano's u + q/u with u^3 = h + sqrt(h^2 - q^3), written as
+    # 2h / (u^2 - q + q^2/u^2), which does not cancel for h > 0
+    u2 = (h + math.sqrt(max(h * h - q * q * q, 0.0))) ** (2.0 / 3.0)
+    return 2.0 * h / (u2 - q + q * q / u2)
 
-    Scans a descending log grid for the rightmost sign change, bisects,
-    then Newton-polishes.  Returns (root, is_double).  A double root (the
-    cubic touching zero from above) never produces a sign change, so it is
-    recovered from the interior minimum of p when the scan fails.
+
+# The array path runs the seeds entrywise through the C library as well:
+# numpy's own float64 atan2 and pow can differ from it in the last bit.
+_three_root_seeds = np.frompyfunc(_three_root_seed, 4, 1)
+_one_root_seeds = np.frompyfunc(_one_root_seed, 2, 1)
+
+
+def _polish(r, a, b):
+    """Two Newton steps, then NumericalError unless the residual is small."""
+    for _ in range(2):
+        r = r - (r * r * r + a * r - b) / (3.0 * r * r + a)
+    residual = r * r * r + a * r - b
+    ok = abs(residual) <= 1e-9 * (1.0 + abs(a) + abs(b)) ** 3
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise NumericalError(f"cubic root {r} leaves residual {residual}")
+    return r
+
+
+def _largest_cubic_root(a, b):
+    """Largest positive root of p(r) = r^3 + a*r - b, in closed form.
+
+    With q = -a/3, h = b/2 and s = q^(3/2), p = r^3 - 3q r - 2h (Nickalls,
+    Math. Gazette 77, 1993; Kahan, "To solve a real cubic equation", 1986).
+    h > s: one positive root, by Cardano.  -s < h <= s: the largest of
+    three is 2 sqrt(q) cos(theta/3), cos(theta) = h/s.  |h + s| within its
+    rounding 4u s: the double root sqrt(q), as is.  Else no positive root.
+
+    Float a, b give (root, is_double) or None; arrays, broadcast against
+    each other, give arrays (root, is_double) with NaN for None, each entry
+    bitwise the float call's.  Simple roots get two Newton steps.
     """
-
-    def p(r):
-        return r * r * r + a * r - b
-
-    def dp(r):
-        return 3.0 * r * r + a
-
-    r_hi = 1.0 + max(abs(a), abs(b))  # Cauchy bound: all roots lie below
-    scale = max(1.0, r_hi)
-
-    bracket = None
-    r_right = r_hi
-    p_right = p(r_right)
-    decades_scanned = 0
-    while decades_scanned < 20 and bracket is None:
-        r_left_edge = r_right / 10.0
-        grid = np.geomspace(r_right, r_left_edge, _SCAN_PER_DECADE + 1)
-        vals = p(grid)
-        signs = np.sign(vals)
-        flips = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-        if flips.size:
-            i = flips[0]
-            bracket = (grid[i + 1], grid[i])
-            break
-        r_right, p_right = r_left_edge, vals[-1]
-        decades_scanned += 1
-
-    if bracket is None:
-        # Possible double root: p has an interior minimum only when a < 0.
-        if a < 0.0:
-            r_star = math.sqrt(-a / 3.0)
-            if abs(p(r_star)) <= 1e-11 * max(1.0, abs(a) ** 1.5):
-                return r_star, True
+    array = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+    if array:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    q, h = -a / 3.0, 0.5 * b
+    sq = np.sqrt(np.maximum(q, 0.0)) if array else math.sqrt(max(q, 0.0))
+    s = q * sq
+    g = h + s
+    if not array:
+        if h > s:
+            return _polish(_one_root_seed(q, h), a, b), False
+        if q > 0.0 and abs(g) <= 2.0 ** -51 * s:
+            return sq, True
+        if g > 0.0:
+            return _polish(_three_root_seed(sq, s, h, g), a, b), False
         return None
-
-    lo, hi = bracket
-    if p(hi) < 0.0:  # orient so p(hi) >= 0 (largest root approached from above)
-        lo, hi = hi, lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(mid)) or mid in (lo, hi):
-            break
-        if p(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish
-        slope = dp(root)
-        if slope == 0.0:
-            break
-        step = p(root) / slope
-        new = root - step
-        if not (0.0 < new <= r_hi * 1.01):
-            break
-        root = new
-        if abs(step) <= 1e-16 * max(1.0, abs(root)):
-            break
-    if abs(p(root)) > 1e-9 * scale ** 3:
-        raise NumericalError(
-            f"root polish failed on bracket [{lo}, {hi}]: residual {p(root):.3e}")
-    is_double = abs(dp(root)) < 1e-8 * max(1.0, scale * scale)
-    return root, is_double
+    one = h > s
+    double = (q > 0.0) & (np.abs(g) <= 2.0 ** -51 * s)
+    three = ~one & ~double & (g > 0.0)
+    r = np.where(double, sq, math.nan)
+    r[one] = _polish(_one_root_seeds(q[one], h[one]).astype(float), a[one], b[one])
+    r[three] = _polish(_three_root_seeds(sq[three], s[three], h[three], g[three])
+                       .astype(float), a[three], b[three])
+    return r, double
 
 
 def largest_zero(k_hat: int, m: float) -> Optional[float]:
@@ -301,9 +294,10 @@ def _check_k(k_hat: int) -> None:
 
 def kottler_potential(k_hat: int, m: float) -> RadialPotential:
     """phi = r^2 + k_hat - 2m/r with exact derivative and tail evaluators."""
-    _check_k(k_hat)
-    r_m = largest_zero(k_hat, m)
-    start = r_m if r_m is not None else 0.0
+    return _kottler_potential(k_hat, m, largest_zero(k_hat, m) or 0.0)
+
+
+def _kottler_potential(k_hat: int, m: float, start: float) -> RadialPotential:
     k = float(k_hat)
     return RadialPotential(
         k_hat=k_hat,
@@ -389,14 +383,14 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     """Kottler space of the given mass, with horizon radius and surface gravity.
 
     The surface gravity is (3 r_m^2 + k_hat) / (2 r_m) = phi'(r_m)/2; it is
-    exactly 0 for the critical k_hat = -1 member (double root).
+    exactly 0 for the critical k_hat = -1 member (double root), which also
+    stands for the admissible masses up to 1e-15 below it.
     """
-    _check_k(k_hat)
     lo, _ = admissible_mass_interval(k_hat)
     if m < lo - 1e-15:
         raise DomainError(
             f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
-    found = _largest_cubic_root(float(k_hat), 2.0 * m)
+    found = _largest_cubic_root(float(k_hat), 2.0 * max(m, lo))
     if found is None:
         # boundary members m = 0 with k_hat in {0, +1}: no horizon
         r_m, kappa = 0.0, 0.0
@@ -405,11 +399,16 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
         kappa = 0.0 if is_double else (3.0 * r_m * r_m + k_hat) / (2.0 * r_m)
     return KottlerSpace(
         k_hat=k_hat, mass=float(m), horizon_radius=r_m,
-        surface_gravity=kappa, potential=kottler_potential(k_hat, m))
+        surface_gravity=kappa, potential=_kottler_potential(k_hat, m, r_m))
 
 
 def horizon_radius(p: RadialPotential) -> Optional[float]:
-    """Largest zero of phi for a generic potential, by bracketed scan."""
+    """Largest zero of phi for a generic potential, by bracketed scan, or None.
+
+    A scan without a sign change raises NumericalError if the minimum of
+    phi near its smallest scan value is within 1e-12 max(1, r^2) of zero:
+    phi touches zero there, or dips below it between two scan points.
+    """
     if p.kind == "kottler":
         return largest_zero(p.k_hat, p.params["m"])
     r_hi = min(p.domain_end, 10.0 * (1.0 + abs(p.tail(1.0)) + abs(p.k_hat)))
@@ -422,6 +421,15 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
         raise DomainError("potential not positive at the outer scan radius")
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
     if not flips.size:
+        i = int(np.argmin(vals))
+        r_min = grid[i]
+        if 0 < i < grid.size - 1:
+            r_min = minimize_scalar(p.phi, bounds=(grid[i + 1], grid[i - 1]),
+                                    method="bounded", options={"xatol": 1e-12 * r_min}).x
+        phi_min = min(vals[i], p.phi(r_min))
+        if phi_min <= 1e-12 * max(1.0, r_min * r_min):
+            raise NumericalError(f"phi comes to {phi_min:.3e} at r = {r_min} "
+                                 "without a sign change: horizon undecided")
         return None
     i = flips[0]
     hi, lo = grid[i], grid[i + 1]

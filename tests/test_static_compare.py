@@ -9,7 +9,8 @@ from alhflow import (DomainError, HypothesesNotMet, alpha_coefficient,
                      mass_to_kappa, mean_curvature_evolution_residual,
                      omega_derivatives, omega_eval, omega_ode_residual,
                      perturbed_kottler_potential,
-                     potential_derivative_residual, reference_potential)
+                     potential_derivative_residual, reference_potential,
+                     richardson, static_compare)
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -92,6 +93,16 @@ class TestOmega:
     def test_negative_v_rejected(self):
         with pytest.raises(DomainError):
             omega_eval(reference_potential(-1, 0.0), -0.1)
+        with pytest.raises(DomainError):
+            reference_potential(-1, 0.0).omega(np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("k_hat,m0", [(-1, M_CRIT + 1e-9), (-1, -0.1),
+                                          (0, 0.3), (1, 1.0)])
+    def test_array_equals_scalar_bitwise(self, k_hat, m0):
+        ref = reference_potential(k_hat, m0)
+        v = np.concatenate([[0.0], np.geomspace(1e-8, 40.0, 63)])
+        got = ref.omega(v)
+        assert [x.hex() for x in got.tolist()] == [ref.omega(x).hex() for x in v.tolist()]
 
 
 class TestOmegaDerivatives:
@@ -194,6 +205,30 @@ class TestBoundaryCurvature:
         with pytest.raises(DomainError):
             boundary_gauss_curvature(reference_potential(-1, M_CRIT))
 
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1])
+    def test_matches_richardson_second_difference(self, delta):
+        # independent route: extrapolate 2 (omega(h) - kappa^2)/h^2 -> -2K
+        ref = reference_potential(-1, M_CRIT + delta)
+        h = 0.04 * ref.kappa / 2.0 ** np.arange(4)
+        second, _ = richardson(2.0 * (ref.omega(h) - ref.kappa ** 2) / (h * h),
+                               ratio=2.0, first_order=2, levels=3)
+        assert abs(-0.5 * second - boundary_gauss_curvature(ref)) <= 1e-8
+
+    @pytest.mark.parametrize("delta", [1e-11, 1e-8, 1e-6, 1e-4])
+    def test_near_critical_reference(self, delta):
+        ref = reference_potential(-1, M_CRIT + delta)
+        expect = -1.0 / ref.horizon_radius ** 2
+        assert abs(boundary_gauss_curvature(ref) - expect) <= 1e-11
+
+    def test_reference_mass_off_by_1e6_fails_verdict(self, monkeypatch):
+        p = kottler_potential(-1, -0.1)
+        assert compare_with_reference(p, 2).verdicts["boundary_curvature_ge_reference"]
+        monkeypatch.setattr(static_compare, "kappa_to_mass",
+                            lambda k_hat, kappa: kappa_to_mass(k_hat, kappa) + 1e-6)
+        report = compare_with_reference(p, 2)
+        assert report.reference_mass == pytest.approx(-0.1 + 1e-6, abs=1e-12)
+        assert not report.verdicts["boundary_curvature_ge_reference"]
+
 
 class TestCompare:
     def test_self_comparison_all_equalities(self):
@@ -235,6 +270,11 @@ class TestCompare:
             compare_with_reference(kottler_potential(0, 0.5), 1)
         with pytest.raises(DomainError):
             compare_with_reference(kottler_potential(-1, -0.1), 1)
+
+    @pytest.mark.parametrize("delta", [1e-11, 1e-9, 1e-7, 1e-5, 1e-3])
+    def test_near_critical_data_pass(self, delta):
+        report = compare_with_reference(kottler_potential(-1, M_CRIT + delta), 2)
+        assert report.all_pass, report.verdicts
 
     def test_report_serialization(self):
         report = compare_with_reference(kottler_potential(-1, -0.1), 2)
