@@ -206,7 +206,7 @@ def _polish(r, a, b):
     residual = r * r * r + a * r - b
     ok = abs(residual) <= 1e-9 * (1.0 + abs(a) + abs(b)) ** 3
     if not (ok if isinstance(ok, bool) else ok.all()):
-        raise NumericalError(f"cubic root {r} leaves residual {residual}")
+        raise NumericalError(f"cubic root residual {np.max(abs(residual)):.3e} too large")
     return r
 
 
