@@ -180,81 +180,61 @@ class StaticResidual:
 # root finding
 
 
-def _three_root_seed(sq, s, h, g):
-    # 2 sqrt(q) cos(theta/3), theta = 2 atan2(sqrt(s - h), sqrt(s + h)) the
-    # half-angle form of cos(theta) = h/s: accurate as g = s + h -> 0
-    return 2.0 * sq * math.cos(2.0 / 3.0 * math.atan2(math.sqrt(s - h), math.sqrt(g)))
-
-
-def _one_root_seed(q, h):
-    # Cardano's u + q/u with u^3 = h + sqrt(h^2 - q^3), written as
-    # 2h / (u^2 - q + q^2/u^2), which does not cancel for h > 0
-    u2 = (h + math.sqrt(max(h * h - q * q * q, 0.0))) ** (2.0 / 3.0)
-    return 2.0 * h / (u2 - q + q * q / u2)
-
-
-# The array path runs the seeds entrywise through the C library as well:
-# numpy's own float64 atan2 and pow can differ from it in the last bit.
-_three_root_seeds = np.frompyfunc(_three_root_seed, 4, 1)
-_one_root_seeds = np.frompyfunc(_one_root_seed, 2, 1)
-
-
-def _polish(r, a, b):
+def _polish(r: float, a: float, b: float) -> float:
     """Two Newton steps, then NumericalError unless the residual is small."""
     for _ in range(2):
-        r = r - (r * r * r + a * r - b) / (3.0 * r * r + a)
+        r -= (r * r * r + a * r - b) / (3.0 * r * r + a)
     residual = r * r * r + a * r - b
-    ok = abs(residual) <= 1e-9 * (1.0 + abs(a) + abs(b)) ** 3
-    if not (ok if isinstance(ok, bool) else ok.all()):
-        raise NumericalError(f"cubic root residual {np.max(abs(residual)):.3e} too large")
+    if abs(residual) > 1e-9 * (1.0 + max(abs(a), abs(b))) ** 3:
+        raise NumericalError(f"cubic root residual {residual:.3e} too large")
     return r
 
 
-def _largest_cubic_root(a, b):
-    """Largest positive root of p(r) = r^3 + a*r - b, in closed form.
+def _largest_cubic_root(a: float, b: float) -> Optional[tuple[float, bool]]:
+    """Largest positive root of p(r) = r^3 + a*r - b as (root, is_double), or None.
 
     With q = -a/3, h = b/2 and s = q^(3/2), p = r^3 - 3q r - 2h (Nickalls,
     Math. Gazette 77, 1993; Kahan, "To solve a real cubic equation", 1986).
     h > s: one positive root, by Cardano.  -s < h <= s: the largest of
     three is 2 sqrt(q) cos(theta/3), cos(theta) = h/s.  |h + s| within its
     rounding 4u s: the double root sqrt(q), as is.  Else no positive root.
-
-    Float a, b give (root, is_double) or None; arrays, broadcast against
-    each other, give arrays (root, is_double) with NaN for None, each entry
-    bitwise the float call's.  Simple roots get two Newton steps.
+    Simple roots get two Newton steps.
     """
-    array = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-    if array:
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     q, h = -a / 3.0, 0.5 * b
-    sq = np.sqrt(np.maximum(q, 0.0)) if array else math.sqrt(max(q, 0.0))
+    sq = math.sqrt(max(q, 0.0))
     s = q * sq
     g = h + s
-    if not array:
-        if h > s:
-            return _polish(_one_root_seed(q, h), a, b), False
-        if q > 0.0 and abs(g) <= 2.0 ** -51 * s:
-            return sq, True
-        if g > 0.0:
-            return _polish(_three_root_seed(sq, s, h, g), a, b), False
-        return None
-    one = h > s
-    double = (q > 0.0) & (np.abs(g) <= 2.0 ** -51 * s)
-    three = ~one & ~double & (g > 0.0)
-    r = np.where(double, sq, math.nan)
-    r[one] = _polish(_one_root_seeds(q[one], h[one]).astype(float), a[one], b[one])
-    r[three] = _polish(_three_root_seeds(sq[three], s[three], h[three], g[three])
-                       .astype(float), a[three], b[three])
-    return r, double
+    if h > s:
+        # Cardano's u + q/u with u^3 = h + sqrt(h^2 - q^3), written as
+        # 2h / (u^2 - q + q^2/u^2), which does not cancel for h > 0
+        u2 = (h + math.sqrt(max(h * h - q * q * q, 0.0))) ** (2.0 / 3.0)
+        return _polish(2.0 * h / (u2 - q + q * q / u2), a, b), False
+    if q > 0.0 and abs(g) <= 2.0 ** -51 * s:
+        return sq, True
+    if g > 0.0:
+        # theta = 2 atan2(sqrt(s - h), sqrt(s + h)), the half-angle form of
+        # cos(theta) = h/s: accurate as g = s + h -> 0
+        seed = 2.0 * sq * math.cos(2.0 / 3.0 * math.atan2(math.sqrt(s - h), math.sqrt(g)))
+        return _polish(seed, a, b), False
+    return None
+
+
+def _horizon_root(k_hat: int, m: float) -> Optional[tuple[float, bool]]:
+    """(root, is_double) of r^3 + k_hat*r - 2m, or None.  Masses within the
+    1e-15 admissibility slack below the critical mass are solved at it."""
+    lo = critical_mass(k_hat)
+    if lo - 1e-15 <= m < lo:
+        m = lo
+    return _largest_cubic_root(float(k_hat), 2.0 * m)
 
 
 def largest_zero(k_hat: int, m: float) -> Optional[float]:
     """Largest positive zero of V(r) = sqrt(r^2 + k_hat - 2m/r), or None.
 
-    Zeros of V coincide with positive roots of r^3 + k_hat*r - 2m.
+    Zeros of V coincide with positive roots of r^3 + k_hat*r - 2m; masses
+    up to 1e-15 below the critical one count as critical.
     """
-    _check_k(k_hat)
-    found = _largest_cubic_root(float(k_hat), 2.0 * m)
+    found = _horizon_root(k_hat, m)
     return None if found is None else found[0]
 
 
@@ -390,7 +370,7 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     if m < lo - 1e-15:
         raise DomainError(
             f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
-    found = _largest_cubic_root(float(k_hat), 2.0 * max(m, lo))
+    found = _horizon_root(k_hat, m)
     if found is None:
         # boundary members m = 0 with k_hat in {0, +1}: no horizon
         r_m, kappa = 0.0, 0.0
@@ -405,9 +385,10 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
 def horizon_radius(p: RadialPotential) -> Optional[float]:
     """Largest zero of phi for a generic potential, by bracketed scan, or None.
 
-    A scan without a sign change raises NumericalError if the minimum of
-    phi near its smallest scan value is within 1e-12 max(1, r^2) of zero:
-    phi touches zero there, or dips below it between two scan points.
+    Without a sign change on the scan, phi is minimized between the
+    neighbours of its smallest scan value.  A minimum below zero brackets
+    the root; one within 1e-12 max(1, r^2) of zero raises NumericalError,
+    since phi may touch zero there or miss it.
     """
     if p.kind == "kottler":
         return largest_zero(p.k_hat, p.params["m"])
@@ -420,19 +401,24 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
     if vals[0] <= 0:
         raise DomainError("potential not positive at the outer scan radius")
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
-    if not flips.size:
+    if flips.size:
+        i = flips[0]
+        hi, lo = grid[i], grid[i + 1]
+    else:
         i = int(np.argmin(vals))
         r_min = grid[i]
         if 0 < i < grid.size - 1:
             r_min = minimize_scalar(p.phi, bounds=(grid[i + 1], grid[i - 1]),
                                     method="bounded", options={"xatol": 1e-12 * r_min}).x
         phi_min = min(vals[i], p.phi(r_min))
-        if phi_min <= 1e-12 * max(1.0, r_min * r_min):
+        tol = 1e-12 * max(1.0, r_min * r_min)
+        if phi_min > tol:
+            return None
+        if phi_min >= -tol:
             raise NumericalError(f"phi comes to {phi_min:.3e} at r = {r_min} "
                                  "without a sign change: horizon undecided")
-        return None
-    i = flips[0]
-    hi, lo = grid[i], grid[i + 1]
+        # phi dips below zero between two scan points
+        hi, lo = grid[i - 1], r_min
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * max(1.0, mid):

@@ -88,15 +88,19 @@ class ReferencePotential:
         self.kappa = space.surface_gravity
         self.horizon_radius = space.horizon_radius
 
-    def r_of_V(self, v):
-        """Radius where the potential equals v, for a float or an array."""
-        array = isinstance(v, np.ndarray)
-        if (v < 0.0).any() if array else v < 0.0:
+    def _radius(self, v: float) -> float:
+        if v < 0.0:
             raise DomainError("V must be nonnegative")
         found = _largest_cubic_root(self.k_hat - v * v, 2.0 * self.m0)
-        if found is None or array and np.isnan(found[0]).any():
+        if found is None:
             raise NumericalError(f"no radius with potential value {v}")
         return found[0]
+
+    def r_of_V(self, v):
+        """Radius where the potential equals v, for a float or an array."""
+        if isinstance(v, np.ndarray):
+            return np.frompyfunc(self._radius, 1, 1)(v).astype(float)
+        return self._radius(v)
 
     def omega(self, v):
         r = self.r_of_V(v)

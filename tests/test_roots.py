@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alhflow import (NumericalError, geometry, horizon_radius, kottler_build,
-                     largest_zero, perturbed_kottler_potential)
+                     kottler_potential, largest_zero, perturbed_kottler_potential,
+                     reference_potential)
 from alhflow.geometry import _largest_cubic_root
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
@@ -69,10 +70,13 @@ def test_critical_mass_is_the_exact_double_root():
     assert largest_zero(-1, M_CRIT) == third
     # masses within the 1e-15 admissibility slack below it are the critical member
     for m in (M_CRIT, M_CRIT - 1e-16, M_CRIT - 1e-15):
+        assert largest_zero(-1, m) == third
         space = kottler_build(-1, m)
         assert space.horizon_radius == third
         assert space.surface_gravity == 0.0
         assert space.potential.domain_start == third
+        assert horizon_radius(space.potential) == third
+        assert kottler_potential(-1, m).domain_start == third
 
 
 def test_no_root_below_critical():
@@ -94,35 +98,29 @@ def test_kottler_build_solves_the_cubic_once(monkeypatch):
         assert len(calls) == 1
 
 
-_generic = st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
-# a = -3q, b = -2 q^(3/2) (1 - t): the two upper roots merge as t -> 0
-_near_double = st.builds(
-    lambda q, t: (-3.0 * q, -2.0 * q * math.sqrt(q) * (1.0 - t)),
-    st.floats(1e-3, 5.0), st.floats(-1e-9, 1e-6))
+_reference = st.one_of(
+    st.tuples(st.just(-1), st.floats(M_CRIT, 5.0)),
+    # near the double root, where the two upper roots merge as V -> 0
+    st.tuples(st.just(-1), st.builds(lambda d: M_CRIT + d, st.floats(0.0, 1e-6))),
+    st.tuples(st.sampled_from([0, 1]), st.floats(1e-6, 5.0)))
+_potential_values = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e-6)),
+                             min_size=1, max_size=16)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_generic, _near_double), min_size=1, max_size=16))
-def test_array_path_equals_float_path_bitwise(pairs):
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    roots, double = _largest_cubic_root(a, b)
-    for i, (ai, bi) in enumerate(pairs):
-        found = _largest_cubic_root(ai, bi)
-        if found is None:
-            assert math.isnan(roots[i]) and not double[i]
-        else:
-            assert float(roots[i]).hex() == found[0].hex()
-            assert bool(double[i]) is found[1]
+@given(_reference, _potential_values)
+def test_array_path_equals_float_path_bitwise(reference, values):
+    ref = reference_potential(*reference)
+    radii = ref.r_of_V(np.array(values))
+    assert [r.hex() for r in radii.tolist()] == [ref.r_of_V(v).hex() for v in values]
 
 
-def test_array_path_broadcasts():
+def test_array_path_keeps_shape():
+    ref = reference_potential(0, 0.1)
     v = np.linspace(0.0, 3.0, 12).reshape(3, 4)
-    roots, double = _largest_cubic_root(-1.0 - v * v, -0.2)
-    assert roots.shape == double.shape == (3, 4)
-    assert not double.any()
-    np.testing.assert_allclose(roots ** 3 - (1.0 + v * v) * roots, -0.2,
-                               rtol=0, atol=1e-14)
+    r = ref.r_of_V(v)
+    assert r.shape == (3, 4) and r.dtype == float
+    np.testing.assert_allclose(r ** 3 - v * v * r, 0.2, rtol=0, atol=1e-14)
 
 
 class TestNearTangentHorizon:
@@ -133,10 +131,15 @@ class TestNearTangentHorizon:
         with pytest.raises(NumericalError, match="horizon undecided"):
             perturbed_kottler_potential(1, 3.0, 4.0 + 1e-13)
 
-    def test_dip_between_scan_points_raises(self):
+    def test_dip_between_scan_points_finds_the_outer_root(self):
         # roots at 1 -+ 3.8e-4, closer than the scan's 1.1% spacing
-        with pytest.raises(NumericalError, match="horizon undecided"):
-            perturbed_kottler_potential(1, 3.0, 4.0 - 1e-6)
+        tau = -1e-6
+        with mpmath.workdps(50):
+            exact = max(float(mpmath.re(z)) for z in mpmath.polyroots(
+                [1, 0, 1, -6, mpmath.mpf(4.0 + tau)]) if abs(mpmath.im(z)) < 1e-30)
+        p = perturbed_kottler_potential(1, 3.0, 4.0 + tau)
+        assert p.domain_start == pytest.approx(exact, rel=1e-12)
+        assert horizon_radius(p) == p.domain_start
 
     def test_clear_of_zero_has_no_horizon(self):
         p = perturbed_kottler_potential(1, 3.0, 4.0 + 1e-3)
