@@ -7,24 +7,33 @@ The hyperbolic-model radial coordinate rho solves
 and the tangential metric correction it exposes is h = rho (r^2 - rho^2) ghat,
 so the mass aspect is mu = (3/2) lim rho (r^2 - rho^2).
 
-Numerically the map is integrated in the scaled deviation c = r^2 (r - rho),
-which tends to a finite limit (m/3 on Kottler profiles) and avoids the
-catastrophic cancellation that computing r^2 - rho^2 directly would suffer
-at large radii.  Downstream quantities (rho, s = 1/rho, the compactified
-area factor) are reconstructed from c in cancellation-free form.
+The equation separates, so the map is a quadrature, not an initial-value
+solve: with A = arcsinh, log or arccosh for k_hat = 1, 0, -1,
+A(rho(r)) - A(r) = -int_r^inf (1/sqrt(phi) - 1/sqrt(s^2 + k_hat)) ds, an
+integrand written without cancellation through the potential's tail.  The
+map is tabulated in the scaled deviation c = r^2 (r - rho), which tends to
+a finite limit (m/3 on Kottler profiles) and is recovered from the integral
+in cancellation-free form; computing r^2 - rho^2 directly would lose it at
+large radii.  Downstream quantities (rho, s = 1/rho, the compactified area
+factor) are reconstructed from c the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ExtractionError, NumericalError
 from .geometry import ConformalInfinity, RadialPotential, mean_curvature_sphere
+
+# The map calls no initial-value solver.  The name stays bound because
+# perfbench/layers.py counts right-hand-side evaluations through it, which
+# now reads 0; drop both together.
+solve_ivp = None
 
 __all__ = [
     "SubstitutionMap",
@@ -89,7 +98,8 @@ class SubstitutionMap:
     reductions (c against ln r, ln rho against ln r, s = 1/rho against 1/r,
     the area factor (r/rho)^2 against ln r).  The s and area-factor splines
     are independent interpolants on purpose: consumers differencing the map
-    two ways must not cancel algebraically.
+    two ways must not cancel algebraically.  Every spline but that of c is
+    fitted on first use.
     """
 
     def __init__(self, potential: RadialPotential, r_grid: np.ndarray,
@@ -103,14 +113,30 @@ class SubstitutionMap:
         if np.any(np.diff(self._rho) <= 0.0):
             raise NumericalError("substitution output is not strictly increasing")
         self._c_spline = CubicSpline(self._x, self._c)
-        self._dc_spline = self._c_spline.derivative()
-        self._inv_spline = CubicSpline(np.log(self._rho), self._x)
-        y = 1.0 / self._r[::-1]
-        self._s_spline = CubicSpline(y, 1.0 / self._rho[::-1])
-        self._ds_spline = self._s_spline.derivative()
-        chi = 1.0 / (1.0 - self._c / self._r ** 3) ** 2
-        self._chi_spline = CubicSpline(self._x, chi)
-        self._dchi_spline = self._chi_spline.derivative()
+
+    @cached_property
+    def _dc_spline(self):
+        return self._c_spline.derivative()
+
+    @cached_property
+    def _inv_spline(self):
+        return CubicSpline(np.log(self._rho), self._x)
+
+    @cached_property
+    def _s_spline(self):
+        return CubicSpline(1.0 / self._r[::-1], 1.0 / self._rho[::-1])
+
+    @cached_property
+    def _ds_spline(self):
+        return self._s_spline.derivative()
+
+    @cached_property
+    def _chi_spline(self):
+        return CubicSpline(self._x, 1.0 / (1.0 - self._c / self._r ** 3) ** 2)
+
+    @cached_property
+    def _dchi_spline(self):
+        return self._chi_spline.derivative()
 
     # -- domain -------------------------------------------------------
 
@@ -205,15 +231,109 @@ class SubstitutionMap:
         return float(out) if out.ndim == 0 else out
 
 
-def build_substitution(p: RadialPotential, r_start: float, r_end: float,
-                       nodes_per_decade: int = 192, rtol: float = 1e-12,
-                       atol: float = 1e-14) -> SubstitutionMap:
-    """Integrate the substitution inward from a matched asymptotic state.
+#: 8-point Gauss-Legendre nodes and weights on [-1, 1], as returned by
+#: np.polynomial.legendre.leggauss(8); literals, because computing them at
+#: import time costs memory for nothing.
+_GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                     0.7966664774136267, 0.9602898564975362])
+_GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                     0.22238103445337443, 0.10122853629037706])
+#: A panel is accepted once its two rules agree to _PANEL_RTOL of int |f|,
+#: or to _ROUNDING_SLACK times a bound on the rounding of f over it.
+_PANEL_RTOL = 1e-14
+_ROUNDING_SLACK = 8.0
+_ULP = np.finfo(float).eps
+#: Bisections of a panel, and sub-panels under test in a batch, beyond which
+#: the quadrature gives up.
+_MAX_LEVELS = 40
+_MAX_SUBPANELS = 8192
+#: Panels evaluated per batch, which bounds the temporaries.
+_BATCH = 1024
+#: Below this radius k_hat = -1 maps integrate u = arccosh(rho) directly.
+_ARCCOSH_BELOW = 2.0
 
-    The start value at r_end matches the model metric through order 1/r:
-    rho = r + tail(r)/(6 r), which the defining equation then propagates
-    stably downward (initialization errors decay like the cube of the
-    radius ratio).
+
+def _gauss(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre integrals of f and of |f| over each [a_i, b_i]."""
+    half = 0.5 * (b - a)
+    v = f((a + half)[:, None] + half[:, None] * _GAUSS_X) * _GAUSS_W
+    return half * v.sum(axis=1), half * np.abs(v).sum(axis=1)
+
+
+def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals of f over the panels [a_i, b_i], adaptively.
+
+    Each panel's 8-point Gauss value is compared with the sum over its two
+    halves, which is kept when the two agree (see _PANEL_RTOL; rounding(s)
+    bounds the rounding error of f(s)); otherwise both halves are tested
+    the same way.  Raises
+    NumericalError when a panel disagrees after _MAX_LEVELS bisections or a
+    batch needs more than _MAX_SUBPANELS sub-panels.
+    """
+    out = np.zeros(a.size)
+    for lo in range(0, a.size, _BATCH):
+        owner = np.arange(lo, min(lo + _BATCH, a.size))
+        left, right = a[owner], b[owner]
+        whole, _ = _gauss(f, left, right)
+        level = 0
+        while True:
+            mid = 0.5 * (left + right)
+            first, first_abs = _gauss(f, left, mid)
+            second, second_abs = _gauss(f, mid, right)
+            halves = first + second
+            diff = np.abs(whole - halves)
+            bad = np.nonzero(diff > _PANEL_RTOL * (first_abs + second_abs))[0]
+            if bad.size:
+                # rounding bounds only where the rule test fails: it is rare
+                noise = (_gauss(rounding, left[bad], mid[bad])[1]
+                         + _gauss(rounding, mid[bad], right[bad])[1])
+                bad = bad[diff[bad] > _ROUNDING_SLACK * noise]
+            keep = np.ones(owner.size, dtype=bool)
+            keep[bad] = False
+            np.add.at(out, owner[keep], halves[keep])
+            if not bad.size:
+                break
+            level += 1
+            if level > _MAX_LEVELS or 2 * bad.size > _MAX_SUBPANELS:
+                raise NumericalError("substitution quadrature did not converge on "
+                                     f"{bad.size} panels")
+            owner = np.concatenate((owner[bad], owner[bad]))
+            left, right = (np.concatenate((left[bad], mid[bad])),
+                           np.concatenate((mid[bad], right[bad])))
+            whole = np.concatenate((first[bad], second[bad]))
+    return out
+
+
+def _integrals_to_last(f, rounding, nodes: np.ndarray) -> np.ndarray:
+    """int of f from each node to the last one (0 at the last)."""
+    out = np.zeros(nodes.size)
+    out[:-1] = np.cumsum(_panel_integrals(f, rounding, nodes[:-1], nodes[1:])[::-1])[::-1]
+    return out
+
+
+def build_substitution(p: RadialPotential, r_start: float, r_end: float,
+                       nodes_per_decade: int = 192) -> SubstitutionMap:
+    """Tabulate the substitution on log-spaced nodes by quadrature.
+
+    The defining equation separates: A(rho) - A(r) = D(r) with
+    A = arcsinh, log or arccosh for k_hat = 1, 0, -1 and
+
+        D(r) = -int_r^inf g,   g = -tail / (sqrt(phi) R (sqrt(phi) + R)),
+
+    where R = sqrt(s^2 + k_hat); g is 1/sqrt(phi) - 1/R written without
+    cancellation.  The integral over [r_end, inf) is taken exactly through
+    s = r_end / t; a potential ending at a finite domain_end starts instead
+    from the leading-order match rho = r + tail(r)/(6 r) at r_end.  For
+    k_hat = -1 the reference is singular at s = 1, so below r = 2 the map
+    integrates u = arccosh(rho) through du/dr = 1/sqrt(phi), and r_end must
+    be at least 2.  u <= 0 means rho reaches 1, and rho <= 0 (k_hat = 1)
+    that rho reaches 0: the map does not exist there (DomainError).
+
+    Every panel between neighbouring nodes is integrated adaptively (see
+    _panel_integrals), and c = r^2 (r - rho) is recovered from D without
+    cancellation.
     """
     if r_start <= 0.0 or r_end <= r_start:
         raise DomainError("need 0 < r_start < r_end")
@@ -225,29 +345,73 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     closed = p.phi(probe) <= 0.0
     if closed.any():
         raise DomainError(f"phi({probe[closed][0]}) <= 0 inside the requested range")
-
-    x0, x1 = math.log(r_end), math.log(r_start)
-    c_end = -p.tail(r_end) * r_end / 6.0
     k = float(p.k_hat)
+    if k == -1.0 and r_end < _ARCCOSH_BELOW:
+        raise DomainError(f"k_hat = -1 maps need r_end >= {_ARCCOSH_BELOW}")
 
-    def rhs(x, state):
-        c = state[0]
-        r = math.exp(x)
-        q = p.tail(r)
-        phi = p.phi(r)
-        rho = r - c / (r * r)
-        num = q + 2.0 * c / r - (c / (r * r)) ** 2
-        den = math.sqrt(phi) * (math.sqrt(phi) + math.sqrt(k + rho * rho))
-        return (2.0 * c + r ** 3 * num / den,)
     n_nodes = int(math.ceil(nodes_per_decade * math.log10(r_end / r_start))) + 1
-    x_eval = np.linspace(x0, x1, max(n_nodes, 8))
-    sol = solve_ivp(rhs, (x0, x1), (c_end,), method="DOP853",
-                    t_eval=x_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalError(f"substitution integration failed: {sol.message}")
-    r_grid = np.exp(sol.t[::-1])
-    c_grid = sol.y[0][::-1]
-    sub_map = SubstitutionMap(p, r_grid, c_grid)
+    r = np.exp(np.linspace(math.log(r_end), math.log(r_start), max(n_nodes, 8))[::-1])
+
+    def open_phi(s):
+        phi = p.phi(s)
+        closed = phi <= 0.0
+        if closed.any():
+            raise DomainError(f"phi({s[closed][0]}) <= 0 at a quadrature node")
+        return phi
+
+    def g(s):
+        sqrt_phi = np.sqrt(open_phi(s))
+        ref = np.sqrt(s * s + k)
+        return -p.tail(s) / (sqrt_phi * ref * (sqrt_phi + ref))
+
+    def inner_f(s):
+        return 1.0 / np.sqrt(open_phi(s))
+
+    # Bounds on the rounding of the integrands.  phi and the tail are taken
+    # to carry that of s^2 + |k_hat| + phi, as when the tail is formed as
+    # phi - s^2 - k_hat (tabulated potentials); sqrt(phi) turns it into a
+    # relative error of half that over phi.
+    def g_rounding(s):
+        phi = p.phi(s)
+        err = _ULP * (s * s + abs(k) + phi)
+        sqrt_phi, ref = np.sqrt(phi), np.sqrt(s * s + k)
+        return (err + np.abs(p.tail(s)) * err / phi) / (sqrt_phi * ref * (sqrt_phi + ref))
+
+    def inner_rounding(s):
+        phi = p.phi(s)
+        return 0.5 * _ULP * (s * s + abs(k) + phi) / (phi * np.sqrt(phi))
+
+    # int of g beyond the last node: exact, or from the leading-order match
+    r_out = r[-1]
+    if math.isinf(p.domain_end):
+        beyond = _panel_integrals(lambda t: g(r_out / t) * (r_out / (t * t)),
+                                  lambda t: g_rounding(r_out / t) * (r_out / (t * t)),
+                                  np.zeros(1), np.ones(1))[0]
+    else:
+        beyond = -p.tail(r_out) / (6.0 * r_out * math.sqrt(r_out * r_out + k))
+    # k_hat = -1 maps integrate u = arccosh(rho) at the nodes below `inner`
+    inner = int(np.searchsorted(r, _ARCCOSH_BELOW)) if k == -1.0 else 0
+    outer = r[inner:]
+    d = -(beyond + _integrals_to_last(g, g_rounding, outer))
+    if k == 1.0:
+        c = -2.0 * outer * outer * np.cosh(np.arcsinh(outer) + 0.5 * d) * np.sinh(0.5 * d)
+    elif k == 0.0:
+        c = -outer ** 3 * np.expm1(d)
+    else:
+        c = -2.0 * outer * outer * np.sinh(np.arccosh(outer) + 0.5 * d) * np.sinh(0.5 * d)
+    if inner:
+        u = math.acosh(outer[0]) + d[0] - _integrals_to_last(
+            inner_f, inner_rounding, r[:inner + 1])[:-1]
+        if u[0] <= 0.0:
+            raise DomainError(f"rho reaches 1 above r_start = {r_start}: "
+                              "the map does not exist there")
+        c = np.concatenate((r[:inner] ** 2 * (r[:inner] - np.cosh(u)), c))
+    if not np.all(np.isfinite(c)):
+        raise NumericalError("substitution deviation is not finite")
+    if r[0] - c[0] / r[0] ** 2 <= 0.0:
+        raise DomainError(f"rho reaches 0 above r_start = {r_start}: "
+                          "the map does not exist there")
+    sub_map = SubstitutionMap(p, r, c)
     if abs(sub_map.rho(sub_map.r_end) / sub_map.r_end - 1.0) > 1e-6:
         raise NumericalError("rho/r failed to reach 1 at the outer radius")
     return sub_map

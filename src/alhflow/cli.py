@@ -142,8 +142,32 @@ def _require_number(cfg, key, kinds=(int, float)):
     return v
 
 
+class _Validated(dict):
+    """A config that passed validate_config, with its defaults filled in.
+
+    It keeps what validation built, so running it builds nothing twice: the
+    potential of a flow or mass-aspect config, the validated members of a
+    sweep.  It is read-only, since a changed key would leave those stale.
+    """
+
+    def __init__(self, cfg: dict, potential=None, members=()):
+        super().__init__(cfg)
+        self.potential = potential
+        self.members = members
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a validated config is read-only; validate a changed copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 def validate_config(cfg: dict) -> dict:
-    """Check keys and module preconditions; return the config with defaults."""
+    """Check keys and module preconditions; return the config with defaults.
+
+    The result is a read-only dict that run_scenario and run_sweep accept
+    without validating it again.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("kind")
@@ -179,13 +203,13 @@ def validate_config(cfg: dict) -> dict:
         for key, values in out["vary"].items():
             if not isinstance(values, list):
                 raise ConfigError(f"vary parameter '{key}' must map to a list")
-        for member in expand_sweep(out):
-            validate_config(member)
+        members = [validate_config(member) for member in expand_sweep(out)]
         if not isinstance(out["parallel"], bool):
             raise ConfigError("'parallel' must be a boolean")
-        return out
+        return _Validated(out, members=members)
 
     # numeric fields and module preconditions, before any computation
+    potential = None
     if kind in ("kottler", "flow", "mass-aspect"):
         k_hat = cfg["k_hat"]
         if k_hat not in (-1, 0, 1):
@@ -219,8 +243,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("r0 and t_max must be positive")
         if not isinstance(out["steps"], int) or out["steps"] < 1:
             raise ConfigError("steps must be a positive integer")
-        p = _potential_from(out)
-        if p.phi(out["r0"]) <= 0.0:
+        potential = _potential_from(out)
+        if potential.phi(out["r0"]) <= 0.0:
             raise ConfigError("flow scenarios need phi(r0) > 0 "
                               "(strictly outside the horizon)")
     if kind == "mass-aspect":
@@ -231,8 +255,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("need 0 < r_start < r_end")
         if out["r_end"] / out["r_start"] < 1e3:
             raise ConfigError("need r_end / r_start >= 1e3")
-        p = _potential_from(out)
-        if p.domain_start >= out["r_start"] and p.phi(out["r_start"]) <= 0.0:
+        potential = _potential_from(out)
+        if potential.domain_start >= out["r_start"] and potential.phi(out["r_start"]) <= 0.0:
             raise ConfigError("r_start lies inside the horizon")
     if kind == "penrose":
         genus = out["genus"]
@@ -256,7 +280,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("static-compare requires critical mass <= m <= 0")
         if m <= critical_mass(-1) + 1e-12:
             raise ConfigError("critical data has no surface-gravity reference")
-    return out
+    return _Validated(out, potential=potential)
 
 
 def _potential_from(cfg):
@@ -351,7 +375,7 @@ def _run_kottler(cfg, out_dir, checks):
 
 
 def _run_flow(cfg, out_dir, checks):
-    p = _potential_from(cfg)
+    p = cfg.potential
     inf = conformal_infinity(cfg["genus"])
     traj = flow.imcf_integrate(inf, p, cfg["r0"], cfg["t_max"], cfg["steps"])
     t = traj.column("t")
@@ -380,7 +404,7 @@ def _run_flow(cfg, out_dir, checks):
 
 
 def _run_mass_aspect(cfg, out_dir, checks):
-    p = _potential_from(cfg)
+    p = cfg.potential
     sub_map = asymptotics.build_substitution(
         p, cfg["r_start"], cfg["r_end"], nodes_per_decade=cfg["nodes_per_decade"])
     result = asymptotics.mass_aspect_extract(p, sub_map)
@@ -447,7 +471,8 @@ _RUNNERS = {
 
 def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
     """Validate, execute and persist one scenario; returns the report."""
-    cfg = validate_config(cfg)
+    if not isinstance(cfg, _Validated):
+        cfg = validate_config(cfg)
     if cfg["kind"] == "sweep":
         raise ConfigError("use run_sweep for sweep configs")
     out_dir = Path(out_dir)
@@ -466,10 +491,11 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
 
 def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     """Run every member scenario; results merge in input order."""
-    cfg = validate_config(cfg)
+    if not isinstance(cfg, _Validated):
+        cfg = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    members = expand_sweep(cfg)
+    members = cfg.members
     vary_keys = list(cfg["vary"])
 
     def _one(indexed):

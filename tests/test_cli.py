@@ -178,3 +178,41 @@ class TestDeterminism:
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
+
+
+class TestBuildOnce:
+    SWEEP = {"kind": "sweep",
+             "base": {"kind": "mass-aspect", "k_hat": -1, "m": 0.3, "eps": 0.1,
+                      "r_start": 2.0, "r_end": 2e4},
+             "vary": {"m": [0.3, 0.4]}}
+
+    def test_sweep_member_potential_built_once(self, tmp_path, monkeypatch):
+        from alhflow import geometry
+        calls = []
+        horizon_radius = geometry.horizon_radius
+        monkeypatch.setattr(geometry, "horizon_radius",
+                            lambda p: calls.append(p) or horizon_radius(p))
+        flow_sweep = {"kind": "sweep", "base": dict(FLOW_CFG, eps=0.1),
+                      "vary": {"m": [-0.1, 0.2]}}
+        for i, cfg in enumerate((self.SWEEP, flow_sweep)):
+            calls.clear()
+            path = write_cfg(tmp_path, f"sweep{i}.json", cfg)
+            assert main(["sweep", "--config", path, "--out", str(tmp_path / f"o{i}")]) == 0
+            assert len(calls) == 2  # one perturbed potential per member
+
+    def test_sweep_members_match_single_runs(self, tmp_path):
+        run_sweep(self.SWEEP, tmp_path / "sweep")
+        for i, member in enumerate(expand_sweep(self.SWEEP)):
+            run_scenario(member, tmp_path / f"single{i}")
+            assert read_bytes_map(tmp_path / "sweep" / f"member_{i:03d}") == \
+                read_bytes_map(tmp_path / f"single{i}")
+
+    def test_validated_config_is_read_only(self):
+        cfg = validate_config(dict(FLOW_CFG, eps=0.1))
+        for change in (lambda: cfg.__setitem__("m", 0.2), lambda: cfg.update(m=0.2),
+                       lambda: cfg.pop("m"), lambda: cfg.setdefault("x", 1)):
+            with pytest.raises(TypeError, match="read-only"):
+                change()
+        changed = validate_config(dict(cfg, m=0.2))
+        assert changed["m"] == 0.2
+        assert changed.potential.params["m"] == 0.2
