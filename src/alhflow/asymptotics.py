@@ -375,7 +375,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
         phi = p.phi(s)
         err = _ULP * (s * s + abs(k) + phi)
         sqrt_phi, ref = np.sqrt(phi), np.sqrt(s * s + k)
-        return (err + np.abs(p.tail(s)) * err / phi) / (sqrt_phi * ref * (sqrt_phi + ref))
+        return err * (1.0 + np.abs(p.tail(s)) / phi) / (sqrt_phi * ref * (sqrt_phi + ref))
 
     def inner_rounding(s):
         phi = p.phi(s)
@@ -384,9 +384,9 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     # int of g beyond the last node: exact, or from the leading-order match
     r_out = r[-1]
     if math.isinf(p.domain_end):
-        beyond = _panel_integrals(lambda t: g(r_out / t) * (r_out / (t * t)),
-                                  lambda t: g_rounding(r_out / t) * (r_out / (t * t)),
-                                  np.zeros(1), np.ones(1))[0]
+        def in_t(f):  # s = r_out / t maps (0, 1] onto [r_out, inf)
+            return lambda t: f(r_out / t) * (r_out / (t * t))
+        beyond = _panel_integrals(in_t(g), in_t(g_rounding), np.zeros(1), np.ones(1))[0]
     else:
         beyond = -p.tail(r_out) / (6.0 * r_out * math.sqrt(r_out * r_out + k))
     # k_hat = -1 maps integrate u = arccosh(rho) at the nodes below `inner`
