@@ -115,10 +115,6 @@ class SubstitutionMap:
         self._c_spline = CubicSpline(self._x, self._c)
 
     @cached_property
-    def _dc_spline(self):
-        return self._c_spline.derivative()
-
-    @cached_property
     def _inv_spline(self):
         return CubicSpline(np.log(self._rho), self._x)
 
@@ -127,16 +123,8 @@ class SubstitutionMap:
         return CubicSpline(1.0 / self._r[::-1], 1.0 / self._rho[::-1])
 
     @cached_property
-    def _ds_spline(self):
-        return self._s_spline.derivative()
-
-    @cached_property
     def _chi_spline(self):
         return CubicSpline(self._x, 1.0 / (1.0 - self._c / self._r ** 3) ** 2)
-
-    @cached_property
-    def _dchi_spline(self):
-        return self._chi_spline.derivative()
 
     # -- domain -------------------------------------------------------
 
@@ -190,7 +178,7 @@ class SubstitutionMap:
     def ds_dr(self, r):
         self._require(r)
         r = np.asarray(r, dtype=float)
-        out = self._ds_spline(1.0 / r) * (-1.0 / r ** 2)
+        out = self._s_spline(1.0 / r, 1) * (-1.0 / r ** 2)
         return float(out) if out.ndim == 0 else out
 
     def area_factor(self, r):
@@ -206,14 +194,14 @@ class SubstitutionMap:
 
     def darea_factor_dr(self, r):
         self._require(r)
-        return float(self._dchi_spline(math.log(r))) / r
+        return float(self._chi_spline(math.log(r), 1)) / r
 
     def drho_dr(self, r) -> float:
         """Slope of the tabulated map (spline route)."""
         self._require(r)
         x = math.log(r)
         c = float(self._c_spline(x))
-        dc_dx = float(self._dc_spline(x))
+        dc_dx = float(self._c_spline(x, 1))
         return 1.0 - dc_dx / r ** 3 + 2.0 * c / r ** 3
 
     def drho_dr_ode(self, r) -> float:
@@ -266,11 +254,12 @@ def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integrals of f over the panels [a_i, b_i], adaptively.
 
     Each panel's 8-point Gauss value is compared with the sum over its two
-    halves, which is kept when the two agree (see _PANEL_RTOL; rounding(s)
-    bounds the rounding error of f(s)); otherwise both halves are tested
-    the same way.  Raises
-    NumericalError when a panel disagrees after _MAX_LEVELS bisections or a
-    batch needs more than _MAX_SUBPANELS sub-panels.
+    halves.  The halves are kept when the two agree to _PANEL_RTOL of
+    int |f|, or to _ROUNDING_SLACK times int rounding, where rounding(s)
+    bounds the rounding error of f(s); otherwise both halves are tested the
+    same way.  Raises NumericalError when a panel still disagrees after
+    _MAX_LEVELS bisections or a batch needs more than _MAX_SUBPANELS
+    sub-panels.
     """
     out = np.zeros(a.size)
     for lo in range(0, a.size, _BATCH):
@@ -306,10 +295,20 @@ def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integrals_to_last(f, rounding, nodes: np.ndarray) -> np.ndarray:
-    """int of f from each node to the last one (0 at the last)."""
+def _integrals_to_last(f, rounding, nodes: np.ndarray, knots) -> np.ndarray:
+    """int of f from each node to the last one (0 at the last).
+
+    Panels also break at the knots, where f need only be piecewise smooth.
+    """
+    knots = np.asarray(knots, dtype=float)
+    knots = knots[(knots > nodes[0]) & (knots < nodes[-1])]
+    edges = np.union1d(nodes, knots) if knots.size else nodes
+    panels = _panel_integrals(f, rounding, edges[:-1], edges[1:])
+    if knots.size:
+        panels = np.bincount(np.searchsorted(nodes, edges[:-1], side="right") - 1,
+                             weights=panels, minlength=nodes.size - 1)
     out = np.zeros(nodes.size)
-    out[:-1] = np.cumsum(_panel_integrals(f, rounding, nodes[:-1], nodes[1:])[::-1])[::-1]
+    out[:-1] = np.cumsum(panels[::-1])[::-1]
     return out
 
 
@@ -392,7 +391,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     # k_hat = -1 maps integrate u = arccosh(rho) at the nodes below `inner`
     inner = int(np.searchsorted(r, _ARCCOSH_BELOW)) if k == -1.0 else 0
     outer = r[inner:]
-    d = -(beyond + _integrals_to_last(g, g_rounding, outer))
+    d = -(beyond + _integrals_to_last(g, g_rounding, outer, p.knots))
     if k == 1.0:
         c = -2.0 * outer * outer * np.cosh(np.arcsinh(outer) + 0.5 * d) * np.sinh(0.5 * d)
     elif k == 0.0:
@@ -401,7 +400,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
         c = -2.0 * outer * outer * np.sinh(np.arccosh(outer) + 0.5 * d) * np.sinh(0.5 * d)
     if inner:
         u = math.acosh(outer[0]) + d[0] - _integrals_to_last(
-            inner_f, inner_rounding, r[:inner + 1])[:-1]
+            inner_f, inner_rounding, r[:inner + 1], p.knots)[:-1]
         if u[0] <= 0.0:
             raise DomainError(f"rho reaches 1 above r_start = {r_start}: "
                               "the map does not exist there")

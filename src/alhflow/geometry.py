@@ -119,7 +119,8 @@ class RadialPotential:
     Analytic families supply both in closed form so that large-radius
     asymptotics are free of catastrophic cancellation; tabulated profiles
     fall back to plain subtraction.  Every evaluator takes a float or an
-    array of radii.
+    array of radii.  `knots` lists the radii where phi is only piecewise
+    smooth (a table's samples), so that quadratures can break there.
     """
 
     k_hat: int
@@ -132,6 +133,7 @@ class RadialPotential:
     dtail: Callable
     domain_end: float = math.inf
     params: dict = field(default_factory=dict)
+    knots: tuple = field(default=(), repr=False)
 
     def require_inside(self, r) -> None:
         """Accept radii in [domain_start, domain_end] with r > 0.
@@ -356,6 +358,7 @@ def tabulated_potential(k_hat: int, r_samples, phi_samples) -> RadialPotential:
         phi=phi_eval, dphi=dphi_eval, d2phi=as_float(d2),
         tail=lambda r: phi_eval(r) - r * r - k,
         dtail=lambda r: dphi_eval(r) - 2.0 * r,
+        knots=tuple(r_arr),
     )
 
 

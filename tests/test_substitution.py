@@ -95,9 +95,11 @@ def test_gauss_rule_matches_numpy():
         assert np.sum(_GAUSS_W * _GAUSS_X ** degree) == pytest.approx(exact, abs=1e-14)
 
 
-def test_tabulated_kottler_within_table_error():
+@pytest.mark.parametrize("samples", [300, 10000])
+def test_tabulated_kottler_within_table_error(samples):
+    # the dense table has several knots per panel: panels must break there
     exact = kottler_potential(-1, 0.5)
-    grid = np.geomspace(1.4, 2.2e3, 300)
+    grid = np.geomspace(1.4, 2.2e3, samples)
     table = tabulated_potential(-1, grid, exact.phi(grid))
     r_end = 2e3
     tab_map = build_substitution(table, 2.0, r_end)
