@@ -182,3 +182,11 @@ def test_conformal_splines_fitted_on_first_use():
     assert "_s_spline" not in vars(sub_map) and "_chi_spline" not in vars(sub_map)
     conformal_area(conformal_infinity(2), p, sub_map, 50.0)
     assert sub_map.s(50.0) == pytest.approx(1.0 / sub_map.rho(50.0), rel=1e-12)
+
+
+def test_non_finite_deviation_raises():
+    p = RadialPotential(k_hat=0, kind="broken", domain_start=0.0,
+                        phi=lambda s: s * s, dphi=None, d2phi=None,
+                        tail=lambda s: np.where(s > 50.0, np.nan, 0.0), dtail=None)
+    with pytest.raises(NumericalError, match="not finite"):
+        build_substitution(p, 1.0, 1e3)
