@@ -256,7 +256,8 @@ def validate_config(cfg: dict) -> dict:
         if out["r_end"] / out["r_start"] < 1e3:
             raise ConfigError("need r_end / r_start >= 1e3")
         potential = _potential_from(out)
-        if potential.domain_start >= out["r_start"] and potential.phi(out["r_start"]) <= 0.0:
+        if (potential.domain_start >= out["r_start"]
+                and potential.phi(out["r_start"]) <= 0.0):
             raise ConfigError("r_start lies inside the horizon")
     if kind == "penrose":
         genus = out["genus"]

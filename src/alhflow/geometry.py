@@ -48,6 +48,8 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
+_ULP = np.finfo(float).eps
+
 #: Critical mass below which no k_hat = -1 horizon exists.
 CRITICAL_MASS_HYPERBOLIC = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -390,8 +392,9 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
 
     Without a sign change on the scan, phi is minimized between the
     neighbours of its smallest scan value.  A minimum below zero brackets
-    the root; one within 1e-12 max(1, r^2) of zero raises NumericalError,
-    since phi may touch zero there or miss it.
+    the root.  A minimum within the rounding of phi of zero is returned as
+    a double root; one otherwise within 1e-12 max(1, r^2) of zero raises
+    NumericalError, since phi may touch zero there or miss it.
     """
     if p.kind == "kottler":
         return largest_zero(p.k_hat, p.params["m"])
@@ -413,10 +416,16 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
         if 0 < i < grid.size - 1:
             r_min = minimize_scalar(p.phi, bounds=(grid[i + 1], grid[i - 1]),
                                     method="bounded", options={"xatol": 1e-12 * r_min}).x
-        phi_min = min(vals[i], p.phi(r_min))
+        phi_min = p.phi(r_min)
+        if vals[i] < phi_min:
+            r_min, phi_min = grid[i], vals[i]
         tol = 1e-12 * max(1.0, r_min * r_min)
         if phi_min > tol:
             return None
+        if abs(phi_min) <= 8.0 * _ULP * (r_min * r_min + abs(p.k_hat) + abs(p.tail(r_min))):
+            # zero to within the rounding of phi: a double root, as at the
+            # critical Kottler mass
+            return float(r_min)
         if phi_min >= -tol:
             raise NumericalError(f"phi comes to {phi_min:.3e} at r = {r_min} "
                                  "without a sign change: horizon undecided")

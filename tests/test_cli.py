@@ -197,7 +197,8 @@ class TestBuildOnce:
         for i, cfg in enumerate((self.SWEEP, flow_sweep)):
             calls.clear()
             path = write_cfg(tmp_path, f"sweep{i}.json", cfg)
-            assert main(["sweep", "--config", path, "--out", str(tmp_path / f"o{i}")]) == 0
+            out = str(tmp_path / f"o{i}")
+            assert main(["sweep", "--config", path, "--out", out]) == 0
             assert len(calls) == 2  # one perturbed potential per member
 
     def test_sweep_members_match_single_runs(self, tmp_path):

@@ -141,6 +141,14 @@ class TestNearTangentHorizon:
         assert p.domain_start == pytest.approx(exact, rel=1e-12)
         assert horizon_radius(p) == p.domain_start
 
+    @pytest.mark.parametrize("k_hat,m,eps,root", [(1, 3.0, 4.0, 1.0),
+                                                  (-1, 0.0, 0.25, math.sqrt(0.5))])
+    def test_exact_tangent_is_a_double_root(self, k_hat, m, eps, root):
+        # phi touches zero only within its rounding: located to sqrt(u)
+        p = perturbed_kottler_potential(k_hat, m, eps)
+        assert p.domain_start == pytest.approx(root, rel=1e-7)
+        assert horizon_radius(p) == p.domain_start
+
     def test_clear_of_zero_has_no_horizon(self):
         p = perturbed_kottler_potential(1, 3.0, 4.0 + 1e-3)
         assert p.domain_start == 0.0

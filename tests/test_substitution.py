@@ -13,10 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from alhflow import (DomainError, NumericalError, RadialPotential, build_substitution,
-                     conformal_area, conformal_infinity, horizon_radius,
-                     kottler_potential, perturbed_kottler_potential,
-                     tabulated_potential)
+from alhflow import (DomainError, NumericalError, RadialPotential,
+                     build_substitution, conformal_area, conformal_infinity,
+                     horizon_radius, kottler_potential,
+                     perturbed_kottler_potential, tabulated_potential)
 from alhflow.asymptotics import _GAUSS_W, _GAUSS_X, _panel_integrals
 from alhflow.cli import main
 from alhflow.geometry import CRITICAL_MASS_HYPERBOLIC
