@@ -422,9 +422,10 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
         tol = 1e-12 * max(1.0, r_min * r_min)
         if phi_min > tol:
             return None
-        if abs(phi_min) <= 8.0 * _ULP * (r_min * r_min + abs(p.k_hat) + abs(p.tail(r_min))):
-            # zero to within the rounding of phi: a double root, as at the
-            # critical Kottler mass
+        # zero to within the rounding of phi: a double root, as at the
+        # critical Kottler mass
+        rounding = 8.0 * _ULP * (r_min * r_min + abs(p.k_hat) + abs(p.tail(r_min)))
+        if abs(phi_min) <= rounding:
             return float(r_min)
         if phi_min >= -tol:
             raise NumericalError(f"phi comes to {phi_min:.3e} at r = {r_min} "
