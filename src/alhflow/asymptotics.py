@@ -436,6 +436,7 @@ def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,
                            count: int = 8, rho_max: float | None = None) -> np.ndarray:
     """Sample a radial quantity on dyadic rho values, as (rho, value) rows.
 
+    `values_of_r` takes an array of radii and returns the values there.
     The default outer radius is capped: for quantities growing like rho^2
     the coefficient elimination loses the 1/rho signal to rounding once
     eps * rho^3 approaches it.
@@ -443,11 +444,7 @@ def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,
     if rho_max is None:
         rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, 4096.0)
     rhos = rho_max / 2.0 ** np.arange(count - 1, -1, -1)
-    out = np.empty((count, 2))
-    for i, rho in enumerate(rhos):
-        r = sub_map.r_of_rho(rho)
-        out[i] = (rho, values_of_r(r))
-    return out
+    return np.column_stack((rhos, values_of_r(sub_map.r_of_rho(rhos))))
 
 
 def expansion_fit(samples, levels: int = 3) -> ExpansionFit:

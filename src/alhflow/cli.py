@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, flow, geometry, static_compare
+from ._text import csv_text
 from .errors import ConfigError, DomainError
 from .geometry import (conformal_infinity, critical_mass, kottler_build,
                        kottler_potential, perturbed_kottler_potential)
@@ -62,7 +63,7 @@ DEFAULT_TOLERANCES = {
 
 def _canon(obj):
     if isinstance(obj, (np.floating, float)):
-        return float(format(float(obj), ".17g"))
+        return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (np.bool_, bool)):
@@ -76,22 +77,14 @@ def _canon(obj):
 
 def write_json(obj, path: Path) -> None:
     with open(path, "w", newline="\n") as f:
-        json.dump(_canon(obj), f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(_canon(obj), indent=2) + "\n")
 
 
-def write_csv(header, rows, path: Path) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format(float(v), ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+def write_csv(header, columns, path: Path) -> None:
+    """Write a table given as columns: float arrays, or lists of config
+    values (see `_text.csv_text`)."""
+    with open(path, "wb") as f:
+        f.writelines(csv_text(header, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +360,10 @@ def _run_kottler(cfg, out_dir, checks):
     checks.add("static_residual",
                float(np.max(np.maximum(res.laplace_residual, res.ricci_residual))))
     checks.add("hawking_mass_constant", float(np.max(np.abs(m_h - target))))
-    rows = zip(radii, p.phi(radii), curv, m_h,
-               res.laplace_residual, res.ricci_residual)
     write_csv(("r", "phi", "scalar_curvature", "hawking_mass",
-               "laplace_residual", "ricci_residual"), rows, out_dir / "profile.csv")
+               "laplace_residual", "ricci_residual"),
+              (radii, p.phi(radii), curv, m_h,
+               res.laplace_residual, res.ricci_residual), out_dir / "profile.csv")
     return {"horizon_radius": r_m, "surface_gravity": space.surface_gravity}, \
         ["profile.csv"]
 
@@ -436,7 +429,7 @@ def _run_penrose(cfg, out_dir, checks):
         space = kottler_build(-1, m)
         area = inf.area * space.horizon_radius ** 2
         rhs = flow.penrose_rhs(genus, area)
-        rows.append((m, space.horizon_radius, area, rhs, abs(rhs - m)))
+        rows.append((space.horizon_radius, area, rhs, abs(rhs - m)))
         checks.add(f"equality_m{i}", abs(rhs - m), tol_name="equality")
     bound, minimizer = flow.hawking_lower_bound(genus)
     grid = np.linspace(0.0, cfg["scan_area_max"], cfg["scan_points"])
@@ -445,8 +438,9 @@ def _run_penrose(cfg, out_dir, checks):
     checks.add("scan_above_bound", float(max(0.0, bound - vals.min())))
     checks.add("minimizer_location",
                float(abs(grid[int(np.argmin(vals))] - minimizer) / spacing))
+    # the masses are config values: an int mass reads as an int
     write_csv(("m", "horizon_radius", "boundary_area", "bound_rhs", "residual"),
-              rows, out_dir / "equality.csv")
+              (cfg["masses"], *np.array(rows, dtype=float).T), out_dir / "equality.csv")
     return {"lower_bound": bound, "minimizer_area": minimizer,
             "scan_min": float(vals.min())}, ["equality.csv"]
 
@@ -505,10 +499,11 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
         try:
             report = run_scenario(member, member_dir, tolerance)
             return report, (0 if report.all_pass else 1)
-        except ConfigError:
-            return None, 2
-        except Exception:
-            return None, 1
+        except Exception as exc:  # a failed member keeps its reason
+            member_dir.mkdir(parents=True, exist_ok=True)
+            write_json({"type": type(exc).__name__, "message": str(exc)},
+                       member_dir / "error.json")
+            return None, (2 if isinstance(exc, ConfigError) else 1)
 
     if cfg["parallel"] and members:
         with concurrent.futures.ThreadPoolExecutor(
@@ -517,14 +512,12 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     else:
         results = [_one(item) for item in enumerate(members)]
 
-    rows = []
-    for i, (member, (report, code)) in enumerate(zip(members, results)):
-        row = [i, member["kind"]]
-        row += [member.get(k) for k in vary_keys]
-        row += [code, bool(report.all_pass) if report else False]
-        rows.append(row)
+    columns = [range(len(members)), [member["kind"] for member in members]]
+    columns += [[member.get(k) for member in members] for k in vary_keys]
+    columns += [[code for _, code in results],
+                [bool(report.all_pass) if report else False for report, _ in results]]
     write_csv(["member", "kind", *vary_keys, "exit_code", "all_pass"],
-              rows, out_dir / "summary.csv")
+              columns, out_dir / "summary.csv")
     exit_code = max((code for _, code in results), default=0)
     return [rep for rep, _ in results], exit_code
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import geometry
+from ._text import csv_text
 from .errors import DomainError, FlowError, HypothesesNotMet
 from .geometry import ConformalInfinity, RadialPotential
 
@@ -283,8 +284,5 @@ def write_trajectory_csv(traj: FlowTrajectory, p: RadialPotential, sub_map,
     columns = (traj.t, traj.r, sub_map.rho(traj.r), traj.area,
                traj.mean_curvature, traj.hawking_mass, traj.geroch_rate,
                traj.scalar_curvature)
-    row = ",".join(["%.17g"] * len(columns))  # the bytes of format(v, ".17g")
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "wb") as f:
+        f.writelines(csv_text(TRAJECTORY_COLUMNS, columns))

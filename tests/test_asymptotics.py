@@ -179,6 +179,16 @@ class TestExpansionFit:
             rho = 2.0 * 2.0 ** np.arange(4)
             expansion_fit(np.column_stack([rho, rho ** 2]))
 
+    @pytest.mark.parametrize("k_hat, m, eps", [(-1, 0.5, 0.0), (1, 0.2, 0.0),
+                                               (0, 0.3, 0.2), (-1, -0.15, 0.3)])
+    def test_samples_equal_scalar_calls_bitwise(self, submap, k_hat, m, eps):
+        sub_map = submap(k_hat, m, eps=eps)
+        p = sub_map.potential
+        for fn in (p.phi, lambda r: potential_gradient_squared(p, r)):
+            samples = dyadic_profile_samples(sub_map, fn)
+            scalar = [(rho, fn(sub_map.r_of_rho(float(rho)))) for rho in samples[:, 0]]
+            assert samples.tolist() == [[rho, float(v)] for rho, v in scalar]
+
     def test_mu_routes_mutually_consistent(self, submap):
         m = 0.5
         p = kottler_potential(-1, m)

@@ -175,6 +175,22 @@ class TestDeterminism:
             "member,kind,genus,exit_code,all_pass"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_sweep_member_keeps_its_reason(tmp_path):
+    # a map out to r = 1e300 overflows and raises NumericalError
+    base = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5,
+            "r_start": 2.0, "r_end": 1e4}
+    cfg = {"kind": "sweep", "base": base, "vary": {"r_end": [1e4, 1e300]}}
+    reports, code = run_sweep(cfg, tmp_path / "o")
+    assert code == 1 and reports[1] is None
+    assert not (tmp_path / "o" / "member_000" / "error.json").exists()
+    error = json.loads((tmp_path / "o" / "member_001" / "error.json").read_text())
+    assert error == {"type": "NumericalError",
+                     "message": "substitution deviation is not finite"}
+    rows = (tmp_path / "o" / "summary.csv").read_text().split("\n")
+    assert rows[2] == "1,mass-aspect,1.0000000000000001e+300,1,False"
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
