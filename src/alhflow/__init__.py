@@ -7,54 +7,14 @@ aspect from the compactification substitution, and runs the static
 comparison chain against the equal-surface-gravity reference solution.
 """
 
-from .asymptotics import (ExpansionFit, MassAspectResult, SubstitutionMap,
-                          build_substitution, conformal_area,
-                          conformal_mean_curvature_residual,
-                          dyadic_profile_samples, expansion_fit,
-                          mass_aspect_extract, richardson)
-from .errors import (ConfigError, DomainError, ExtractionError, FlowError,
-                     HypothesesNotMet, NumericalError)
-from .flow import (FlowState, FlowTrajectory, bracket_check, geroch_rate,
-                   hawking_lower_bound, hawking_mass_from_integrals,
-                   holder_bound, imcf_integrate, jump_bound_check,
-                   penrose_rhs, write_trajectory_csv)
-from .geometry import (ConformalInfinity, KottlerSpace, RadialPotential,
-                       StaticResidual, admissible_mass_interval,
-                       conformal_infinity, critical_data, critical_mass,
-                       hawking_mass_sphere, horizon_radius, kottler_build,
-                       kottler_potential, largest_zero, mean_curvature_sphere,
-                       perturbed_kottler_potential,
-                       potential_gradient_squared, ricci_components,
-                       scalar_curvature, static_residual, tabulated_potential)
-from .static_compare import (ComparisonReport, ReferencePotential,
-                             alpha_coefficient, boundary_gauss_curvature,
-                             compare_with_reference, kappa_to_mass,
-                             mass_to_kappa, mean_curvature_evolution_residual,
-                             omega_derivatives, omega_eval, omega_ode_residual,
-                             potential_derivative_residual,
-                             reference_potential)
+from . import asymptotics, errors, flow, geometry, static_compare
+from .asymptotics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .static_compare import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConformalInfinity", "RadialPotential", "KottlerSpace", "StaticResidual",
-    "FlowState", "FlowTrajectory", "SubstitutionMap", "ExpansionFit",
-    "MassAspectResult", "ReferencePotential", "ComparisonReport",
-    "conformal_infinity", "kottler_potential", "perturbed_kottler_potential",
-    "tabulated_potential", "largest_zero", "kottler_build", "critical_mass",
-    "critical_data", "admissible_mass_interval", "horizon_radius",
-    "scalar_curvature", "ricci_components", "mean_curvature_sphere",
-    "hawking_mass_sphere", "potential_gradient_squared", "static_residual",
-    "imcf_integrate", "geroch_rate", "bracket_check", "penrose_rhs",
-    "hawking_lower_bound", "holder_bound", "jump_bound_check",
-    "hawking_mass_from_integrals", "write_trajectory_csv",
-    "build_substitution", "mass_aspect_extract", "expansion_fit",
-    "conformal_area", "conformal_mean_curvature_residual",
-    "dyadic_profile_samples", "richardson",
-    "reference_potential", "kappa_to_mass", "mass_to_kappa", "omega_eval",
-    "omega_derivatives", "alpha_coefficient", "omega_ode_residual",
-    "potential_derivative_residual", "boundary_gauss_curvature",
-    "compare_with_reference", "mean_curvature_evolution_residual",
-    "DomainError", "HypothesesNotMet", "NumericalError", "FlowError",
-    "ExtractionError", "ConfigError",
-]
+__all__ = [name for module in (geometry, flow, asymptotics, static_compare, errors)
+           for name in module.__all__]

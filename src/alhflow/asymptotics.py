@@ -86,8 +86,6 @@ class MassAspectResult:
     mean mass and the supremum coincide with it."""
 
     mu: float
-    m: float
-    m_bar: float
     error_estimate: float
 
 
@@ -429,7 +427,7 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
     if err > tolerance:
         raise ExtractionError(
             f"extrapolation levels disagree by {err:.3e} > {tolerance:.3e}")
-    return MassAspectResult(mu=mu, m=mu, m_bar=mu, error_estimate=err)
+    return MassAspectResult(mu=mu, error_estimate=err)
 
 
 def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,

@@ -1,9 +1,12 @@
 """Configuration-driven scenario runner.
 
-Subcommands: kottler, flow, mass-aspect, penrose, static-compare, sweep.
-Each takes --config (a JSON file), --out (output directory) and optionally
---tolerance (a global tolerance override; individual checks can instead be
-overridden through a "tolerances" object in the config).
+The registry `_KINDS` is the one list of scenario kinds and their fields:
+each entry declares a kind's config keys with the type, range and default
+of each, the check that spans keys, and the runner.  There is one
+subcommand per registered kind, plus sweep.  Each takes --config (a JSON
+file), --out (output directory) and optionally --tolerance (a global
+tolerance override; individual checks can instead be overridden through a
+"tolerances" object in the config).
 
 Artifacts are deterministic: floats are canonicalized to 17 significant
 digits, JSON keys keep a fixed order, CSV columns are fixed, and wall time
@@ -17,13 +20,13 @@ Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,33 +94,62 @@ def write_csv(header, columns, path: Path) -> None:
 # configuration
 
 
-SCHEMAS = {
-    "kottler": {
-        "required": {"kind", "k_hat", "m", "genus"},
-        "optional": {"n_radii": 20, "r_max_factor": 1e3, "tolerances": {}},
-    },
-    "flow": {
-        "required": {"kind", "k_hat", "m", "genus", "r0", "t_max"},
-        "optional": {"eps": 0.0, "steps": 4096, "tolerances": {}},
-    },
-    "mass-aspect": {
-        "required": {"kind", "k_hat", "m", "r_start", "r_end"},
-        "optional": {"eps": 0.0, "nodes_per_decade": 192, "tolerances": {}},
-    },
-    "penrose": {
-        "required": {"kind", "genus", "masses"},
-        "optional": {"scan_points": 10000, "scan_area_max": 40.0 * math.pi,
-                     "tolerances": {}},
-    },
-    "static-compare": {
-        "required": {"kind", "m", "genus"},
-        "optional": {"map_r_end": 1e6, "tolerances": {}},
-    },
-    "sweep": {
-        "required": {"kind", "base", "vary"},
-        "optional": {"parallel": False, "tolerances": {}},
-    },
-}
+# Upper bounds shared by several fields, each below the first value that
+# fails on a correct program.
+#: kottler m = 3e3 fails horizon_relation, as the rounding of 2m passes its
+#: absolute tolerance; the cubic overflows from about m = 1e150.
+_MASS_MAX = 1e3
+#: genus 1e5 fails kottler's and flow's absolute tolerances, which
+#: c^(3/2) = (genus - 1)^(3/2) scales past.
+_GENUS_MAX = 10_000
+#: The c^3/r^6 term of SubstitutionMap.mu_at overflows from about r = 2.4e51.
+_RADIUS_MAX = 1e50
+#: The least positive float: the range [_POSITIVE, hi] is (0, hi].
+_POSITIVE = math.ulp(0.0)
+
+
+class _Field(NamedTuple):
+    """A numeric config key: an int, or for float any finite number, in
+    [lo, hi].  `message` is the error below lo and for an int of the wrong
+    type, `above` the error above hi; an empty one means a generic error."""
+
+    type: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    message: str = ""
+    above: str = ""
+
+
+class _Kind(NamedTuple):
+    """A scenario kind.  `fields` maps every key but kind and tolerances, in
+    check order, to its _Field, or to None when `check` alone reads it.
+    `defaults` fills the optional keys in order.  `check`, run after every
+    field passed, tests what spans fields and returns the potential or None."""
+
+    fields: dict
+    defaults: dict
+    check: Callable
+    run: Callable
+
+
+def _is_a(value, type_) -> bool:
+    """The one type check of config numbers: no bool, and for a float field
+    any int or float of finite size (not NaN or inf)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if type_ is int else abs(value) <= sys.float_info.max
+
+
+def _check_field(key, field, value) -> None:
+    if not _is_a(value, field.type):
+        raise ConfigError(field.message if field.type is int else
+                          f"config key '{key}' must be a number, got {value!r}")
+    if value < field.lo:
+        raise ConfigError(field.message or f"config key '{key}' must be at "
+                          f"least {field.lo:g}, got {value!r}")
+    if value > field.hi:
+        raise ConfigError(field.above or f"config key '{key}' must be at "
+                          f"most {field.hi:g}, got {value!r}")
 
 
 def load_config(path) -> dict:
@@ -126,13 +158,6 @@ def load_config(path) -> dict:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _require_number(cfg, key, kinds=(int, float)):
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, kinds):
-        raise ConfigError(f"config key '{key}' must be a number, got {v!r}")
-    return v
 
 
 class _Validated(dict):
@@ -156,7 +181,8 @@ class _Validated(dict):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check keys and module preconditions; return the config with defaults.
+    """Check keys, numeric fields and module preconditions; return the
+    config with its defaults.
 
     The result is a read-only dict that run_scenario and run_sweep accept
     without validating it again.
@@ -164,117 +190,116 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("kind")
-    if kind not in SCHEMAS:
+    if kind == "sweep":  # no registered kind: only its keys are declared here
+        spec = _Kind(dict.fromkeys(("base", "vary", "parallel")),
+                     {"parallel": False}, None, None)
+    elif kind in _KINDS:
+        spec = _KINDS[kind]
+    else:
         raise ConfigError(f"unknown scenario kind {kind!r}; "
-                          f"expected one of {sorted(SCHEMAS)}")
-    schema = SCHEMAS[kind]
-    allowed = schema["required"] | set(schema["optional"])
-    unknown = set(cfg) - allowed
+                          f"expected one of {sorted([*_KINDS, 'sweep'])}")
+    unknown = set(cfg) - {"kind", "tolerances", *spec.fields}
     if unknown:
         raise ConfigError(f"unknown config keys for kind '{kind}': {sorted(unknown)}")
-    missing = schema["required"] - set(cfg)
+    missing = {"kind", *spec.fields} - set(spec.defaults) - set(cfg)
     if missing:
         raise ConfigError(f"missing config keys for kind '{kind}': {sorted(missing)}")
     out = dict(cfg)
-    for key, default in schema["optional"].items():
-        out.setdefault(key, default if not isinstance(default, dict) else dict(default))
+    for key, default in spec.defaults.items():
+        out.setdefault(key, default)
+    out.setdefault("tolerances", {})
     if not isinstance(out["tolerances"], dict):
         raise ConfigError("'tolerances' must be an object")
     for name, val in out["tolerances"].items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance name '{name}'")
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
+        if not _is_a(val, float) or val <= 0:
             raise ConfigError(f"tolerance '{name}' must be a positive number")
-
     if kind == "sweep":
-        if not isinstance(out["base"], dict):
-            raise ConfigError("'base' must be an object")
-        if out["base"].get("kind") == "sweep":
-            raise ConfigError("sweeps cannot nest")
-        if not isinstance(out["vary"], dict) or not out["vary"]:
-            raise ConfigError("'vary' must be a non-empty object of parameter lists")
-        for key, values in out["vary"].items():
-            if not isinstance(values, list):
-                raise ConfigError(f"vary parameter '{key}' must map to a list")
-        members = [validate_config(member) for member in expand_sweep(out)]
-        if not isinstance(out["parallel"], bool):
-            raise ConfigError("'parallel' must be a boolean")
-        return _Validated(out, members=members)
-
-    # numeric fields and module preconditions, before any computation
-    potential = None
-    if kind in ("kottler", "flow", "mass-aspect"):
-        k_hat = cfg["k_hat"]
-        if k_hat not in (-1, 0, 1):
-            raise ConfigError("k_hat must be -1, 0 or +1")
-        m = _require_number(out, "m")
-        if m < critical_mass(k_hat) - 1e-15:
-            raise ConfigError(
-                f"mass {m} below the admissible minimum {critical_mass(k_hat)}")
-    if kind == "kottler":
-        if not isinstance(out["n_radii"], int) or out["n_radii"] < 2:
-            raise ConfigError("n_radii must be an integer >= 2")
-        if _require_number(out, "r_max_factor") <= 1.0:
-            raise ConfigError("r_max_factor must exceed 1")
-    if kind == "mass-aspect":
-        if not isinstance(out["nodes_per_decade"], int) or out["nodes_per_decade"] < 16:
-            raise ConfigError("nodes_per_decade must be an integer >= 16")
-    if kind in ("kottler", "flow"):
-        genus = out["genus"]
-        if not isinstance(genus, int):
-            raise ConfigError("genus must be an integer")
-        inf = conformal_infinity(genus)
-        if inf.curvature_sign != out["k_hat"]:
-            raise ConfigError(
-                f"genus {genus} has curvature sign {inf.curvature_sign}, "
-                f"config says {out['k_hat']}")
-    if kind == "flow":
-        _require_number(out, "r0")
-        _require_number(out, "t_max")
-        _require_number(out, "eps")
-        if out["r0"] <= 0 or out["t_max"] <= 0:
-            raise ConfigError("r0 and t_max must be positive")
-        if not isinstance(out["steps"], int) or out["steps"] < 1:
-            raise ConfigError("steps must be a positive integer")
-        potential = _potential_from(out)
-        if potential.phi(out["r0"]) <= 0.0:
-            raise ConfigError("flow scenarios need phi(r0) > 0 "
-                              "(strictly outside the horizon)")
-    if kind == "mass-aspect":
-        _require_number(out, "r_start")
-        _require_number(out, "r_end")
-        _require_number(out, "eps")
-        if not 0 < out["r_start"] < out["r_end"]:
-            raise ConfigError("need 0 < r_start < r_end")
-        if out["r_end"] / out["r_start"] < 1e3:
-            raise ConfigError("need r_end / r_start >= 1e3")
-        potential = _potential_from(out)
-        if (potential.domain_start >= out["r_start"]
-                and potential.phi(out["r_start"]) <= 0.0):
-            raise ConfigError("r_start lies inside the horizon")
-    if kind == "penrose":
-        genus = out["genus"]
-        if not isinstance(genus, int) or genus < 2:
-            raise ConfigError("penrose scenarios require integer genus >= 2")
-        if not isinstance(out["masses"], list) or not out["masses"]:
-            raise ConfigError("'masses' must be a non-empty list")
-        for m in out["masses"]:
-            if isinstance(m, bool) or not isinstance(m, (int, float)):
-                raise ConfigError("'masses' entries must be numbers")
-            if m < critical_mass(-1) - 1e-15:
-                raise ConfigError(f"mass {m} below the admissible minimum")
-        if not isinstance(out["scan_points"], int) or out["scan_points"] < 10:
-            raise ConfigError("scan_points must be an integer >= 10")
-    if kind == "static-compare":
-        m = _require_number(out, "m")
-        genus = out["genus"]
-        if not isinstance(genus, int) or genus < 2:
-            raise ConfigError("static-compare requires integer genus >= 2")
-        if m < critical_mass(-1) - 1e-15 or m > 0.0:
-            raise ConfigError("static-compare requires critical mass <= m <= 0")
-        if m <= critical_mass(-1) + 1e-12:
-            raise ConfigError("critical data has no surface-gravity reference")
+        return _validate_sweep(out)
+    for key, field in spec.fields.items():
+        if field is not None:
+            _check_field(key, field, out[key])
+    try:
+        potential = spec.check(out)
+    except DomainError as exc:  # a module precondition, such as genus >= 0
+        raise ConfigError(str(exc)) from exc
     return _Validated(out, potential=potential)
+
+
+def _validate_sweep(out: dict) -> dict:
+    if not isinstance(out["base"], dict):
+        raise ConfigError("'base' must be an object")
+    if out["base"].get("kind") == "sweep":
+        raise ConfigError("sweeps cannot nest")
+    if not isinstance(out["vary"], dict) or not out["vary"]:
+        raise ConfigError("'vary' must be a non-empty object of parameter lists")
+    for key, values in out["vary"].items():
+        if not isinstance(values, list):
+            raise ConfigError(f"vary parameter '{key}' must map to a list")
+    members = [validate_config(member) for member in expand_sweep(out)]
+    if not isinstance(out["parallel"], bool):
+        raise ConfigError("'parallel' must be a boolean")
+    return _Validated(out, members=members)
+
+
+def _admissible_mass(cfg) -> None:
+    crit = critical_mass(cfg["k_hat"])
+    if cfg["m"] < crit - 1e-15:
+        raise ConfigError(f"mass {cfg['m']} below the admissible minimum {crit}")
+
+
+def _check_kottler(cfg) -> None:
+    _admissible_mass(cfg)
+    sign = conformal_infinity(cfg["genus"]).curvature_sign
+    if sign != cfg["k_hat"]:
+        raise ConfigError(f"genus {cfg['genus']} has curvature sign {sign}, "
+                          f"config says {cfg['k_hat']}")
+
+
+def _check_flow(cfg):
+    _check_kottler(cfg)
+    if cfg["steps"] < 4:  # rate_matches_difference differences five states
+        raise ConfigError("flow scenarios need steps >= 4")
+    potential = _potential_from(cfg)
+    if potential.phi(cfg["r0"]) <= 0.0:
+        raise ConfigError("flow scenarios need phi(r0) > 0 "
+                          "(strictly outside the horizon)")
+    return potential
+
+
+def _check_mass_aspect(cfg):
+    _admissible_mass(cfg)
+    if not cfg["r_start"] < cfg["r_end"]:
+        raise ConfigError("need 0 < r_start < r_end")
+    if cfg["r_end"] / cfg["r_start"] < 1e3:
+        raise ConfigError("need r_end / r_start >= 1e3")
+    potential = _potential_from(cfg)
+    if potential.phi(cfg["r_start"]) <= 0.0:
+        raise ConfigError("r_start lies inside the horizon")
+    return potential
+
+
+def _check_penrose(cfg) -> None:
+    masses = cfg["masses"]
+    if not isinstance(masses, list) or not masses:
+        raise ConfigError("'masses' must be a non-empty list")
+    for m in masses:
+        if not _is_a(m, float):
+            raise ConfigError("'masses' entries must be numbers")
+        if m < critical_mass(-1) - 1e-15:
+            raise ConfigError(f"mass {m} below the admissible minimum")
+        _check_field("masses", _MASS, m)
+    # a scan that ends before the minimizer fails minimizer_location
+    _, minimizer = flow.hawking_lower_bound(cfg["genus"])
+    if cfg["scan_area_max"] < minimizer:
+        raise ConfigError(f"scan_area_max {cfg['scan_area_max']} is below the "
+                          f"minimizer area {minimizer} of genus {cfg['genus']}")
+
+
+def _check_static_compare(cfg) -> None:
+    if cfg["m"] <= critical_mass(-1) + 1e-12:
+        raise ConfigError("critical data has no surface-gravity reference")
 
 
 def _potential_from(cfg):
@@ -455,12 +480,55 @@ def _run_static_compare(cfg, out_dir, checks):
     return report.to_dict(), ["comparison.json"]
 
 
-_RUNNERS = {
-    "kottler": _run_kottler,
-    "flow": _run_flow,
-    "mass-aspect": _run_mass_aspect,
-    "penrose": _run_penrose,
-    "static-compare": _run_static_compare,
+# ---------------------------------------------------------------------------
+# the registry: the one list of scenario kinds, their fields and runners
+
+
+_K_HAT = _Field(int, -1, 1, "k_hat must be -1, 0 or +1", "k_hat must be -1, 0 or +1")
+_MASS = _Field(float, hi=_MASS_MAX)  # the admissible minimum depends on k_hat
+_GENUS = _Field(int, hi=_GENUS_MAX, message="genus must be an integer")
+_R0_T_MAX = "r0 and t_max must be positive"
+_STATIC_MASS = "static-compare requires critical mass <= m <= 0"
+
+_KINDS = {
+    "kottler": _Kind({
+        "k_hat": _K_HAT, "m": _MASS,
+        "n_radii": _Field(int, 2, message="n_radii must be an integer >= 2"),
+        # radii reach r_m r_max_factor, r_m < 13, and phi'' overflows at 5.6e102
+        "r_max_factor": _Field(float, math.nextafter(1.0, 2.0), 1e100,
+                               "r_max_factor must exceed 1"),
+        "genus": _GENUS,
+    }, {"n_radii": 20, "r_max_factor": 1e3}, _check_kottler, _run_kottler),
+    "flow": _Kind({
+        "k_hat": _K_HAT, "m": _MASS, "genus": _GENUS,
+        "r0": _Field(float, _POSITIVE, _RADIUS_MAX, _R0_T_MAX),
+        # the map out to 8 r0 e^(t_max/2) stays below 3e94; it overflows from 1e150
+        "t_max": _Field(float, _POSITIVE, 200.0, _R0_T_MAX),
+        "eps": _Field(float),
+        "steps": _Field(int, 1, message="steps must be a positive integer"),
+    }, {"eps": 0.0, "steps": 4096}, _check_flow, _run_flow),
+    "mass-aspect": _Kind({
+        "k_hat": _K_HAT, "m": _MASS,
+        "nodes_per_decade": _Field(int, 16,
+                                   message="nodes_per_decade must be an integer >= 16"),
+        "r_start": _Field(float, _POSITIVE, _RADIUS_MAX, "need 0 < r_start < r_end"),
+        "r_end": _Field(float, hi=_RADIUS_MAX),
+        "eps": _Field(float),
+    }, {"eps": 0.0, "nodes_per_decade": 192}, _check_mass_aspect, _run_mass_aspect),
+    "penrose": _Kind({
+        "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),
+        "masses": None,
+        "scan_points": _Field(int, 10, message="scan_points must be an integer >= 10"),
+        # the scanned A^(3/2) overflows from about A = 6e206
+        "scan_area_max": _Field(float, hi=1e200),
+    }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi},
+        _check_penrose, _run_penrose),
+    "static-compare": _Kind({
+        "m": _Field(float, critical_mass(-1) - 1e-15, 0.0, _STATIC_MASS, _STATIC_MASS),
+        "genus": _Field(int, 2, _GENUS_MAX, "static-compare requires integer genus >= 2"),
+        # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs
+        "map_r_end": _Field(float, 2.0 * 1.001e3, _RADIUS_MAX),
+    }, {"map_r_end": 1e6}, _check_static_compare, _run_static_compare),
 }
 
 
@@ -474,7 +542,7 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     checks = _Checks(cfg, tolerance)
-    payload, outputs = _RUNNERS[cfg["kind"]](cfg, out_dir, checks)
+    payload, outputs = _KINDS[cfg["kind"]].run(cfg, out_dir, checks)
     report = RunReport(scenario=cfg, checks=checks.items,
                        outputs=outputs + ["report.json"],
                        wall_time_s=time.perf_counter() - started)
@@ -493,24 +561,17 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     members = cfg.members
     vary_keys = list(cfg["vary"])
 
-    def _one(indexed):
-        i, member = indexed
+    results = []
+    for i, member in enumerate(members):
         member_dir = out_dir / f"member_{i:03d}"
         try:
             report = run_scenario(member, member_dir, tolerance)
-            return report, (0 if report.all_pass else 1)
+            results.append((report, 0 if report.all_pass else 1))
         except Exception as exc:  # a failed member keeps its reason
             member_dir.mkdir(parents=True, exist_ok=True)
             write_json({"type": type(exc).__name__, "message": str(exc)},
                        member_dir / "error.json")
-            return None, (2 if isinstance(exc, ConfigError) else 1)
-
-    if cfg["parallel"] and members:
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(4, len(members))) as pool:
-            results = list(pool.map(_one, enumerate(members)))
-    else:
-        results = [_one(item) for item in enumerate(members)]
+            results.append((None, 2 if isinstance(exc, ConfigError) else 1))
 
     columns = [range(len(members)), [member["kind"] for member in members]]
     columns += [[member.get(k) for member in members] for k in vary_keys]
@@ -538,12 +599,14 @@ def main(argv=None) -> int:
         prog="alhflow",
         description="scenario runner for warped-product flow and mass checks")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("kottler", "flow", "mass-aspect", "penrose",
-                 "static-compare", "sweep"):
+    for name in (*_KINDS, "sweep"):
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
 
     try:
+        if args.tolerance is not None and not (
+                _is_a(args.tolerance, float) and args.tolerance > 0):
+            raise ConfigError("--tolerance must be a positive number")
         cfg = load_config(args.config)
         cfg = validate_config(cfg)
         if cfg["kind"] != args.command:

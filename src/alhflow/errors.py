@@ -1,5 +1,8 @@
 """Exception types shared by the toolkit modules."""
 
+__all__ = ["DomainError", "HypothesesNotMet", "ConfigError", "NumericalError",
+           "FlowError", "ExtractionError"]
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

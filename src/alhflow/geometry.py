@@ -35,8 +35,6 @@ __all__ = [
     "largest_zero",
     "kottler_build",
     "critical_mass",
-    "critical_data",
-    "admissible_mass_interval",
     "horizon_radius",
     "scalar_curvature",
     "ricci_components",
@@ -247,26 +245,6 @@ def critical_mass(k_hat: int) -> float:
     return CRITICAL_MASS_HYPERBOLIC if k_hat == -1 else 0.0
 
 
-def critical_data(k_hat: int) -> tuple[float, str]:
-    """Critical mass for the given curvature sign, with a description."""
-    _check_k(k_hat)
-    if k_hat == -1:
-        return (CRITICAL_MASS_HYPERBOLIC,
-                "double horizon root at 1/sqrt(3); the inner end is "
-                "asymptotic to a cylinder over the cross section")
-    if k_hat == 0:
-        return (0.0,
-                "horizon radius shrinks to zero; the metric becomes an "
-                "exponentially expanding product")
-    return (0.0, "no horizon; the completion is hyperbolic space")
-
-
-def admissible_mass_interval(k_hat: int) -> tuple[float, float]:
-    """Closed-below interval of masses accepted by kottler_build."""
-    _check_k(k_hat)
-    return (critical_mass(k_hat), math.inf)
-
-
 def _check_k(k_hat: int) -> None:
     if k_hat not in (-1, 0, 1):
         raise DomainError(f"curvature sign must be -1, 0 or +1, got {k_hat}")
@@ -371,7 +349,7 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     exactly 0 for the critical k_hat = -1 member (double root), which also
     stands for the admissible masses up to 1e-15 below it.
     """
-    lo, _ = admissible_mass_interval(k_hat)
+    lo = critical_mass(k_hat)
     if m < lo - 1e-15:
         raise DomainError(
             f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")

@@ -25,10 +25,8 @@ from .geometry import (RadialPotential, _largest_cubic_root, conformal_infinity,
 __all__ = [
     "ReferencePotential",
     "ComparisonReport",
-    "reference_potential",
     "kappa_to_mass",
     "mass_to_kappa",
-    "omega_eval",
     "omega_derivatives",
     "alpha_coefficient",
     "omega_ode_residual",
@@ -103,17 +101,9 @@ class ReferencePotential:
         return self._radius(v)
 
     def omega(self, v):
+        """omega(V); equals kappa^2 at V = 0 and V^2 + 1 when m0 = 0, k_hat = -1."""
         r = self.r_of_V(v)
         return (r + self.m0 / (r * r)) ** 2
-
-
-def reference_potential(k_hat: int, m0: float) -> ReferencePotential:
-    return ReferencePotential(k_hat, m0)
-
-
-def omega_eval(ref: ReferencePotential, v: float) -> float:
-    """omega(V); equals kappa^2 at V = 0 and V^2 + 1 when m0 = 0, k_hat = -1."""
-    return ref.omega(v)
 
 
 def omega_derivatives(ref: ReferencePotential, v: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from alhflow import (HypothesesNotMet, alpha_coefficient,
+from alhflow import (HypothesesNotMet, ReferencePotential, alpha_coefficient,
                      boundary_gauss_curvature, build_substitution,
                      compare_with_reference, conformal_area,
                      conformal_infinity, conformal_mean_curvature_residual,
@@ -19,7 +19,7 @@ from alhflow import (HypothesesNotMet, alpha_coefficient,
                      kottler_build, kottler_potential, mass_aspect_extract,
                      omega_ode_residual, penrose_rhs,
                      perturbed_kottler_potential, potential_gradient_squared,
-                     reference_potential, scalar_curvature, static_residual)
+                     scalar_curvature, static_residual)
 from alhflow.cli import run_scenario, run_sweep
 
 FOUR_PI = 4.0 * math.pi
@@ -180,7 +180,7 @@ def test_criterion_7_comparison_chain():
     v_grid = np.linspace(0.25, 5.0, 20)
     worst_ode = 0.0
     for m0 in m_grid:
-        ref = reference_potential(-1, float(m0))
+        ref = ReferencePotential(-1, float(m0))
         for v in v_grid:
             worst_ode = max(worst_ode, omega_ode_residual(ref, float(v)))
             alpha = alpha_coefficient(ref, float(v))
@@ -189,7 +189,7 @@ def test_criterion_7_comparison_chain():
     if worst_ode > 1e-8:
         failures.append(f"profile equation residual {worst_ode:.2e} > 1e-8")
     for k_hat, m0 in ((-1, 0.0), (-1, -0.1), (-1, 0.5), (0, 0.3), (1, 1.0)):
-        ref = reference_potential(k_hat, m0)
+        ref = ReferencePotential(k_hat, m0)
         dev = abs(boundary_gauss_curvature(ref) - k_hat / ref.horizon_radius ** 2)
         if dev > 1e-8:
             failures.append(f"boundary curvature off by {dev:.2e} at "

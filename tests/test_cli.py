@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from alhflow import cli
 from alhflow.cli import (ConfigError, expand_sweep, load_config, main,
                          run_scenario, run_sweep, validate_config)
+from alhflow.errors import NumericalError
 from alhflow.flow import TRAJECTORY_COLUMNS
 
 
@@ -22,6 +24,14 @@ def read_bytes_map(root):
 KOTTLER_CFG = {"kind": "kottler", "k_hat": -1, "m": 0.0, "genus": 2}
 FLOW_CFG = {"kind": "flow", "k_hat": -1, "m": -0.1, "genus": 2,
             "r0": 2.0, "t_max": 2.0, "steps": 256}
+ASPECT_CFG = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5,
+              "r_start": 2.0, "r_end": 2e3, "nodes_per_decade": 16}
+PENROSE_CFG = {"kind": "penrose", "genus": 2, "masses": [-0.1, 0.0],
+               "scan_points": 64}
+STATIC_CFG = {"kind": "static-compare", "m": -0.1, "genus": 2, "map_r_end": 1e4}
+#: one small config that passes every check, for each registered kind
+MINIMAL = {cfg["kind"]: cfg for cfg in
+           (KOTTLER_CFG, FLOW_CFG, ASPECT_CFG, PENROSE_CFG, STATIC_CFG)}
 
 
 class TestValidation:
@@ -175,12 +185,20 @@ class TestDeterminism:
             "member,kind,genus,exit_code,all_pass"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failed_sweep_member_keeps_its_reason(tmp_path):
-    # a map out to r = 1e300 overflows and raises NumericalError
+def test_failed_sweep_member_keeps_its_reason(tmp_path, monkeypatch):
+    # the map of the second member fails as an overflowing map would
+    from alhflow import asymptotics
+    build = asymptotics.build_substitution
+
+    def failing_build(p, r_start, r_end, **kwargs):
+        if r_end == 2e4:
+            raise NumericalError("substitution deviation is not finite")
+        return build(p, r_start, r_end, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "build_substitution", failing_build)
     base = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5,
             "r_start": 2.0, "r_end": 1e4}
-    cfg = {"kind": "sweep", "base": base, "vary": {"r_end": [1e4, 1e300]}}
+    cfg = {"kind": "sweep", "base": base, "vary": {"r_end": [1e4, 2e4]}}
     reports, code = run_sweep(cfg, tmp_path / "o")
     assert code == 1 and reports[1] is None
     assert not (tmp_path / "o" / "member_000" / "error.json").exists()
@@ -188,7 +206,7 @@ def test_failed_sweep_member_keeps_its_reason(tmp_path):
     assert error == {"type": "NumericalError",
                      "message": "substitution deviation is not finite"}
     rows = (tmp_path / "o" / "summary.csv").read_text().split("\n")
-    assert rows[2] == "1,mass-aspect,1.0000000000000001e+300,1,False"
+    assert rows[2] == "1,mass-aspect,20000,1,False"
 
 
 def test_load_config_missing_file(tmp_path):
@@ -233,3 +251,110 @@ class TestBuildOnce:
         changed = validate_config(dict(cfg, m=0.2))
         assert changed["m"] == 0.2
         assert changed.potential.params["m"] == 0.2
+
+
+class TestRegistry:
+    def test_subcommands_are_the_registered_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{" + ",".join([*cli._KINDS, "sweep"]) + "}" in capsys.readouterr().out
+        assert set(MINIMAL) == set(cli._KINDS)
+
+    @pytest.mark.parametrize("kind", list(MINIMAL))
+    def test_minimal_config_exits_0(self, tmp_path, kind):
+        path = write_cfg(tmp_path, "c.json", MINIMAL[kind])
+        assert main([kind, "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, spec in cli._KINDS.items()
+        for key, field in spec.fields.items() if field is not None])
+    def test_numeric_field_rejects_non_finite_and_bool(self, kind, key, value):
+        with pytest.raises(ConfigError):
+            validate_config(dict(MINIMAL[kind], **{key: value}))
+
+    @pytest.mark.parametrize("cfg", [
+        dict(PENROSE_CFG, masses=[math.nan]),
+        dict(KOTTLER_CFG, tolerances={"equality": math.inf}),
+        dict(KOTTLER_CFG, tolerances={"equality": math.nan}),
+        # values that overflowed at run time
+        dict(FLOW_CFG, t_max=1500.0),
+        dict(KOTTLER_CFG, m=1e300),
+        dict(KOTTLER_CFG, r_max_factor=1e300),
+        dict(KOTTLER_CFG, genus=-1),
+        dict(FLOW_CFG, steps=3),
+        # no horizon is found near r = 1e25, so only phi(r_start) shows it
+        dict(ASPECT_CFG, eps=-1e100),
+    ])
+    def test_rejected_values(self, cfg):
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_tolerance_flag_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, "k.json", KOTTLER_CFG)
+        assert main(["kottler", "--config", path, "--out", str(tmp_path / "o"),
+                     "--tolerance", value]) == 2
+        assert "--tolerance must be a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        dict(PENROSE_CFG, scan_area_max="x"),
+        dict(PENROSE_CFG, scan_area_max=-1.0),
+        # the default scan, 40 pi, ends before the minimizer area 124 pi / 3
+        {"kind": "penrose", "genus": 32, "masses": [0.0]},
+        dict(STATIC_CFG, map_r_end=-5.0),
+        dict(STATIC_CFG, map_r_end=1e100),
+        dict(STATIC_CFG, map_r_end=1e300),
+        dict(ASPECT_CFG, r_end=1e52),
+        dict(ASPECT_CFG, r_end=1e80),
+        dict(ASPECT_CFG, r_end=1e103),
+        dict(ASPECT_CFG, r_start=1e51, r_end=1e55),
+    ])
+    def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main([cfg["kind"], "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_scan_may_end_at_the_minimizer(self, tmp_path):
+        cfg = {"kind": "penrose", "genus": 32, "masses": [0.0],
+               "scan_area_max": 4.0 * math.pi * 31 / 3.0}
+        assert run_scenario(cfg, tmp_path).all_pass
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"kind": "warp"}, "unknown scenario kind 'warp'; expected one of "
+         "['flow', 'kottler', 'mass-aspect', 'penrose', 'static-compare', 'sweep']"),
+        ({"kind": "kottler", "k_hat": -1},
+         "missing config keys for kind 'kottler': ['genus', 'm']"),
+        (dict(KOTTLER_CFG, k_hat="x"), "k_hat must be -1, 0 or +1"),
+        (dict(KOTTLER_CFG, m="x"), "config key 'm' must be a number, got 'x'"),
+        (dict(KOTTLER_CFG, m=-1),
+         "mass -1 below the admissible minimum -0.19245008972987526"),
+        (dict(KOTTLER_CFG, genus="x"), "genus must be an integer"),
+        (dict(KOTTLER_CFG, genus=1), "genus 1 has curvature sign 0, config says -1"),
+        (dict(KOTTLER_CFG, n_radii=1), "n_radii must be an integer >= 2"),
+        (dict(KOTTLER_CFG, r_max_factor=1), "r_max_factor must exceed 1"),
+        (dict(KOTTLER_CFG, tolerances={"equality": -1}),
+         "tolerance 'equality' must be a positive number"),
+        (dict(FLOW_CFG, r0=-1), "r0 and t_max must be positive"),
+        (dict(FLOW_CFG, steps=0), "steps must be a positive integer"),
+        (dict(FLOW_CFG, r0=0.5),
+         "flow scenarios need phi(r0) > 0 (strictly outside the horizon)"),
+        (dict(ASPECT_CFG, nodes_per_decade=8),
+         "nodes_per_decade must be an integer >= 16"),
+        (dict(ASPECT_CFG, r_start=-1), "need 0 < r_start < r_end"),
+        (dict(ASPECT_CFG, r_start=3), "need r_end / r_start >= 1e3"),
+        (dict(ASPECT_CFG, m=3), "r_start lies inside the horizon"),
+        (dict(PENROSE_CFG, genus=1), "penrose scenarios require integer genus >= 2"),
+        (dict(PENROSE_CFG, masses=[]), "'masses' must be a non-empty list"),
+        (dict(PENROSE_CFG, masses=["x"]), "'masses' entries must be numbers"),
+        (dict(PENROSE_CFG, masses=[-1]), "mass -1 below the admissible minimum"),
+        (dict(PENROSE_CFG, scan_points=9), "scan_points must be an integer >= 10"),
+        (dict(STATIC_CFG, m=0.1), "static-compare requires critical mass <= m <= 0"),
+        (dict(STATIC_CFG, genus=1), "static-compare requires integer genus >= 2"),
+        (dict(STATIC_CFG, m=-1.0 / (3.0 * math.sqrt(3.0))),
+         "critical data has no surface-gravity reference"),
+    ])
+    def test_messages_kept(self, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == message

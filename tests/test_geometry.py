@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from alhflow import (ConformalInfinity, DomainError, admissible_mass_interval,
-                     conformal_infinity, critical_data, critical_mass,
+from alhflow import (ConformalInfinity, DomainError, conformal_infinity,
+                     critical_mass,
                      hawking_mass_from_integrals, hawking_mass_sphere,
                      horizon_radius, kottler_build, kottler_potential,
                      largest_zero, mean_curvature_sphere,
@@ -116,8 +116,8 @@ class TestKottlerBuild:
             0.5 * s.potential.dphi(r), rel=1e-12)
 
     def test_admissible_interval(self):
-        assert admissible_mass_interval(-1)[0] == pytest.approx(M_CRIT)
-        assert admissible_mass_interval(0)[0] == 0.0
+        assert critical_mass(-1) == pytest.approx(M_CRIT)
+        assert critical_mass(0) == 0.0
 
 
 class TestScalarCurvature:
@@ -340,12 +340,9 @@ class TestStaticResidual:
 
 
 def test_critical_data_values():
-    m, desc = critical_data(-1)
-    assert m == pytest.approx(M_CRIT, rel=1e-15)
-    assert "cylinder" in desc
-    assert critical_data(0)[0] == 0.0
-    assert critical_data(1)[0] == 0.0
-    assert "hyperbolic" in critical_data(1)[1]
+    assert critical_mass(-1) == pytest.approx(M_CRIT, rel=1e-15)
+    assert critical_mass(0) == 0.0
+    assert critical_mass(1) == 0.0
 
 
 class TestTabulated:

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (NumericalError, geometry, horizon_radius, kottler_build,
-                     kottler_potential, largest_zero, perturbed_kottler_potential,
-                     reference_potential)
+from alhflow import (NumericalError, ReferencePotential, geometry,
+                     horizon_radius, kottler_build, kottler_potential,
+                     largest_zero, perturbed_kottler_potential)
 from alhflow.geometry import _largest_cubic_root
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
@@ -110,13 +110,13 @@ _potential_values = st.lists(st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e-6
 @settings(max_examples=200, deadline=None)
 @given(_reference, _potential_values)
 def test_array_path_equals_float_path_bitwise(reference, values):
-    ref = reference_potential(*reference)
+    ref = ReferencePotential(*reference)
     radii = ref.r_of_V(np.array(values))
     assert [r.hex() for r in radii.tolist()] == [ref.r_of_V(v).hex() for v in values]
 
 
 def test_array_path_keeps_shape():
-    ref = reference_potential(0, 0.1)
+    ref = ReferencePotential(0, 0.1)
     v = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     r = ref.r_of_V(v)
     assert r.shape == (3, 4) and r.dtype == float

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from alhflow import (DomainError, HypothesesNotMet, alpha_coefficient,
-                     boundary_gauss_curvature, compare_with_reference,
-                     kappa_to_mass, kottler_build, kottler_potential,
-                     mass_to_kappa, mean_curvature_evolution_residual,
-                     omega_derivatives, omega_eval, omega_ode_residual,
-                     perturbed_kottler_potential,
-                     potential_derivative_residual, reference_potential,
-                     richardson, static_compare)
+from alhflow import (DomainError, HypothesesNotMet, ReferencePotential,
+                     alpha_coefficient, boundary_gauss_curvature,
+                     compare_with_reference, kappa_to_mass, kottler_build,
+                     kottler_potential, mass_to_kappa,
+                     mean_curvature_evolution_residual, omega_derivatives,
+                     omega_ode_residual, perturbed_kottler_potential,
+                     potential_derivative_residual, richardson, static_compare)
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -71,35 +70,35 @@ class TestBijection:
 
 class TestOmega:
     def test_massless_closed_form(self):
-        ref = reference_potential(-1, 0.0)
-        assert omega_eval(ref, math.sqrt(3.0)) == pytest.approx(4.0, rel=1e-13)
+        ref = ReferencePotential(-1, 0.0)
+        assert ref.omega(math.sqrt(3.0)) == pytest.approx(4.0, rel=1e-13)
         for v in (0.0, 0.5, 2.0):
-            assert omega_eval(ref, v) == pytest.approx(v * v + 1.0, rel=1e-12)
+            assert ref.omega(v) == pytest.approx(v * v + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("k_hat,m0", [(-1, -0.1), (-1, 0.4), (0, 0.3), (1, 1.0)])
     def test_horizon_value_is_kappa_squared(self, k_hat, m0):
-        ref = reference_potential(k_hat, m0)
-        assert omega_eval(ref, 0.0) == pytest.approx(ref.kappa ** 2, rel=1e-12)
+        ref = ReferencePotential(k_hat, m0)
+        assert ref.omega(0.0) == pytest.approx(ref.kappa ** 2, rel=1e-12)
 
     def test_against_bisection_oracle(self):
         # largest root of r^3 - 2r + 0.2 locates the profile radius
-        ref = reference_potential(-1, -0.1)
+        ref = ReferencePotential(-1, -0.1)
         r_oracle = bisect_root(lambda r: r ** 3 - 2.0 * r + 0.2, 1.0, 2.0)
         assert r_oracle == pytest.approx(1.3615, abs=1e-3)
         expect = (r_oracle - 0.1 / r_oracle ** 2) ** 2
-        assert omega_eval(ref, 1.0) == pytest.approx(expect, rel=1e-11)
-        assert omega_eval(ref, 1.0) == pytest.approx(1.710, abs=1e-3)
+        assert ref.omega(1.0) == pytest.approx(expect, rel=1e-11)
+        assert ref.omega(1.0) == pytest.approx(1.710, abs=1e-3)
 
     def test_negative_v_rejected(self):
         with pytest.raises(DomainError):
-            omega_eval(reference_potential(-1, 0.0), -0.1)
+            ReferencePotential(-1, 0.0).omega(-0.1)
         with pytest.raises(DomainError):
-            reference_potential(-1, 0.0).omega(np.array([0.5, -0.1]))
+            ReferencePotential(-1, 0.0).omega(np.array([0.5, -0.1]))
 
     @pytest.mark.parametrize("k_hat,m0", [(-1, M_CRIT + 1e-9), (-1, -0.1),
                                           (0, 0.3), (1, 1.0)])
     def test_array_equals_scalar_bitwise(self, k_hat, m0):
-        ref = reference_potential(k_hat, m0)
+        ref = ReferencePotential(k_hat, m0)
         v = np.concatenate([[0.0], np.geomspace(1e-8, 40.0, 63)])
         got = ref.omega(v)
         assert [x.hex() for x in got.tolist()] == [ref.omega(x).hex() for x in v.tolist()]
@@ -107,49 +106,49 @@ class TestOmega:
 
 class TestOmegaDerivatives:
     def test_massless_closed_form(self):
-        ref = reference_potential(-1, 0.0)
+        ref = ReferencePotential(-1, 0.0)
         d1, d2 = omega_derivatives(ref, 2.0)
         assert d1 == pytest.approx(4.0, rel=1e-12)
         assert d2 == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_finite_differences(self):
-        ref = reference_potential(-1, -0.1)
+        ref = ReferencePotential(-1, -0.1)
         v, h = 1.0, 1e-4
         d1, d2 = omega_derivatives(ref, v)
-        fd1 = (omega_eval(ref, v + h) - omega_eval(ref, v - h)) / (2 * h)
-        fd2 = (omega_eval(ref, v + h) - 2 * omega_eval(ref, v)
-               + omega_eval(ref, v - h)) / h ** 2
+        fd1 = (ref.omega(v + h) - ref.omega(v - h)) / (2 * h)
+        fd2 = (ref.omega(v + h) - 2 * ref.omega(v)
+               + ref.omega(v - h)) / h ** 2
         assert abs(d1 - fd1) <= 1e-6
         assert abs(d2 - fd2) <= 1e-5
 
     def test_first_derivative_vanishes_at_horizon(self):
-        ref = reference_potential(-1, 0.3)
+        ref = ReferencePotential(-1, 0.3)
         d1, _ = omega_derivatives(ref, 1e-8)
         assert abs(d1) <= 1e-7
 
 
 class TestAlpha:
     def test_massless_is_zero(self):
-        ref = reference_potential(-1, 0.0)
+        ref = ReferencePotential(-1, 0.0)
         assert alpha_coefficient(ref, 1.3) == pytest.approx(0.0, abs=1e-13)
 
     def test_worked_value(self):
-        ref = reference_potential(-1, -0.1)
+        ref = ReferencePotential(-1, -0.1)
         assert alpha_coefficient(ref, 1.0) == pytest.approx(0.267, abs=1e-3)
 
     @pytest.mark.parametrize("m0,sign", [(-0.15, 1.0), (-0.05, 1.0),
                                          (0.1, -1.0), (0.5, -1.0)])
     def test_sign_opposite_to_mass(self, m0, sign):
-        ref = reference_potential(-1, m0)
+        ref = ReferencePotential(-1, m0)
         for v in np.linspace(0.25, 5.0, 20):
             assert math.copysign(1.0, alpha_coefficient(ref, v)) == sign
 
 
 class TestOmegaOde:
     def test_massless_both_sides_closed_form(self):
-        ref = reference_potential(-1, 0.0)
+        ref = ReferencePotential(-1, 0.0)
         for v in (0.5, 1.0, 3.0):
-            omega = omega_eval(ref, v)
+            omega = ref.omega(v)
             d1, d2 = omega_derivatives(ref, v)
             lhs = d2 * omega + 3 * d1 * v
             assert lhs == pytest.approx(8 * v * v + 2.0, rel=1e-12)
@@ -157,26 +156,26 @@ class TestOmegaOde:
 
     @pytest.mark.parametrize("k_hat,m0", [(-1, -0.15), (-1, 0.6), (0, 0.3)])
     def test_residual_small(self, k_hat, m0):
-        ref = reference_potential(k_hat, m0)
+        ref = ReferencePotential(k_hat, m0)
         for v in (0.5, 1.0, 2.0):
             assert omega_ode_residual(ref, v) <= 1e-8
 
 
 class TestPotentialDerivative:
     def test_massless_closed_form(self):
-        ref = reference_potential(-1, 0.0)
+        ref = ReferencePotential(-1, 0.0)
         # both sides equal 2/sqrt(3) at r = 2
         assert potential_derivative_residual(ref, 2.0) <= 1e-12
         v = math.sqrt(3.0)
         assert (2.0 / math.sqrt(3.0)) == pytest.approx(
-            math.sqrt(omega_eval(ref, v)) / v, rel=1e-12)
+            math.sqrt(ref.omega(v)) / v, rel=1e-12)
 
     def test_positive_mass(self):
-        ref = reference_potential(-1, 0.5)
+        ref = ReferencePotential(-1, 0.5)
         assert potential_derivative_residual(ref, 3.0) <= 1e-10
 
     def test_asymptotic_limit(self):
-        ref = reference_potential(-1, 0.2)
+        ref = ReferencePotential(-1, 0.2)
         r = 1e5
         phi = r * r - 1.0 - 0.4 / r
         v = math.sqrt(phi)
@@ -184,7 +183,7 @@ class TestPotentialDerivative:
         assert potential_derivative_residual(ref, r) <= 1e-10
 
     def test_inside_horizon_rejected(self):
-        ref = reference_potential(-1, 0.5)
+        ref = ReferencePotential(-1, 0.5)
         with pytest.raises(DomainError):
             potential_derivative_residual(ref, 0.5 * ref.horizon_radius)
 
@@ -193,22 +192,22 @@ class TestBoundaryCurvature:
     @pytest.mark.parametrize("k_hat,m0", [(-1, 0.0), (-1, -0.1), (-1, 0.5),
                                           (0, 0.3), (1, 1.0)])
     def test_equals_topological_value(self, k_hat, m0):
-        ref = reference_potential(k_hat, m0)
+        ref = ReferencePotential(k_hat, m0)
         expect = k_hat / ref.horizon_radius ** 2
         assert abs(boundary_gauss_curvature(ref) - expect) <= 1e-8
 
     def test_massless_value(self):
-        assert boundary_gauss_curvature(reference_potential(-1, 0.0)) == \
+        assert boundary_gauss_curvature(ReferencePotential(-1, 0.0)) == \
             pytest.approx(-1.0, abs=1e-9)
 
     def test_critical_rejected(self):
         with pytest.raises(DomainError):
-            boundary_gauss_curvature(reference_potential(-1, M_CRIT))
+            boundary_gauss_curvature(ReferencePotential(-1, M_CRIT))
 
     @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1])
     def test_matches_richardson_second_difference(self, delta):
         # independent route: extrapolate 2 (omega(h) - kappa^2)/h^2 -> -2K
-        ref = reference_potential(-1, M_CRIT + delta)
+        ref = ReferencePotential(-1, M_CRIT + delta)
         h = 0.04 * ref.kappa / 2.0 ** np.arange(4)
         second, _ = richardson(2.0 * (ref.omega(h) - ref.kappa ** 2) / (h * h),
                                ratio=2.0, first_order=2, levels=3)
@@ -216,7 +215,7 @@ class TestBoundaryCurvature:
 
     @pytest.mark.parametrize("delta", [1e-11, 1e-8, 1e-6, 1e-4])
     def test_near_critical_reference(self, delta):
-        ref = reference_potential(-1, M_CRIT + delta)
+        ref = ReferencePotential(-1, M_CRIT + delta)
         expect = -1.0 / ref.horizon_radius ** 2
         assert abs(boundary_gauss_curvature(ref) - expect) <= 1e-11
 
