@@ -35,6 +35,9 @@ from .geometry import ConformalInfinity, RadialPotential, mean_curvature_sphere
 # now reads 0; drop both together.
 solve_ivp = None
 
+#: The default outer rho and sample count of dyadic_profile_samples.
+PROFILE_RHO_MAX, PROFILE_COUNT = 4096.0, 8
+
 __all__ = [
     "SubstitutionMap",
     "ExpansionFit",
@@ -431,7 +434,8 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
 
 
 def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,
-                           count: int = 8, rho_max: float | None = None) -> np.ndarray:
+                           count: int = PROFILE_COUNT,
+                           rho_max: float | None = None) -> np.ndarray:
     """Sample a radial quantity on dyadic rho values, as (rho, value) rows.
 
     `values_of_r` takes an array of radii and returns the values there.
@@ -440,7 +444,7 @@ def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,
     eps * rho^3 approaches it.
     """
     if rho_max is None:
-        rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, 4096.0)
+        rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, PROFILE_RHO_MAX)
     rhos = rho_max / 2.0 ** np.arange(count - 1, -1, -1)
     return np.column_stack((rhos, values_of_r(sub_map.r_of_rho(rhos))))
 

@@ -2,8 +2,9 @@
 
 The registry `_KINDS` is the one list of scenario kinds and their fields:
 each entry declares a kind's config keys with the type, range and default
-of each, the check that spans keys, and the runner.  There is one
-subcommand per registered kind, plus sweep.  Each takes --config (a JSON
+of each, the check that spans keys, and the runner (none for sweep, which
+runs the scenarios it expands).  There is one subcommand per registered
+kind.  Each takes --config (a JSON
 file), --out (output directory) and optionally --tolerance (a global
 tolerance override; individual checks can instead be overridden through a
 "tolerances" object in the config).
@@ -94,37 +95,39 @@ def write_csv(header, columns, path: Path) -> None:
 # configuration
 
 
-# Upper bounds shared by several fields, each below the first value that
-# fails on a correct program.
-#: kottler m = 3e3 fails horizon_relation, as the rounding of 2m passes its
-#: absolute tolerance; the cubic overflows from about m = 1e150.
-_MASS_MAX = 1e3
-#: genus 1e5 fails kottler's and flow's absolute tolerances, which
-#: c^(3/2) = (genus - 1)^(3/2) scales past.
-_GENUS_MAX = 10_000
+# Upper bounds, each just below the value from which a computation overflows;
+# a large value below one may still fail an absolute tolerance (exit 1).
+#: The cubic solve for the horizon cubes 2m, which overflows from m = 2.8e102.
+_MASS_MAX = 1e100
+#: (genus - 1)^(3/2), in the Hawking mass and Penrose bound, overflows from 3.2e205.
+_GENUS_MAX = 1e200
+#: d2phi cubes r (overflow from 5.6e102); build_substitution overflows past 4.4e100.
+_R_MAX = 1e100
 #: The c^3/r^6 term of SubstitutionMap.mu_at overflows from about r = 2.4e51.
-_RADIUS_MAX = 1e50
+_MU_R_MAX = 1e50
 #: The least positive float: the range [_POSITIVE, hi] is (0, hi].
 _POSITIVE = math.ulp(0.0)
 
 
 class _Field(NamedTuple):
-    """A numeric config key: an int, or for float any finite number, in
-    [lo, hi].  `message` is the error below lo and for an int of the wrong
-    type, `above` the error above hi; an empty one means a generic error."""
+    """A numeric config key: an int, or for float any finite number, in [lo, hi]
+    and one of `values` if set.  `message` is the error below lo, outside `values`
+    and of a wrong type but for a plain float, `above` the error above hi."""
 
     type: type
     lo: float = -math.inf
     hi: float = math.inf
     message: str = ""
     above: str = ""
+    values: tuple = ()
 
 
 class _Kind(NamedTuple):
     """A scenario kind.  `fields` maps every key but kind and tolerances, in
     check order, to its _Field, or to None when `check` alone reads it.
     `defaults` fills the optional keys in order.  `check`, run after every
-    field passed, tests what spans fields and returns the potential or None."""
+    field passed, tests what spans fields and returns what _Validated keeps,
+    as keyword arguments, or None.  `run` is None for sweep (see run_sweep)."""
 
     fields: dict
     defaults: dict
@@ -141,8 +144,8 @@ def _is_a(value, type_) -> bool:
 
 
 def _check_field(key, field, value) -> None:
-    if not _is_a(value, field.type):
-        raise ConfigError(field.message if field.type is int else
+    if not _is_a(value, field.type) or (field.values and value not in field.values):
+        raise ConfigError(field.message if field.type is int or field.values else
                           f"config key '{key}' must be a number, got {value!r}")
     if value < field.lo:
         raise ConfigError(field.message or f"config key '{key}' must be at "
@@ -181,23 +184,16 @@ class _Validated(dict):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check keys, numeric fields and module preconditions; return the
-    config with its defaults.
-
-    The result is a read-only dict that run_scenario and run_sweep accept
-    without validating it again.
-    """
+    """Check keys, numeric fields and module preconditions; return the config
+    with its defaults, as a read-only dict that run_scenario and run_sweep
+    accept without validating it again."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("kind")
-    if kind == "sweep":  # no registered kind: only its keys are declared here
-        spec = _Kind(dict.fromkeys(("base", "vary", "parallel")),
-                     {"parallel": False}, None, None)
-    elif kind in _KINDS:
-        spec = _KINDS[kind]
-    else:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}; "
-                          f"expected one of {sorted([*_KINDS, 'sweep'])}")
+                          f"expected one of {sorted(_KINDS)}")
+    spec = _KINDS[kind]
     unknown = set(cfg) - {"kind", "tolerances", *spec.fields}
     if unknown:
         raise ConfigError(f"unknown config keys for kind '{kind}': {sorted(unknown)}")
@@ -215,22 +211,20 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"unknown tolerance name '{name}'")
         if not _is_a(val, float) or val <= 0:
             raise ConfigError(f"tolerance '{name}' must be a positive number")
-    if kind == "sweep":
-        return _validate_sweep(out)
     for key, field in spec.fields.items():
         if field is not None:
             _check_field(key, field, out[key])
     try:
-        potential = spec.check(out)
+        kept = spec.check(out)
     except DomainError as exc:  # a module precondition, such as genus >= 0
         raise ConfigError(str(exc)) from exc
-    return _Validated(out, potential=potential)
+    return _Validated(out, **(kept or {}))
 
 
-def _validate_sweep(out: dict) -> dict:
+def _check_sweep(out):
     if not isinstance(out["base"], dict):
         raise ConfigError("'base' must be an object")
-    if out["base"].get("kind") == "sweep":
+    if out["base"].get("kind") == out["kind"]:
         raise ConfigError("sweeps cannot nest")
     if not isinstance(out["vary"], dict) or not out["vary"]:
         raise ConfigError("'vary' must be a non-empty object of parameter lists")
@@ -240,7 +234,7 @@ def _validate_sweep(out: dict) -> dict:
     members = [validate_config(member) for member in expand_sweep(out)]
     if not isinstance(out["parallel"], bool):
         raise ConfigError("'parallel' must be a boolean")
-    return _Validated(out, members=members)
+    return {"members": members}
 
 
 def _admissible_mass(cfg) -> None:
@@ -261,11 +255,19 @@ def _check_flow(cfg):
     _check_kottler(cfg)
     if cfg["steps"] < 4:  # rate_matches_difference differences five states
         raise ConfigError("flow scenarios need steps >= 4")
+    # the flow reaches r0 e^(t_max/2), and the trajectory's map beyond it
+    if _flow_map_end(cfg["r0"], cfg["r0"] * math.exp(0.5 * cfg["t_max"])) > _R_MAX:
+        raise ConfigError(f"the flow's map would end past r = {_R_MAX:g}")
     potential = _potential_from(cfg)
     if potential.phi(cfg["r0"]) <= 0.0:
         raise ConfigError("flow scenarios need phi(r0) > 0 "
                           "(strictly outside the horizon)")
-    return potential
+    return {"potential": potential}
+
+
+def _flow_map_end(r0, r_final):
+    """The outer radius of a trajectory's substitution map."""
+    return max(r_final * 8.0, r0 * 1.01e3)
 
 
 def _check_mass_aspect(cfg):
@@ -277,7 +279,7 @@ def _check_mass_aspect(cfg):
     potential = _potential_from(cfg)
     if potential.phi(cfg["r_start"]) <= 0.0:
         raise ConfigError("r_start lies inside the horizon")
-    return potential
+    return {"potential": potential}
 
 
 def _check_penrose(cfg) -> None:
@@ -333,12 +335,8 @@ class RunReport:
 
     def artifact_dict(self) -> dict:
         # wall time deliberately excluded: artifacts must be reproducible
-        return {
-            "scenario": self.scenario,
-            "checks": self.checks,
-            "outputs": self.outputs,
-            "all_pass": self.all_pass,
-        }
+        return {"scenario": self.scenario, "checks": self.checks,
+                "outputs": self.outputs, "all_pass": self.all_pass}
 
 
 class _Checks:
@@ -414,8 +412,7 @@ def _run_flow(cfg, out_dir, checks):
     fd = (8.0 * (mass[3:-1] - mass[1:-3]) - (mass[4:] - mass[:-4])) / (12.0 * dt)
     checks.add("rate_matches_difference", float(np.max(np.abs(fd - rate[2:-2]))))
 
-    map_end = max(r[-1] * 8.0, cfg["r0"] * 1.01e3)
-    sub_map = asymptotics.build_substitution(p, cfg["r0"], map_end)
+    sub_map = asymptotics.build_substitution(p, cfg["r0"], _flow_map_end(cfg["r0"], r[-1]))
     flow.write_trajectory_csv(traj, p, sub_map, out_dir / "trajectory.csv")
     return {"final_radius": float(r[-1]),
             "max_violation": traj.max_violation,
@@ -484,7 +481,7 @@ def _run_static_compare(cfg, out_dir, checks):
 # the registry: the one list of scenario kinds, their fields and runners
 
 
-_K_HAT = _Field(int, -1, 1, "k_hat must be -1, 0 or +1", "k_hat must be -1, 0 or +1")
+_K_HAT = _Field(float, message="k_hat must be -1, 0 or +1", values=(-1, 0, 1))
 _MASS = _Field(float, hi=_MASS_MAX)  # the admissible minimum depends on k_hat
 _GENUS = _Field(int, hi=_GENUS_MAX, message="genus must be an integer")
 _R0_T_MAX = "r0 and t_max must be positive"
@@ -494,16 +491,17 @@ _KINDS = {
     "kottler": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
         "n_radii": _Field(int, 2, message="n_radii must be an integer >= 2"),
-        # radii reach r_m r_max_factor, r_m < 13, and phi'' overflows at 5.6e102
-        "r_max_factor": _Field(float, math.nextafter(1.0, 2.0), 1e100,
+        # radii reach r_m r_max_factor, and r_m is at most about (2 _MASS_MAX)^(1/3)
+        "r_max_factor": _Field(float, math.nextafter(1.0, 2.0),
+                               _R_MAX / (2.0 * _MASS_MAX) ** (1.0 / 3.0),
                                "r_max_factor must exceed 1"),
         "genus": _GENUS,
     }, {"n_radii": 20, "r_max_factor": 1e3}, _check_kottler, _run_kottler),
     "flow": _Kind({
         "k_hat": _K_HAT, "m": _MASS, "genus": _GENUS,
-        "r0": _Field(float, _POSITIVE, _RADIUS_MAX, _R0_T_MAX),
-        # the map out to 8 r0 e^(t_max/2) stays below 3e94; it overflows from 1e150
-        "t_max": _Field(float, _POSITIVE, 200.0, _R0_T_MAX),
+        "r0": _Field(float, _POSITIVE, message=_R0_T_MAX),
+        # e^(t_max/2) overflows from t_max = 1419.6; _check_flow bounds both
+        "t_max": _Field(float, _POSITIVE, 1400.0, _R0_T_MAX),
         "eps": _Field(float),
         "steps": _Field(int, 1, message="steps must be a positive integer"),
     }, {"eps": 0.0, "steps": 4096}, _check_flow, _run_flow),
@@ -511,8 +509,12 @@ _KINDS = {
         "k_hat": _K_HAT, "m": _MASS,
         "nodes_per_decade": _Field(int, 16,
                                    message="nodes_per_decade must be an integer >= 16"),
-        "r_start": _Field(float, _POSITIVE, _RADIUS_MAX, "need 0 < r_start < r_end"),
-        "r_end": _Field(float, hi=_RADIUS_MAX),
+        # the innermost rho the profile fits sample, 4096 / 2^7 = 32; loose where
+        # rho(r_start) = r_start - c / r_start^2 exceeds r_start (c < 0)
+        "r_start": _Field(float, _POSITIVE, asymptotics.PROFILE_RHO_MAX
+                          / 2.0 ** (asymptotics.PROFILE_COUNT - 1),
+                          "need 0 < r_start < r_end"),
+        "r_end": _Field(float, hi=_MU_R_MAX),
         "eps": _Field(float),
     }, {"eps": 0.0, "nodes_per_decade": 192}, _check_mass_aspect, _run_mass_aspect),
     "penrose": _Kind({
@@ -525,10 +527,13 @@ _KINDS = {
         _check_penrose, _run_penrose),
     "static-compare": _Kind({
         "m": _Field(float, critical_mass(-1) - 1e-15, 0.0, _STATIC_MASS, _STATIC_MASS),
-        "genus": _Field(int, 2, _GENUS_MAX, "static-compare requires integer genus >= 2"),
+        # the boundary area 4 pi (genus - 1) overflows from genus 1.4e307
+        "genus": _Field(int, 2, 1e307, "static-compare requires integer genus >= 2"),
         # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs
-        "map_r_end": _Field(float, 2.0 * 1.001e3, _RADIUS_MAX),
+        "map_r_end": _Field(float, 2.0 * 1.001e3, _MU_R_MAX),
     }, {"map_r_end": 1e6}, _check_static_compare, _run_static_compare),
+    "sweep": _Kind(dict.fromkeys(("base", "vary", "parallel")), {"parallel": False},
+                   _check_sweep, None),
 }
 
 
@@ -536,13 +541,14 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
     """Validate, execute and persist one scenario; returns the report."""
     if not isinstance(cfg, _Validated):
         cfg = validate_config(cfg)
-    if cfg["kind"] == "sweep":
+    run = _KINDS[cfg["kind"]].run
+    if run is None:
         raise ConfigError("use run_sweep for sweep configs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     checks = _Checks(cfg, tolerance)
-    payload, outputs = _KINDS[cfg["kind"]].run(cfg, out_dir, checks)
+    payload, outputs = run(cfg, out_dir, checks)
     report = RunReport(scenario=cfg, checks=checks.items,
                        outputs=outputs + ["report.json"],
                        wall_time_s=time.perf_counter() - started)
@@ -599,7 +605,7 @@ def main(argv=None) -> int:
         prog="alhflow",
         description="scenario runner for warped-product flow and mass checks")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in (*_KINDS, "sweep"):
+    for name in _KINDS:
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
 
@@ -607,23 +613,20 @@ def main(argv=None) -> int:
         if args.tolerance is not None and not (
                 _is_a(args.tolerance, float) and args.tolerance > 0):
             raise ConfigError("--tolerance must be a positive number")
-        cfg = load_config(args.config)
-        cfg = validate_config(cfg)
+        cfg = validate_config(load_config(args.config))
         if cfg["kind"] != args.command:
-            raise ConfigError(
-                f"config kind '{cfg['kind']}' does not match "
-                f"subcommand '{args.command}'")
+            raise ConfigError(f"config kind '{cfg['kind']}' does not match "
+                              f"subcommand '{args.command}'")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if cfg["kind"] == "sweep":
+        if _KINDS[cfg["kind"]].run is None:  # a sweep
             started = time.perf_counter()
             reports, code = run_sweep(cfg, args.out, args.tolerance)
-            elapsed = time.perf_counter() - started
             print(f"sweep: {len(reports)} members, exit {code}, "
-                  f"{elapsed:.2f}s wall time")
+                  f"{time.perf_counter() - started:.2f}s wall time")
             return code
         report = run_scenario(cfg, args.out, args.tolerance)
     except ConfigError as exc:

@@ -29,9 +29,10 @@ ASPECT_CFG = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5,
 PENROSE_CFG = {"kind": "penrose", "genus": 2, "masses": [-0.1, 0.0],
                "scan_points": 64}
 STATIC_CFG = {"kind": "static-compare", "m": -0.1, "genus": 2, "map_r_end": 1e4}
+SWEEP_CFG = {"kind": "sweep", "base": PENROSE_CFG, "vary": {"genus": [2, 3]}}
 #: one small config that passes every check, for each registered kind
 MINIMAL = {cfg["kind"]: cfg for cfg in
-           (KOTTLER_CFG, FLOW_CFG, ASPECT_CFG, PENROSE_CFG, STATIC_CFG)}
+           (KOTTLER_CFG, FLOW_CFG, ASPECT_CFG, PENROSE_CFG, STATIC_CFG, SWEEP_CFG)}
 
 
 class TestValidation:
@@ -257,8 +258,9 @@ class TestRegistry:
     def test_subcommands_are_the_registered_kinds(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert "{" + ",".join([*cli._KINDS, "sweep"]) + "}" in capsys.readouterr().out
+        assert "{" + ",".join(cli._KINDS) + "}" in capsys.readouterr().out
         assert set(MINIMAL) == set(cli._KINDS)
+        assert [kind for kind, spec in cli._KINDS.items() if spec.run is None] == ["sweep"]
 
     @pytest.mark.parametrize("kind", list(MINIMAL))
     def test_minimal_config_exits_0(self, tmp_path, kind):
@@ -281,6 +283,10 @@ class TestRegistry:
         dict(FLOW_CFG, t_max=1500.0),
         dict(KOTTLER_CFG, m=1e300),
         dict(KOTTLER_CFG, r_max_factor=1e300),
+        dict(KOTTLER_CFG, genus=10**206),
+        # the trajectory's map would end past 1e100
+        dict(FLOW_CFG, t_max=500.0),
+        dict(FLOW_CFG, r0=1e98),
         dict(KOTTLER_CFG, genus=-1),
         dict(FLOW_CFG, steps=3),
         # no horizon is found near r = 1e25, so only phi(r_start) shows it
@@ -309,11 +315,26 @@ class TestRegistry:
         dict(ASPECT_CFG, r_end=1e80),
         dict(ASPECT_CFG, r_end=1e103),
         dict(ASPECT_CFG, r_start=1e51, r_end=1e55),
+        # the profile samples reach down to rho = 32
+        dict(ASPECT_CFG, r_start=33.0, r_end=3.3e4),
     ])
     def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([cfg["kind"], "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        dict(KOTTLER_CFG, k_hat=-1.0),
+        dict(KOTTLER_CFG, m=2e3),
+        dict(KOTTLER_CFG, genus=10**5, k_hat=-1),
+        dict(KOTTLER_CFG, r_max_factor=1e60),
+        dict(FLOW_CFG, t_max=400.0),
+        dict(PENROSE_CFG, masses=[2e3], genus=10**5, scan_area_max=1e6),
+        dict(STATIC_CFG, genus=10**300),
+        dict(ASPECT_CFG, r_start=32.0, r_end=3.2e4),
+    ])
+    def test_values_below_the_overflows_validate(self, cfg):
+        validate_config(cfg)
 
     def test_scan_may_end_at_the_minimizer(self, tmp_path):
         cfg = {"kind": "penrose", "genus": 32, "masses": [0.0],

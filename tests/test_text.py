@@ -90,11 +90,12 @@ def test_config_columns_keep_their_rendering(tmp_path):
 def test_sweep_summary_with_mixed_vary_values(tmp_path):
     cfg = {"kind": "sweep",
            "base": {"kind": "kottler", "k_hat": 1, "m": 0.25, "genus": 0, "n_radii": 4},
-           "vary": {"kind": ["kottler"], "k_hat": [1], "m": [0.1, 1, 2.5]}}
+           "vary": {"kind": ["kottler"], "k_hat": [1, 1.0], "m": [0.1, 1]}}
     reports, code = run_sweep(cfg, tmp_path)
     assert code == 0
-    rows = [(i, "kottler", "kottler", 1, m, 0, True)
-            for i, m in enumerate([0.1, 1, 2.5])]
+    k_hats = [1, 1, 1.0, 1.0]
+    rows = [(i, "kottler", "kottler", k, m, 0, True)
+            for i, (k, m) in enumerate(zip(k_hats, [0.1, 1] * 2))]
     header = ["member", "kind", "kind", "k_hat", "m", "exit_code", "all_pass"]
     assert (tmp_path / "summary.csv").read_bytes() == reference_csv(header, rows)
 
