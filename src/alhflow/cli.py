@@ -593,20 +593,17 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
 # entry point
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="path to a JSON config")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="override the default tolerance of every check")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="alhflow",
         description="scenario runner for warped-product flow and mass checks")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _KINDS:
-        _add_common(subs.add_parser(name))
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", required=True, help="path to a JSON config")
+        sub.add_argument("--out", default=".", help="output directory")
+        sub.add_argument("--tolerance", type=float, default=None,
+                         help="override the default tolerance of every check")
     args = parser.parse_args(argv)
 
     try:
