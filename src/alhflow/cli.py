@@ -4,10 +4,9 @@ The registry `_KINDS` is the one list of scenario kinds and their fields:
 each entry declares a kind's config keys with the type, range and default
 of each, the check that spans keys, and the runner (none for sweep, which
 runs the scenarios it expands).  There is one subcommand per registered
-kind.  Each takes --config (a JSON
-file), --out (output directory) and optionally --tolerance (a global
-tolerance override; individual checks can instead be overridden through a
-"tolerances" object in the config).
+kind.  Each takes --config (a JSON file), --out (output directory) and
+optionally --tolerance (a global tolerance override; individual checks can
+instead be overridden through a "tolerances" object in the config).
 
 Artifacts are deterministic: floats are canonicalized to 17 significant
 digits, JSON keys keep a fixed order, CSV columns are fixed, and wall time
