@@ -11,21 +11,21 @@ The equation separates, so the map is a quadrature, not an initial-value
 solve: with A = arcsinh, log or arccosh for k_hat = 1, 0, -1,
 A(rho(r)) - A(r) = -int_r^inf (1/sqrt(phi) - 1/sqrt(s^2 + k_hat)) ds, an
 integrand written without cancellation through the potential's tail.  The
-map is tabulated in the scaled deviation c = r^2 (r - rho), which tends to
-a finite limit (m/3 on Kottler profiles) and is recovered from the integral
-in cancellation-free form; computing r^2 - rho^2 directly would lose it at
-large radii.  Downstream quantities (rho, s = 1/rho, the compactified area
-factor) are reconstructed from c the same way.
+map evaluates that integral at whatever radius it is asked for, to the
+quadrature's tolerance (see SubstitutionMap); nothing is interpolated.  It
+returns the scaled deviation c = r^2 (r - rho), which tends to a finite
+limit (m/3 on Kottler profiles) and is recovered from the integral in
+cancellation-free form; computing r^2 - rho^2 directly would lose it at
+large radii.  rho, s = 1/rho, the mass aspect and the compactified area
+factor follow from c the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ExtractionError, NumericalError
 from .geometry import ConformalInfinity, RadialPotential, mean_curvature_sphere
@@ -93,49 +93,116 @@ class MassAspectResult:
 
 
 class SubstitutionMap:
-    """Tabulated substitution r <-> rho with stable large-radius evaluators.
+    """The substitution r <-> rho over [r_start, r_end], exact at every radius.
 
-    Interpolation between nodes: cubic splines of the smooth slowly-varying
-    reductions (c against ln r, ln rho against ln r, s = 1/rho against 1/r,
-    the area factor (r/rho)^2 against ln r).  The s and area-factor splines
-    are independent interpolants on purpose: consumers differencing the map
-    two ways must not cancel algebraically.  Every spline but that of c is
-    fitted on first use.
+    The map keeps D(r) = -int_r^inf g (see build_substitution) at the edges
+    of an adaptive partition of [r_start, r_end]: _PANELS_PER_OCTAVE panels
+    per octave, counted down from r_end and broken at the potential's knots,
+    each bisected until the quadrature accepts its pieces.  At any radius r,
+    D(r) = D(top) - int_r^top g, where top is the upper edge of the piece
+    holding r and the partial integral is one Gauss rule on part of an
+    accepted piece.  So a value depends on r alone: an array call returns
+    the scalar calls' values bit for bit.  For k_hat = -1 the pieces below
+    r = 2 keep u = arccosh(rho) instead, through du/dr = 1/sqrt(phi).
+
+    c = r^2 (r - rho), rho, s = 1/rho, the mass aspect and the area factor
+    follow from D without cancellation; the slope is the defining equation's
+    sqrt((k_hat + rho^2) / phi), and r_of_rho inverts the map by Newton's
+    method with it.  build_substitution checks the arguments.
     """
 
-    def __init__(self, potential: RadialPotential, r_grid: np.ndarray,
-                 c_grid: np.ndarray):
-        self.potential = potential
-        self.k_hat = potential.k_hat
-        self._r = np.asarray(r_grid, dtype=float)
-        self._c = np.asarray(c_grid, dtype=float)
-        self._x = np.log(self._r)
-        self._rho = self._r - self._c / self._r ** 2
-        if np.any(np.diff(self._rho) <= 0.0):
+    def __init__(self, potential: RadialPotential, r_start: float, r_end: float):
+        p = self.potential = potential
+        self.k_hat = p.k_hat
+        k = self._k = float(p.k_hat)
+        self._r_start, self._r_end = float(r_start), float(r_end)
+
+        def open_phi(s, phi):
+            if phi.min() <= 0.0:
+                raise DomainError(f"phi({s[phi <= 0.0][0]}) <= 0 at a quadrature node")
+            return phi
+
+        def g(s):
+            tail = p.tail(s)
+            ref = s * s + k
+            sqrt_phi = np.sqrt(open_phi(s, ref + tail))
+            ref = np.sqrt(ref)
+            return -tail / (sqrt_phi * ref * (sqrt_phi + ref))
+
+        def inner_f(s):
+            return 1.0 / np.sqrt(open_phi(s, p.phi(s)))
+
+        # Bounds on the rounding of the integrands.  phi and the tail are taken
+        # to carry that of s^2 + |k_hat| + phi, as when the tail is formed as
+        # phi - s^2 - k_hat (tabulated potentials); sqrt(phi) turns it into a
+        # relative error of half that over phi.
+        def g_rounding(s):
+            phi = p.phi(s)
+            err = _ULP * (s * s + abs(k) + phi)
+            sqrt_phi, ref = np.sqrt(phi), np.sqrt(s * s + k)
+            return (err * (1.0 + np.abs(p.tail(s)) / phi)
+                    / (sqrt_phi * ref * (sqrt_phi + ref)))
+
+        def inner_rounding(s):
+            phi = p.phi(s)
+            return 0.5 * _ULP * (s * s + abs(k) + phi) / (phi * np.sqrt(phi))
+
+        self._g, self._inner_f = g, inner_f
+        # int of g beyond r_end: exact, or from the leading-order match
+        if math.isinf(p.domain_end):
+            def in_t(f):  # s = r_end / t maps (0, 1] onto [r_end, inf)
+                return lambda t: f(r_end / t) * (r_end / (t * t))
+            beyond = _panel_integrals(in_t(g), in_t(g_rounding), np.zeros(1), np.ones(1))[0]
+        else:
+            beyond = -p.tail(r_end) / (6.0 * r_end * math.sqrt(r_end * r_end + k))
+
+        count = math.ceil(_PANELS_PER_OCTAVE * math.log2(r_end / r_start))
+        breaks = [*p.knots, _ARCCOSH_BELOW] if k == -1.0 else list(p.knots)
+        edges = np.union1d(r_end * np.exp2(-np.arange(count) / _PANELS_PER_OCTAVE),
+                           [r_start, *breaks])
+        edges = edges[(edges >= r_start) & (edges <= r_end)]
+        # k_hat = -1 maps integrate u = arccosh(rho) on the panels below `inner`
+        inner = int(np.searchsorted(edges, _ARCCOSH_BELOW)) if k == -1.0 else 0
+        below = edges[:inner + 1]
+        edges, pieces = _pieces(g, g_rounding, edges[inner:])
+        values = -(beyond + _to_last(pieces))  # D at the pieces' edges
+        # a radius in piece j starts from the value at its upper edge
+        top = values[1:]
+        self._inner = 0
+        if inner:
+            inner_edges, pieces = _pieces(inner_f, inner_rounding, below)
+            # u from r = 2 inward; the edge at 2 keeps D, the lower edge of an outer piece
+            u = math.acosh(_ARCCOSH_BELOW) + values[0] - _to_last(pieces)
+            if u[0] <= 0.0:
+                raise DomainError(f"rho reaches 1 above r_start = {r_start}: "
+                                  "the map does not exist there")
+            edges = np.concatenate((inner_edges[:-1], edges))
+            values = np.concatenate((u[:-1], values))
+            top = np.concatenate((u[1:], top))
+            self._inner = pieces.size
+        self._edges, self._top = edges, top
+        c = self._deviation_from(edges, values, np.arange(edges.size))
+        if not np.all(np.isfinite(c)):
+            raise NumericalError("substitution deviation is not finite")
+        rho = edges - c / edges ** 2
+        if rho[0] <= 0.0:
+            raise DomainError(f"rho reaches 0 above r_start = {r_start}: "
+                              "the map does not exist there")
+        if np.any(np.diff(rho) <= 0.0):
             raise NumericalError("substitution output is not strictly increasing")
-        self._c_spline = CubicSpline(self._x, self._c)
-
-    @cached_property
-    def _inv_spline(self):
-        return CubicSpline(np.log(self._rho), self._x)
-
-    @cached_property
-    def _s_spline(self):
-        return CubicSpline(1.0 / self._r[::-1], 1.0 / self._rho[::-1])
-
-    @cached_property
-    def _chi_spline(self):
-        return CubicSpline(self._x, 1.0 / (1.0 - self._c / self._r ** 3) ** 2)
+        if abs(rho[-1] / r_end - 1.0) > 1e-6:
+            raise NumericalError("rho/r failed to reach 1 at the outer radius")
+        self._c_end, self._rho_start, self._rho_end = c[-1], rho[0], rho[-1]
 
     # -- domain -------------------------------------------------------
 
     @property
     def r_start(self) -> float:
-        return float(self._r[0])
+        return self._r_start
 
     @property
     def r_end(self) -> float:
-        return float(self._r[-1])
+        return self._r_end
 
     @property
     def decades(self) -> float:
@@ -148,87 +215,129 @@ class SubstitutionMap:
             raise DomainError(
                 f"r outside map domain [{self.r_start}, {self.r_end}]")
 
-    # -- evaluators ---------------------------------------------------
+    # -- evaluation -----------------------------------------------------
+
+    def _deviation_from(self, r: np.ndarray, arg: np.ndarray,
+                        piece: np.ndarray) -> np.ndarray:
+        """c at radii r from D there, or from u on the pieces below r = 2."""
+        k = self._k
+        if k == 1.0:
+            return -2.0 * r * r * np.cosh(np.arcsinh(r) + 0.5 * arg) * np.sinh(0.5 * arg)
+        if k == 0.0:
+            return -r ** 3 * np.expm1(arg)
+        inner = piece < self._inner
+        if not inner.any():
+            return -2.0 * r * r * np.sinh(np.arccosh(r) + 0.5 * arg) * np.sinh(0.5 * arg)
+        c = r * r * (r - np.cosh(arg))
+        outer = ~inner
+        r, d = r[outer], arg[outer]
+        c[outer] = -2.0 * r * r * np.sinh(np.arccosh(r) + 0.5 * d) * np.sinh(0.5 * d)
+        return c
+
+    def _values(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(D or u, piece index) at the radii r, a flat array."""
+        piece = np.searchsorted(self._edges, r, side="right") - 1
+        np.clip(piece, 0, self._top.size - 1, out=piece)
+        top = self._edges[piece + 1]
+        arg = self._top[piece]
+        if not self._inner:
+            return arg - _integrals(self._g, r, top), piece
+        inner = piece < self._inner
+        for part, f in ((inner, self._inner_f), (~inner, self._g)):
+            if part.any():
+                arg[part] -= _integrals(f, r[part], top[part])
+        return arg, piece
+
+    def _at(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """(r, c) as arrays of the shape of r, after the domain check."""
+        self._require(r)
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        return r, self._deviation_from(flat, *self._values(flat)).reshape(r.shape)
 
     def deviation_scale(self, r):
         """c(r) = r^2 (r - rho(r)); tends to mu/3."""
-        self._require(r)
-        return self._c_spline(np.log(r))
+        return _scalar_or_array(self._at(r)[1])
 
     def rho(self, r):
-        self._require(r)
-        r = np.asarray(r, dtype=float)
-        out = r - self._c_spline(np.log(r)) / r ** 2
-        return float(out) if out.ndim == 0 else out
-
-    def r_of_rho(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        lo, hi = self._rho[0], self._rho[-1]
-        if np.any(rho < lo * (1.0 - 1e-12)) or np.any(rho > hi * (1.0 + 1e-12)):
-            raise DomainError(f"rho outside map range [{lo}, {hi}]")
-        out = np.exp(self._inv_spline(np.log(rho)))
-        return float(out) if out.ndim == 0 else out
+        r, c = self._at(r)
+        return _scalar_or_array(r - c / r ** 2)
 
     def s(self, r):
         """Compactification coordinate s = 1/rho as a function of r."""
-        self._require(r)
-        r = np.asarray(r, dtype=float)
-        out = self._s_spline(1.0 / r)
-        return float(out) if out.ndim == 0 else out
+        r, c = self._at(r)
+        return _scalar_or_array(1.0 / (r - c / r ** 2))
 
-    def ds_dr(self, r):
-        self._require(r)
-        r = np.asarray(r, dtype=float)
-        out = self._s_spline(1.0 / r, 1) * (-1.0 / r ** 2)
-        return float(out) if out.ndim == 0 else out
+    def drho_dr(self, r):
+        """Slope of the map from its defining equation."""
+        r, c = self._at(r)
+        rho = r - c / r ** 2
+        return _scalar_or_array(np.sqrt((self._k + rho * rho) / self.potential.phi(r)))
 
     def area_factor(self, r):
         """(r/rho)^2, the ratio of compactified to asymptotic area."""
-        self._require(r)
-        r = np.asarray(r, dtype=float)
-        out = 1.0 / (1.0 - self._c_spline(np.log(r)) / r ** 3) ** 2
-        return float(out) if out.ndim == 0 else out
-
-    def area_factor_interp(self, r):
-        self._require(r)
-        return float(self._chi_spline(math.log(r)))
-
-    def darea_factor_dr(self, r):
-        self._require(r)
-        return float(self._chi_spline(math.log(r), 1)) / r
-
-    def drho_dr(self, r) -> float:
-        """Slope of the tabulated map (spline route)."""
-        self._require(r)
-        x = math.log(r)
-        c = float(self._c_spline(x))
-        dc_dx = float(self._c_spline(x, 1))
-        return 1.0 - dc_dx / r ** 3 + 2.0 * c / r ** 3
-
-    def drho_dr_ode(self, r) -> float:
-        """Slope demanded by the defining equation (independent route)."""
-        self._require(r)
-        rho = self.rho(r)
-        return math.sqrt((self.k_hat + rho * rho) / self.potential.phi(r))
+        r, c = self._at(r)
+        return _scalar_or_array(1.0 / (1.0 - c / r ** 3) ** 2)
 
     def mu_at(self, r):
         """(3/2) rho (r^2 - rho^2) evaluated without cancellation."""
-        self._require(r)
-        r = np.asarray(r, dtype=float)
-        c = self._c_spline(np.log(r))
-        out = 3.0 * c - 4.5 * c ** 2 / r ** 3 + 1.5 * c ** 3 / r ** 6
-        return float(out) if out.ndim == 0 else out
+        r, c = self._at(r)
+        return _scalar_or_array(3.0 * c - 4.5 * c ** 2 / r ** 3 + 1.5 * c ** 3 / r ** 6)
+
+    def r_of_rho(self, rho):
+        """The radius where the map takes the value rho.
+
+        Newton's method, each target on its own: on rho(r) - rho with slope
+        sqrt((k_hat + rho^2)/phi), and on the pieces below r = 2 of a
+        k_hat = -1 map, where rho nears 1 and that slope 0, on
+        u(r) - arccosh(rho) with slope 1/sqrt(phi).  A step leaving the
+        bracket kept around each root bisects it instead.
+        """
+        rho = np.asarray(rho, dtype=float)
+        lo_rho, hi_rho = self._rho_start, self._rho_end
+        if np.any(rho < lo_rho * (1.0 - 1e-12)) or np.any(rho > hi_rho * (1.0 + 1e-12)):
+            raise DomainError(f"rho outside map range [{lo_rho}, {hi_rho}]")
+        target = np.clip(rho.ravel(), lo_rho, hi_rho)
+        # rho = r - c/r^2 with c near its outer value: the first guess
+        r = np.clip(target + self._c_end / target ** 2, self.r_start, self.r_end)
+        lo, hi = np.full(r.size, self.r_start), np.full(r.size, self.r_end)
+        active = np.arange(r.size)
+        for _ in range(_NEWTON_STEPS):
+            ra, want = r[active], target[active]
+            arg, piece = self._values(ra)
+            phi = self.potential.phi(ra)
+            rho_a = ra - self._deviation_from(ra, arg, piece) / ra ** 2
+            residual = rho_a - want
+            step = residual / np.sqrt((self._k + rho_a * rho_a) / phi)
+            inner = piece < self._inner
+            if inner.any():
+                residual[inner] = arg[inner] - np.arccosh(want[inner])
+                step[inner] = residual[inner] * np.sqrt(phi[inner])
+            lo_a = lo[active] = np.where(residual < 0.0, ra, lo[active])
+            hi_a = hi[active] = np.where(residual > 0.0, ra, hi[active])
+            tol = 4.0 * _ULP * ra
+            going = (np.abs(step) > tol) & (hi_a - lo_a > tol)
+            new = ra - step
+            stray = going & ~((new > lo_a) & (new < hi_a))
+            new[stray] = 0.5 * (lo_a[stray] + hi_a[stray])
+            r[active] = new
+            active = active[going]
+            if not active.size:
+                return _scalar_or_array(r.reshape(rho.shape))
+        raise NumericalError(f"r_of_rho did not converge for {active.size} values")
 
 
-#: 8-point Gauss-Legendre nodes and weights on [-1, 1], as returned by
-#: np.polynomial.legendre.leggauss(8); literals, because computing them at
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+#: 4-point Gauss-Legendre nodes and weights on [-1, 1], as returned by
+#: np.polynomial.legendre.leggauss(4); literals, because computing them at
 #: import time costs memory for nothing.
-_GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
-                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
-                     0.7966664774136267, 0.9602898564975362])
-_GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
-                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
-                     0.22238103445337443, 0.10122853629037706])
+_GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                     0.33998104358485626, 0.8611363115940526])
+_GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
+                     0.6521451548625464, 0.34785484513745357])
 #: A panel is accepted once its two rules agree to _PANEL_RTOL of int |f|,
 #: or to _ROUNDING_SLACK times a bound on the rounding of f over it.
 _PANEL_RTOL = 1e-14
@@ -242,47 +351,74 @@ _MAX_SUBPANELS = 8192
 _BATCH = 1024
 #: Below this radius k_hat = -1 maps integrate u = arccosh(rho) directly.
 _ARCCOSH_BELOW = 2.0
+#: Panels per octave of a map's partition: at 2.9% wide, a panel away from a
+#: horizon passes its first test, so it costs one bisection into two pieces.
+_PANELS_PER_OCTAVE = 24
+#: Newton steps of r_of_rho, bisections included, before it gives up.
+_NEWTON_STEPS = 100
+
+
+def _weighted(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the [a_i, b_i] and the Gauss-weighted values of f there:
+    half * v.sum(axis=1) is the Gauss-Legendre integral over each."""
+    half = 0.5 * (b - a)
+    return half, f((a + half)[:, None] + half[:, None] * _GAUSS_X) * _GAUSS_W
 
 
 def _gauss(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """8-point Gauss-Legendre integrals of f and of |f| over each [a_i, b_i]."""
-    half = 0.5 * (b - a)
-    v = f((a + half)[:, None] + half[:, None] * _GAUSS_X) * _GAUSS_W
+    """Gauss-Legendre integrals of f and of |f| over each [a_i, b_i]."""
+    half, v = _weighted(f, a, b)
     return half * v.sum(axis=1), half * np.abs(v).sum(axis=1)
 
 
-def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integrals of f over the panels [a_i, b_i], adaptively.
+def _integrals(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of f over each [a_i, b_i], _BATCH at a time."""
+    out = np.empty(a.size)
+    for lo in range(0, a.size, _BATCH):
+        half, v = _weighted(f, a[lo:lo + _BATCH], b[lo:lo + _BATCH])
+        out[lo:lo + _BATCH] = half * v.sum(axis=1)
+    return out
 
-    Each panel's 8-point Gauss value is compared with the sum over its two
-    halves.  The halves are kept when the two agree to _PANEL_RTOL of
-    int |f|, or to _ROUNDING_SLACK times int rounding, where rounding(s)
-    bounds the rounding error of f(s); otherwise both halves are tested the
-    same way.  Raises NumericalError when a panel still disagrees after
-    _MAX_LEVELS bisections or a batch needs more than _MAX_SUBPANELS
-    sub-panels.
+
+def _accepted(f, rounding, a: np.ndarray, b: np.ndarray):
+    """Adaptive quadrature of f over the panels [a_i, b_i].
+
+    Each panel's Gauss value is compared with the sum over its two halves.
+    The halves are kept when the two agree to _PANEL_RTOL of int |f|, or to
+    _ROUNDING_SLACK times int rounding, where rounding(s) bounds the
+    rounding error of f(s); otherwise both halves are tested the same way.
+    Returns the panel index, lower edge and Gauss value of every kept half,
+    in no particular order.  Raises NumericalError when a panel still
+    disagrees after _MAX_LEVELS bisections or a batch needs more than
+    _MAX_SUBPANELS sub-panels.
     """
-    out = np.zeros(a.size)
+    kept = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))]
     for lo in range(0, a.size, _BATCH):
         owner = np.arange(lo, min(lo + _BATCH, a.size))
         left, right = a[owner], b[owner]
-        whole, _ = _gauss(f, left, right)
+        whole = None
         level = 0
         while True:
-            mid = 0.5 * (left + right)
-            first, first_abs = _gauss(f, left, mid)
-            second, second_abs = _gauss(f, mid, right)
-            halves = first + second
-            diff = np.abs(whole - halves)
-            bad = np.nonzero(diff > _PANEL_RTOL * (first_abs + second_abs))[0]
+            # both halves in one evaluation, and on the first level the whole
+            n, mid = left.size, 0.5 * (left + right)
+            ends = (mid, right) if whole is not None else (mid, right, right)
+            value, size = _gauss(f, np.concatenate((left, mid, left)[:len(ends)]),
+                                 np.concatenate(ends))
+            first, second = value[:n], value[n:2 * n]
+            if whole is None:
+                whole = value[2 * n:]
+            diff = np.abs(whole - (first + second))
+            bad = np.nonzero(diff > _PANEL_RTOL * (size[:n] + size[n:2 * n]))[0]
             if bad.size:
                 # rounding bounds only where the rule test fails: it is rare
-                noise = (_gauss(rounding, left[bad], mid[bad])[1]
-                         + _gauss(rounding, mid[bad], right[bad])[1])
+                noise = _gauss(rounding, np.concatenate((left[bad], mid[bad])),
+                               np.concatenate((mid[bad], right[bad])))[1]
+                noise = noise[:bad.size] + noise[bad.size:]
                 bad = bad[diff[bad] > _ROUNDING_SLACK * noise]
-            keep = np.ones(owner.size, dtype=bool)
+            keep = np.ones(n, dtype=bool)
             keep[bad] = False
-            np.add.at(out, owner[keep], halves[keep])
+            kept.append((np.tile(owner[keep], 2), np.concatenate((left[keep], mid[keep])),
+                         np.concatenate((first[keep], second[keep]))))
             if not bad.size:
                 break
             level += 1
@@ -293,29 +429,32 @@ def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             left, right = (np.concatenate((left[bad], mid[bad])),
                            np.concatenate((mid[bad], right[bad])))
             whole = np.concatenate((first[bad], second[bad]))
-    return out
+    return tuple(np.concatenate(part) for part in zip(*kept))
 
 
-def _integrals_to_last(f, rounding, nodes: np.ndarray, knots) -> np.ndarray:
-    """int of f from each node to the last one (0 at the last).
+def _panel_integrals(f, rounding, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals of f over the panels [a_i, b_i], adaptively (see _accepted)."""
+    owner, _, value = _accepted(f, rounding, a, b)
+    return np.bincount(owner, weights=value, minlength=a.size)
 
-    Panels also break at the knots, where f need only be piecewise smooth.
-    """
-    knots = np.asarray(knots, dtype=float)
-    knots = knots[(knots > nodes[0]) & (knots < nodes[-1])]
-    edges = np.union1d(nodes, knots) if knots.size else nodes
-    panels = _panel_integrals(f, rounding, edges[:-1], edges[1:])
-    if knots.size:
-        panels = np.bincount(np.searchsorted(nodes, edges[:-1], side="right") - 1,
-                             weights=panels, minlength=nodes.size - 1)
-    out = np.zeros(nodes.size)
-    out[:-1] = np.cumsum(panels[::-1])[::-1]
-    return out
+
+def _to_last(pieces: np.ndarray) -> np.ndarray:
+    """The integrals from each edge of consecutive pieces to the last edge,
+    summed from the last inward."""
+    return np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+
+
+def _pieces(f, rounding, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces the quadrature accepts on the panels between the sorted
+    edges, as their edges (ascending) and the integrals of f over them."""
+    _, left, value = _accepted(f, rounding, edges[:-1], edges[1:])
+    order = np.argsort(left)
+    return np.append(left[order], edges[-1]), value[order]
 
 
 def build_substitution(p: RadialPotential, r_start: float, r_end: float,
                        nodes_per_decade: int = 192) -> SubstitutionMap:
-    """Tabulate the substitution on log-spaced nodes by quadrature.
+    """The substitution r <-> rho of p over [r_start, r_end], by quadrature.
 
     The defining equation separates: A(rho) - A(r) = D(r) with
     A = arcsinh, log or arccosh for k_hat = 1, 0, -1 and
@@ -331,9 +470,9 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     be at least 2.  u <= 0 means rho reaches 1, and rho <= 0 (k_hat = 1)
     that rho reaches 0: the map does not exist there (DomainError).
 
-    Every panel between neighbouring nodes is integrated adaptively (see
-    _panel_integrals), and c = r^2 (r - rho) is recovered from D without
-    cancellation.
+    The quadrature is adaptive and exact at every radius (see
+    SubstitutionMap); `nodes_per_decade` is accepted for existing callers
+    and changes no result.
     """
     if r_start <= 0.0 or r_end <= r_start:
         raise DomainError("need 0 < r_start < r_end")
@@ -345,76 +484,9 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     closed = p.phi(probe) <= 0.0
     if closed.any():
         raise DomainError(f"phi({probe[closed][0]}) <= 0 inside the requested range")
-    k = float(p.k_hat)
-    if k == -1.0 and r_end < _ARCCOSH_BELOW:
+    if p.k_hat == -1 and r_end < _ARCCOSH_BELOW:
         raise DomainError(f"k_hat = -1 maps need r_end >= {_ARCCOSH_BELOW}")
-
-    n_nodes = int(math.ceil(nodes_per_decade * math.log10(r_end / r_start))) + 1
-    r = np.exp(np.linspace(math.log(r_end), math.log(r_start), max(n_nodes, 8))[::-1])
-
-    def open_phi(s):
-        phi = p.phi(s)
-        closed = phi <= 0.0
-        if closed.any():
-            raise DomainError(f"phi({s[closed][0]}) <= 0 at a quadrature node")
-        return phi
-
-    def g(s):
-        sqrt_phi = np.sqrt(open_phi(s))
-        ref = np.sqrt(s * s + k)
-        return -p.tail(s) / (sqrt_phi * ref * (sqrt_phi + ref))
-
-    def inner_f(s):
-        return 1.0 / np.sqrt(open_phi(s))
-
-    # Bounds on the rounding of the integrands.  phi and the tail are taken
-    # to carry that of s^2 + |k_hat| + phi, as when the tail is formed as
-    # phi - s^2 - k_hat (tabulated potentials); sqrt(phi) turns it into a
-    # relative error of half that over phi.
-    def g_rounding(s):
-        phi = p.phi(s)
-        err = _ULP * (s * s + abs(k) + phi)
-        sqrt_phi, ref = np.sqrt(phi), np.sqrt(s * s + k)
-        return err * (1.0 + np.abs(p.tail(s)) / phi) / (sqrt_phi * ref * (sqrt_phi + ref))
-
-    def inner_rounding(s):
-        phi = p.phi(s)
-        return 0.5 * _ULP * (s * s + abs(k) + phi) / (phi * np.sqrt(phi))
-
-    # int of g beyond the last node: exact, or from the leading-order match
-    r_out = r[-1]
-    if math.isinf(p.domain_end):
-        def in_t(f):  # s = r_out / t maps (0, 1] onto [r_out, inf)
-            return lambda t: f(r_out / t) * (r_out / (t * t))
-        beyond = _panel_integrals(in_t(g), in_t(g_rounding), np.zeros(1), np.ones(1))[0]
-    else:
-        beyond = -p.tail(r_out) / (6.0 * r_out * math.sqrt(r_out * r_out + k))
-    # k_hat = -1 maps integrate u = arccosh(rho) at the nodes below `inner`
-    inner = int(np.searchsorted(r, _ARCCOSH_BELOW)) if k == -1.0 else 0
-    outer = r[inner:]
-    d = -(beyond + _integrals_to_last(g, g_rounding, outer, p.knots))
-    if k == 1.0:
-        c = -2.0 * outer * outer * np.cosh(np.arcsinh(outer) + 0.5 * d) * np.sinh(0.5 * d)
-    elif k == 0.0:
-        c = -outer ** 3 * np.expm1(d)
-    else:
-        c = -2.0 * outer * outer * np.sinh(np.arccosh(outer) + 0.5 * d) * np.sinh(0.5 * d)
-    if inner:
-        u = math.acosh(outer[0]) + d[0] - _integrals_to_last(
-            inner_f, inner_rounding, r[:inner + 1], p.knots)[:-1]
-        if u[0] <= 0.0:
-            raise DomainError(f"rho reaches 1 above r_start = {r_start}: "
-                              "the map does not exist there")
-        c = np.concatenate((r[:inner] ** 2 * (r[:inner] - np.cosh(u)), c))
-    if not np.all(np.isfinite(c)):
-        raise NumericalError("substitution deviation is not finite")
-    if r[0] - c[0] / r[0] ** 2 <= 0.0:
-        raise DomainError(f"rho reaches 0 above r_start = {r_start}: "
-                          "the map does not exist there")
-    sub_map = SubstitutionMap(p, r, c)
-    if abs(sub_map.rho(sub_map.r_end) / sub_map.r_end - 1.0) > 1e-6:
-        raise NumericalError("rho/r failed to reach 1 at the outer radius")
-    return sub_map
+    return SubstitutionMap(p, r_start, r_end)
 
 
 def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
@@ -510,19 +582,25 @@ def conformal_mean_curvature_residual(p: RadialPotential,
     """Defect of H = s H~ + 2 nu~(s) between two independent evaluations.
 
     The left side comes from the radial profile; the right side is read off
-    the compactified metric psi(u) du^2 + chi(u) ghat through the map's
-    interpolants, with H~ = chi'/(chi sqrt(psi)) oriented outward and
-    nu~(s) taken along the inward normal.  The residual reflects the map's
-    interpolation defect only.
+    the compactified metric psi du^2 + chi ghat, chi = (r/rho)^2 the area
+    factor, with H~ = chi'/(chi sqrt(psi)) oriented outward and nu~(s)
+    taken along the inward normal.  chi' is a Richardson central difference
+    of the map's area factor, not its slope, so the residual measures the
+    map's error and the difference's.
     """
     p.require_inside(r)
     h_direct = mean_curvature_sphere(p, r)
     phi = p.phi(r)
     if phi <= 0.0:
         raise DomainError("needs phi(r) > 0")
+    step = min(r * 1e-4, 0.4 * (r - sub_map.r_start), 0.4 * (sub_map.r_end - r))
+    if step <= 0.0:
+        raise NumericalError("no room to difference the area factor at this radius")
+    chi = sub_map.area_factor(r + step * np.array([0.0, 1.0, -1.0, 0.5, -0.5]))
+    dchi, _ = richardson([(chi[1] - chi[2]) / (2.0 * step), (chi[3] - chi[4]) / step],
+                         ratio=2.0, first_order=2, levels=1)
     s = sub_map.s(r)
     sqrt_psi = s / math.sqrt(phi)
-    chi = sub_map.area_factor_interp(r)
-    h_tilde = sub_map.darea_factor_dr(r) / (chi * sqrt_psi)
-    nu_tilde_s = -sub_map.ds_dr(r) / sqrt_psi
+    h_tilde = dchi / (chi[0] * sqrt_psi)
+    nu_tilde_s = sub_map.drho_dr(r) * s * s / sqrt_psi  # ds/dr = -s^2 drho/dr
     return abs(h_direct - (s * h_tilde + 2.0 * nu_tilde_s))

@@ -100,10 +100,14 @@ def write_csv(header, columns, path: Path) -> None:
 _MASS_MAX = 1e100
 #: (genus - 1)^(3/2), in the Hawking mass and Penrose bound, overflows from 3.2e205.
 _GENUS_MAX = 1e200
-#: d2phi cubes r (overflow from 5.6e102); build_substitution overflows past 4.4e100.
+#: d2phi cubes r (overflow from 5.6e102); build_substitution overflows past 1.5e101.
 _R_MAX = 1e100
 #: The c^3/r^6 term of SubstitutionMap.mu_at overflows from about r = 2.4e51.
 _MU_R_MAX = 1e50
+#: |eps|: from eps = 1.5e56 the substitution quadrature beyond r_end stops
+#: converging on maps from r = 2 to 2e3, where the tail's scale eps^(1/4)
+#: lies far past r_end.  The horizon scan overflows only from 1.3e153.
+_EPS_MAX = 1e56
 #: The least positive float: the range [_POSITIVE, hi] is (0, hi].
 _POSITIVE = math.ulp(0.0)
 
@@ -420,8 +424,7 @@ def _run_flow(cfg, out_dir, checks):
 
 def _run_mass_aspect(cfg, out_dir, checks):
     p = cfg.potential
-    sub_map = asymptotics.build_substitution(
-        p, cfg["r_start"], cfg["r_end"], nodes_per_decade=cfg["nodes_per_decade"])
+    sub_map = asymptotics.build_substitution(p, cfg["r_start"], cfg["r_end"])
     result = asymptotics.mass_aspect_extract(p, sub_map)
     checks.add("extraction_converged", result.error_estimate)
     checks.add("mu_matches_mass", abs(result.mu - cfg["m"]))
@@ -483,6 +486,7 @@ def _run_static_compare(cfg, out_dir, checks):
 _K_HAT = _Field(float, message="k_hat must be -1, 0 or +1", values=(-1, 0, 1))
 _MASS = _Field(float, hi=_MASS_MAX)  # the admissible minimum depends on k_hat
 _GENUS = _Field(int, hi=_GENUS_MAX, message="genus must be an integer")
+_EPS = _Field(float, -_EPS_MAX, _EPS_MAX)
 _R0_T_MAX = "r0 and t_max must be positive"
 _STATIC_MASS = "static-compare requires critical mass <= m <= 0"
 
@@ -501,11 +505,12 @@ _KINDS = {
         "r0": _Field(float, _POSITIVE, message=_R0_T_MAX),
         # e^(t_max/2) overflows from t_max = 1419.6; _check_flow bounds both
         "t_max": _Field(float, _POSITIVE, 1400.0, _R0_T_MAX),
-        "eps": _Field(float),
+        "eps": _EPS,
         "steps": _Field(int, 1, message="steps must be a positive integer"),
     }, {"eps": 0.0, "steps": 4096}, _check_flow, _run_flow),
     "mass-aspect": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
+        # accepted for existing configs; it changes no result (see build_substitution)
         "nodes_per_decade": _Field(int, 16,
                                    message="nodes_per_decade must be an integer >= 16"),
         # the innermost rho the profile fits sample, 4096 / 2^7 = 32; loose where
@@ -514,7 +519,7 @@ _KINDS = {
                           / 2.0 ** (asymptotics.PROFILE_COUNT - 1),
                           "need 0 < r_start < r_end"),
         "r_end": _Field(float, hi=_MU_R_MAX),
-        "eps": _Field(float),
+        "eps": _EPS,
     }, {"eps": 0.0, "nodes_per_decade": 192}, _check_mass_aspect, _run_mass_aspect),
     "penrose": _Kind({
         "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),

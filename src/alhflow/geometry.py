@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NumericalError
 
@@ -318,6 +316,8 @@ def tabulated_potential(k_hat: int, r_samples, phi_samples) -> RadialPotential:
         raise DomainError("need at least 4 samples on a 1-d radius grid")
     if np.any(np.diff(r_arr) <= 0):
         raise DomainError("radius samples must be strictly increasing")
+    # the one use of scipy, imported here so that importing the package needs none
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(r_arr, phi_arr, extrapolate=False)
     d1 = interp.derivative(1)
     d2 = interp.derivative(2)
@@ -368,10 +368,12 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
 def horizon_radius(p: RadialPotential) -> Optional[float]:
     """Largest zero of phi for a generic potential, by bracketed scan, or None.
 
-    Without a sign change on the scan, phi is minimized between the
-    neighbours of its smallest scan value.  A minimum below zero brackets
-    the root.  A minimum within the rounding of phi of zero is returned as
-    a double root; one otherwise within 1e-12 max(1, r^2) of zero raises
+    The scan runs from r_hi = 10 (1 + |tail(1)| + |k_hat|) down to 1e-8 (a
+    table's first radius) at about 205 points a decade.  Without a sign
+    change on it, phi is minimized between the neighbours of its smallest
+    scan value by bisection on phi'.  A minimum below zero brackets the
+    root.  A minimum within the rounding of phi of zero is returned as a
+    double root; one otherwise within 1e-12 max(1, r^2) of zero raises
     NumericalError, since phi may touch zero there or miss it.
     """
     if p.kind == "kottler":
@@ -380,7 +382,9 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
     if p.kind == "tabulated":
         r_hi = p.domain_end
     r_lo = max(p.domain_start, 1e-8) if p.kind == "tabulated" else 1e-8
-    grid = np.geomspace(r_hi, max(r_lo, r_hi * 1e-10), 2048)
+    # 2048 points over ten decades, and as densely over a wider span
+    count = max(2048, math.ceil(204.7 * (math.log10(r_hi) - math.log10(r_lo))) + 1)
+    grid = np.geomspace(r_hi, r_lo, count)
     vals = p.phi(grid)
     if vals[0] <= 0:
         raise DomainError("potential not positive at the outer scan radius")
@@ -392,8 +396,7 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
         i = int(np.argmin(vals))
         r_min = grid[i]
         if 0 < i < grid.size - 1:
-            r_min = minimize_scalar(p.phi, bounds=(grid[i + 1], grid[i - 1]),
-                                    method="bounded", options={"xatol": 1e-12 * r_min}).x
+            r_min = _bisect(p.dphi, grid[i + 1], grid[i - 1])
         phi_min = p.phi(r_min)
         if vals[i] < phi_min:
             r_min, phi_min = grid[i], vals[i]
@@ -410,21 +413,26 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
                                  "without a sign change: horizon undecided")
         # phi dips below zero between two scan points
         hi, lo = grid[i - 1], r_min
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, mid):
-            break
-        if p.phi(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect(p.phi, lo, hi)
     for _ in range(3):
         slope = p.dphi(root)
         if slope == 0.0:
             break
         root -= p.phi(root) / slope
     return float(root)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Where f turns positive in [lo, hi], f(lo) <= 0 < f(hi), to 1e-15 relative."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * max(1.0, mid):
+            break
+        if f(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

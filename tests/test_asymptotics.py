@@ -42,21 +42,25 @@ class TestBuildSubstitution:
 
     def test_round_trip_on_grid(self, submap):
         sub_map = submap(-1, 0.5)
-        radii = sub_map._r[::97]
+        radii = np.geomspace(2.0, 1e6, 1095)[::97]
         for r in radii:
             assert sub_map.r_of_rho(sub_map.rho(r)) == pytest.approx(
                 r, rel=1e-10)
 
     def test_monotone_and_normalized(self, submap):
         sub_map = submap(-1, 0.5)
-        assert np.all(np.diff(sub_map._rho) > 0)
+        assert np.all(np.diff(sub_map.rho(np.geomspace(2.0, 1e6, 1095))) > 0)
         assert abs(sub_map.rho(sub_map.r_end) / sub_map.r_end - 1.0) <= 1e-6
 
     def test_defining_slope(self, submap):
         sub_map = submap(-1, 0.5)
         for r in (3.0, 12.0, 500.0):
-            assert sub_map.drho_dr(r) == pytest.approx(
-                sub_map.drho_dr_ode(r), rel=1e-8)
+            # a central difference of the map against the equation's slope
+            h = r * 1e-3
+            estimates = [(sub_map.rho(r + h / 2 ** i) - sub_map.rho(r - h / 2 ** i))
+                         / (2.0 * h / 2 ** i) for i in range(2)]
+            slope, _ = richardson(estimates, ratio=2.0, first_order=2, levels=1)
+            assert sub_map.drho_dr(r) == pytest.approx(slope, rel=1e-8)
 
     def test_preconditions(self):
         p = kottler_potential(-1, 0.5)
@@ -70,7 +74,7 @@ class TestBuildSubstitution:
         with pytest.raises(DomainError):
             sub_map.rho(1.0)
         with pytest.raises(DomainError):
-            sub_map.r_of_rho(sub_map._rho[-1] * 2.0)
+            sub_map.r_of_rho(sub_map.rho(sub_map.r_end) * 2.0)
 
 
 class TestMassAspect:
@@ -104,8 +108,7 @@ class TestMassAspect:
         from alhflow import SubstitutionMap
         p = kottler_potential(-1, 0.5)
         full = submap(-1, 0.5)
-        keep = full._r <= full.r_start * 100.0
-        short = SubstitutionMap(p, full._r[keep], full._c[keep])
+        short = SubstitutionMap(p, full.r_start, full.r_start * 100.0)
         with pytest.raises(DomainError):
             mass_aspect_extract(p, short)
 

@@ -1,9 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from alhflow import cli
+import alhflow
+from alhflow import build_substitution, cli, perturbed_kottler_potential
 from alhflow.cli import (ConfigError, expand_sweep, load_config, main,
                          run_scenario, run_sweep, validate_config)
 from alhflow.errors import NumericalError
@@ -289,7 +293,7 @@ class TestRegistry:
         dict(FLOW_CFG, r0=1e98),
         dict(KOTTLER_CFG, genus=-1),
         dict(FLOW_CFG, steps=3),
-        # no horizon is found near r = 1e25, so only phi(r_start) shows it
+        # past the declared range of eps
         dict(ASPECT_CFG, eps=-1e100),
     ])
     def test_rejected_values(self, cfg):
@@ -336,6 +340,31 @@ class TestRegistry:
     def test_values_below_the_overflows_validate(self, cfg):
         validate_config(cfg)
 
+    @pytest.mark.parametrize("cfg", [
+        dict(FLOW_CFG, eps=cli._EPS_MAX),
+        dict(FLOW_CFG, eps=-cli._EPS_MAX, r0=1e15),
+        dict(ASPECT_CFG, eps=cli._EPS_MAX),
+    ])
+    def test_eps_at_its_bound_validates(self, cfg):
+        validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg,message", [
+        (dict(FLOW_CFG, eps=1.5e56), "config key 'eps' must be at most 1e+56, got 1.5e+56"),
+        (dict(FLOW_CFG, eps=-1.5e56, r0=1e15),
+         "config key 'eps' must be at least -1e+56, got -1.5e+56"),
+        (dict(ASPECT_CFG, eps=1e60), "config key 'eps' must be at most 1e+56, got 1e+60"),
+    ])
+    def test_eps_past_its_bound_rejected(self, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == message
+
+    def test_eps_bound_sits_below_the_quadrature_failure(self):
+        # the failure the bound keeps out of a run, on the flow config's map
+        p = perturbed_kottler_potential(-1, -0.1, 2e56)
+        with pytest.raises(NumericalError, match="did not converge"):
+            build_substitution(p, 2.0, 2.02e3)
+
     def test_scan_may_end_at_the_minimizer(self, tmp_path):
         cfg = {"kind": "penrose", "genus": 32, "masses": [0.0],
                "scan_area_max": 4.0 * math.pi * 31 / 3.0}
@@ -379,3 +408,25 @@ class TestRegistry:
         with pytest.raises(ConfigError) as info:
             validate_config(cfg)
         assert str(info.value) == message
+
+
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from alhflow.cli import main
+for path in sys.argv[3:]:
+    kind = path.rsplit("/", 1)[-1][:-5]
+    assert main([kind, "--config", path, "--out", sys.argv[2] + "/" + kind]) == 0, kind
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh process runs a scenario of every kind without importing scipy,
+    # which took most of a cold start
+    kinds = [kind for kind, spec in cli._KINDS.items() if spec.run is not None]
+    paths = [write_cfg(tmp_path, f"{kind}.json", MINIMAL[kind]) for kind in kinds]
+    src = str(Path(alhflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _COLD_START, src, str(tmp_path), *paths],
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -160,3 +160,17 @@ class TestNearTangentHorizon:
             exact = max(float(mpmath.re(z)) for z in mpmath.polyroots(
                 [1, 0, 1, -6, mpmath.mpf(4.0 - 0.05)]) if abs(mpmath.im(z)) < 1e-30)
         assert p.domain_start == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [-1e12, -1e14, -1e16, -1e20])
+def test_horizon_far_out_is_found(eps):
+    # r^2 phi = r^4 - r^2 - r + eps has its root near |eps|^(1/4), more than
+    # ten decades below the scan's top radius 10 (2 + |eps|) from eps = -1e14
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([1, 0, -1, -1, mpmath.mpf(eps)],
+                                 maxsteps=400, extraprec=200)
+        exact = float(max(mpmath.re(z) for z in roots
+                          if abs(mpmath.im(z)) <= mpmath.mpf(10) ** -40 * abs(z)))
+    p = perturbed_kottler_potential(-1, 0.5, eps)
+    assert p.domain_start == pytest.approx(exact, rel=1e-14)
+    assert horizon_radius(p) == p.domain_start
