@@ -35,7 +35,7 @@ from .geometry import ConformalInfinity, RadialPotential, mean_curvature_sphere
 # now reads 0; drop both together.
 solve_ivp = None
 
-#: The default outer rho and sample count of dyadic_profile_samples.
+#: The largest outer rho and the sample count of dyadic_profile_samples.
 PROFILE_RHO_MAX, PROFILE_COUNT = 4096.0, 8
 
 __all__ = [
@@ -52,11 +52,10 @@ __all__ = [
 ]
 
 
-def richardson(values, ratio: float = 2.0, first_order: int = 1,
-               levels: int = 3) -> tuple[float, float]:
+def richardson(values, first_order: int = 1, levels: int = 3) -> tuple[float, float]:
     """Accelerate a sequence with error series in powers of the step.
 
-    values[i] is the approximation at step h0 / ratio**i (later entries are
+    values[i] is the approximation at step h0 / 2**i (later entries are
     more accurate); the error is assumed to expand in powers
     first_order, first_order+1, ... of the step.  Returns the extrapolated
     value and the magnitude of the last level-to-level change.
@@ -67,7 +66,7 @@ def richardson(values, ratio: float = 2.0, first_order: int = 1,
     levels = min(levels, cur.size - 1)
     last_per_level = [cur[-1]]
     for k in range(1, levels + 1):
-        f = ratio ** (first_order + k - 1)
+        f = 2.0 ** (first_order + k - 1)
         cur = (f * cur[1:] - cur[:-1]) / (f - 1.0)
         last_per_level.append(cur[-1])
     return float(last_per_level[-1]), float(abs(last_per_level[-1] - last_per_level[-2]))
@@ -452,8 +451,7 @@ def _pieces(f, rounding, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.append(left[order], edges[-1]), value[order]
 
 
-def build_substitution(p: RadialPotential, r_start: float, r_end: float,
-                       nodes_per_decade: int = 192) -> SubstitutionMap:
+def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> SubstitutionMap:
     """The substitution r <-> rho of p over [r_start, r_end], by quadrature.
 
     The defining equation separates: A(rho) - A(r) = D(r) with
@@ -471,8 +469,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float,
     that rho reaches 0: the map does not exist there (DomainError).
 
     The quadrature is adaptive and exact at every radius (see
-    SubstitutionMap); `nodes_per_decade` is accepted for existing callers
-    and changes no result.
+    SubstitutionMap).
     """
     if r_start <= 0.0 or r_end <= r_start:
         raise DomainError("need 0 < r_start < r_end")
@@ -498,35 +495,34 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
     count = min(10, max_halvings + 1)
     radii = sub_map.r_end / 2.0 ** np.arange(count - 1, -1, -1)
     values = sub_map.mu_at(radii)
-    mu, err = richardson(values, ratio=2.0, first_order=1, levels=levels)
+    mu, err = richardson(values, levels=levels)
     if err > tolerance:
         raise ExtractionError(
             f"extrapolation levels disagree by {err:.3e} > {tolerance:.3e}")
     return MassAspectResult(mu=mu, error_estimate=err)
 
 
-def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r,
-                           count: int = PROFILE_COUNT,
-                           rho_max: float | None = None) -> np.ndarray:
-    """Sample a radial quantity on dyadic rho values, as (rho, value) rows.
+def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r) -> np.ndarray:
+    """Sample a radial quantity on PROFILE_COUNT dyadic rho values, as
+    (rho, value) rows.
 
     `values_of_r` takes an array of radii and returns the values there.
-    The default outer radius is capped: for quantities growing like rho^2
-    the coefficient elimination loses the 1/rho signal to rounding once
-    eps * rho^3 approaches it.
+    The outer rho is min(rho(r_end)/4, PROFILE_RHO_MAX): for quantities
+    growing like rho^2 the coefficient elimination loses the 1/rho signal
+    to rounding once eps * rho^3 approaches it.
     """
-    if rho_max is None:
-        rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, PROFILE_RHO_MAX)
-    rhos = rho_max / 2.0 ** np.arange(count - 1, -1, -1)
+    rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, PROFILE_RHO_MAX)
+    rhos = rho_max / 2.0 ** np.arange(PROFILE_COUNT - 1, -1, -1)
     return np.column_stack((rhos, values_of_r(sub_map.r_of_rho(rhos))))
 
 
-def expansion_fit(samples, levels: int = 3) -> ExpansionFit:
+def expansion_fit(samples) -> ExpansionFit:
     """Fit value = a0 rho^2 + a1 + a2/rho on dyadic samples.
 
     Dyadic spacing lets the two leading terms be eliminated exactly
     (4 y_j - y_{j+1} kills rho^2, differencing kills the constant), after
-    which the 1/rho coefficient sequence is Richardson-accelerated.
+    which the 1/rho coefficient sequence is Richardson-accelerated over up
+    to three levels.
     Non-dyadic input falls back to a least-squares solve with a condition
     diagnostic.
     """
@@ -544,11 +540,9 @@ def expansion_fit(samples, levels: int = 3) -> ExpansionFit:
         u = (4.0 * y[:-1] - y[1:]) / 3.0
         v = u[:-1] - u[1:]
         a2_seq = (12.0 / 7.0) * rho[: v.size] * v
-        a2, a2_err = richardson(a2_seq, ratio=2.0, first_order=1,
-                                levels=min(levels, a2_seq.size - 1))
+        a2, a2_err = richardson(a2_seq)
         a1_seq = u - (7.0 / 6.0) * a2 / rho[: u.size]
-        a1, _ = richardson(a1_seq, ratio=2.0, first_order=1,
-                           levels=min(levels, a1_seq.size - 1))
+        a1, _ = richardson(a1_seq)
         a0 = (y[-1] - a1 - a2 / rho[-1]) / rho[-1] ** 2
         return ExpansionFit(a0=float(a0), a1=float(a1), a2=float(a2),
                             error_estimate=a2_err)
@@ -598,7 +592,7 @@ def conformal_mean_curvature_residual(p: RadialPotential,
         raise NumericalError("no room to difference the area factor at this radius")
     chi = sub_map.area_factor(r + step * np.array([0.0, 1.0, -1.0, 0.5, -0.5]))
     dchi, _ = richardson([(chi[1] - chi[2]) / (2.0 * step), (chi[3] - chi[4]) / step],
-                         ratio=2.0, first_order=2, levels=1)
+                         first_order=2, levels=1)
     s = sub_map.s(r)
     sqrt_psi = s / math.sqrt(phi)
     h_tilde = dchi / (chi[0] * sqrt_psi)

@@ -64,23 +64,17 @@ DEFAULT_TOLERANCES = {
 # deterministic serialization
 
 
-def _canon(obj):
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    return obj
+def _plain(obj):
+    """A numpy scalar as the Python number it holds: json writes np.float64,
+    a float subclass, as a float already, but not np.bool_ or np.int64."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(obj, path: Path) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(json.dumps(_canon(obj), indent=2) + "\n")
+        f.write(json.dumps(obj, indent=2, default=_plain) + "\n")
 
 
 def write_csv(header, columns, path: Path) -> None:
@@ -108,6 +102,16 @@ _MU_R_MAX = 1e50
 #: converging on maps from r = 2 to 2e3, where the tail's scale eps^(1/4)
 #: lies far past r_end.  The horizon scan overflows only from 1.3e153.
 _EPS_MAX = 1e56
+# Caps on the int fields that size arrays, so that one member's peak RSS grows
+# by under 1 GiB.  Growth per element is the ru_maxrss growth of one run in a
+# fresh process from 2^14 to 2^16 elements, extrapolated linearly.
+#: A flow keeps about 148 B a step (its columns, the rho column, the CSV rows):
+#: 5e6 steps take 0.74 GB.
+_STEPS_MAX = 5_000_000
+#: A kottler profile keeps about 152 B a radius: 5e6 radii take 0.76 GB.
+_N_RADII_MAX = 5_000_000
+#: A penrose scan keeps about 40 B a point: 2e7 points take 0.80 GB.
+_SCAN_POINTS_MAX = 20_000_000
 #: The least positive float: the range [_POSITIVE, hi] is (0, hi].
 _POSITIVE = math.ulp(0.0)
 
@@ -197,7 +201,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown scenario kind {kind!r}; "
                           f"expected one of {sorted(_KINDS)}")
     spec = _KINDS[kind]
-    unknown = set(cfg) - {"kind", "tolerances", *spec.fields}
+    unknown = set(cfg) - {"kind", *spec.fields}
+    if spec.run is not None:  # a sweep's members carry their own tolerances
+        unknown.discard("tolerances")
     if unknown:
         raise ConfigError(f"unknown config keys for kind '{kind}': {sorted(unknown)}")
     missing = {"kind", *spec.fields} - set(spec.defaults) - set(cfg)
@@ -234,10 +240,7 @@ def _check_sweep(out):
     for key, values in out["vary"].items():
         if not isinstance(values, list):
             raise ConfigError(f"vary parameter '{key}' must map to a list")
-    members = [validate_config(member) for member in expand_sweep(out)]
-    if not isinstance(out["parallel"], bool):
-        raise ConfigError("'parallel' must be a boolean")
-    return {"members": members}
+    return {"members": [validate_config(member) for member in expand_sweep(out)]}
 
 
 def _admissible_mass(cfg) -> None:
@@ -381,7 +384,7 @@ def _run_kottler(cfg, out_dir, checks):
     curv = geometry.scalar_curvature(p, radii)
     res = geometry.static_residual(p, radii)
     m_h = geometry.hawking_mass_sphere(inf, p, radii)
-    target = inf.c ** 1.5 * cfg["m"]
+    target = inf.gamma * cfg["m"]
     checks.add("scalar_curvature", float(np.max(np.abs(curv + 6.0))))
     checks.add("static_residual",
                float(np.max(np.maximum(res.laplace_residual, res.ricci_residual))))
@@ -398,11 +401,8 @@ def _run_flow(cfg, out_dir, checks):
     p = cfg.potential
     inf = conformal_infinity(cfg["genus"])
     traj = flow.imcf_integrate(inf, p, cfg["r0"], cfg["t_max"], cfg["steps"])
-    t = traj.column("t")
-    r = traj.column("r")
-    area = traj.column("area")
-    mass = traj.column("hawking_mass")
-    rate = traj.column("geroch_rate")
+    t, r, area = traj.t, traj.r, traj.area
+    mass, rate = traj.hawking_mass, traj.geroch_rate
 
     checks.add("area_law", float(np.max(np.abs(area / (area[0] * np.exp(t)) - 1.0))))
     checks.add("final_radius",
@@ -493,7 +493,7 @@ _STATIC_MASS = "static-compare requires critical mass <= m <= 0"
 _KINDS = {
     "kottler": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
-        "n_radii": _Field(int, 2, message="n_radii must be an integer >= 2"),
+        "n_radii": _Field(int, 2, _N_RADII_MAX, "n_radii must be an integer >= 2"),
         # radii reach r_m r_max_factor, and r_m is at most about (2 _MASS_MAX)^(1/3)
         "r_max_factor": _Field(float, math.nextafter(1.0, 2.0),
                                _R_MAX / (2.0 * _MASS_MAX) ** (1.0 / 3.0),
@@ -506,11 +506,12 @@ _KINDS = {
         # e^(t_max/2) overflows from t_max = 1419.6; _check_flow bounds both
         "t_max": _Field(float, _POSITIVE, 1400.0, _R0_T_MAX),
         "eps": _EPS,
-        "steps": _Field(int, 1, message="steps must be a positive integer"),
+        "steps": _Field(int, 1, _STEPS_MAX, "steps must be a positive integer"),
     }, {"eps": 0.0, "steps": 4096}, _check_flow, _run_flow),
     "mass-aspect": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
-        # accepted for existing configs; it changes no result (see build_substitution)
+        # changes no result (the map's quadrature is adaptive), but stays a
+        # key because perfbench's aspect workload varies it over 192, 384, 768
         "nodes_per_decade": _Field(int, 16,
                                    message="nodes_per_decade must be an integer >= 16"),
         # the innermost rho the profile fits sample, 4096 / 2^7 = 32; loose where
@@ -524,7 +525,8 @@ _KINDS = {
     "penrose": _Kind({
         "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),
         "masses": None,
-        "scan_points": _Field(int, 10, message="scan_points must be an integer >= 10"),
+        "scan_points": _Field(int, 10, _SCAN_POINTS_MAX,
+                              "scan_points must be an integer >= 10"),
         # the scanned A^(3/2) overflows from about A = 6e206
         "scan_area_max": _Field(float, hi=1e200),
     }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi},
@@ -536,8 +538,7 @@ _KINDS = {
         # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs
         "map_r_end": _Field(float, 2.0 * 1.001e3, _MU_R_MAX),
     }, {"map_r_end": 1e6}, _check_static_compare, _run_static_compare),
-    "sweep": _Kind(dict.fromkeys(("base", "vary", "parallel")), {"parallel": False},
-                   _check_sweep, None),
+    "sweep": _Kind(dict.fromkeys(("base", "vary")), {}, _check_sweep, None),
 }
 
 

@@ -83,11 +83,6 @@ class FlowTrajectory:
         for name in _COLUMNS:
             getattr(self, name).setflags(write=False)
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in _COLUMNS:
-            raise KeyError(f"no trajectory column {name!r}; expected one of {_COLUMNS}")
-        return getattr(self, name)
-
     @cached_property
     def states(self) -> tuple[FlowState, ...]:
         """Row view of the columns, built on first access."""
@@ -160,7 +155,7 @@ def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
     if inf.curvature_sign != p.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
     p.require_inside(r)
-    return -0.25 * inf.c ** 1.5 * r * (p.tail(r) + r * p.dtail(r))
+    return -0.25 * inf.gamma * r * (p.tail(r) + r * p.dtail(r))
 
 
 def bracket_check(traj: FlowTrajectory, sub_map) -> bool:

@@ -56,36 +56,34 @@ CRITICAL_MASS_HYPERBOLIC = -1.0 / (3.0 * math.sqrt(3.0))
 
 @dataclass(frozen=True)
 class ConformalInfinity:
-    """Topology and normalization of the surface at infinity."""
+    """Topology and normalization of the surface at infinity, fixed by the genus.
+
+    The curvature sign is +1, 0 or -1 for genus 0, 1 or >= 2; the
+    normalization is c = max(1, genus - 1), the area 4*pi*c and the Euler
+    characteristic 2 - 2*genus, so that 1 - genus - c*curvature_sign = 0.
+    """
 
     genus: int
-    curvature_sign: int
-    area: float
-    c: float
-    euler_char: int
 
     def __post_init__(self):
         if self.genus < 0:
             raise DomainError(f"genus must be nonnegative, got {self.genus}")
-        if self.curvature_sign not in (-1, 0, 1):
-            raise DomainError(f"curvature sign must be -1, 0 or +1, got {self.curvature_sign}")
-        k, g = self.curvature_sign, self.genus
-        if k == 1 and g != 0:
-            raise DomainError("curvature sign +1 requires genus 0")
-        if k == 0 and g != 1:
-            raise DomainError("curvature sign 0 requires genus 1")
-        if k == -1 and g < 2:
-            raise DomainError("curvature sign -1 requires genus >= 2")
-        expected_c = float(max(1, g - 1))
-        expected_area = FOUR_PI * expected_c if k == -1 else FOUR_PI
-        if not math.isclose(self.c, expected_c, rel_tol=0, abs_tol=1e-12):
-            raise DomainError(f"c must equal max(1, genus-1) = {expected_c}")
-        if not math.isclose(self.area, expected_area, rel_tol=1e-12, abs_tol=0):
-            raise DomainError(f"area must equal {expected_area} for this topology")
-        if self.euler_char != 2 - 2 * g:
-            raise DomainError("euler_char must equal 2 - 2*genus")
-        # Normalization identity used by the Hawking mass closed form.
-        assert 1 - g - self.c * k == 0
+
+    @property
+    def curvature_sign(self) -> int:
+        return 1 if self.genus == 0 else 0 if self.genus == 1 else -1
+
+    @property
+    def c(self) -> float:
+        return float(max(1, self.genus - 1))
+
+    @property
+    def area(self) -> float:
+        return FOUR_PI * self.c
+
+    @property
+    def euler_char(self) -> int:
+        return 2 - 2 * self.genus
 
     @property
     def gamma(self) -> float:
@@ -94,19 +92,8 @@ class ConformalInfinity:
 
 
 def conformal_infinity(genus: int) -> ConformalInfinity:
-    """Build the normalized conformal infinity of the given genus."""
-    if genus < 0:
-        raise DomainError(f"genus must be nonnegative, got {genus}")
-    if genus == 0:
-        k = 1
-    elif genus == 1:
-        k = 0
-    else:
-        k = -1
-    c = float(max(1, genus - 1))
-    area = FOUR_PI * c if k == -1 else FOUR_PI
-    return ConformalInfinity(genus=genus, curvature_sign=k, area=area,
-                             c=c, euler_char=2 - 2 * genus)
+    """The normalized conformal infinity of the given genus."""
+    return ConformalInfinity(genus)
 
 
 @dataclass(frozen=True)
@@ -519,7 +506,7 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
     phi = p.phi(r)
     if not isinstance(phi, float) or phi < 0.0:
         _check_horizon(r, phi)
-    return -(inf.c ** 1.5) * 0.5 * r * p.tail(r)
+    return -inf.gamma * 0.5 * r * p.tail(r)
 
 
 def static_residual(p: RadialPotential, r) -> StaticResidual:

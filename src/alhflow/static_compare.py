@@ -36,6 +36,13 @@ __all__ = [
     "mean_curvature_evolution_residual",
 ]
 
+#: Largest static residual (Laplace and Ricci) accepted as static data.
+STATIC_TOL = 1e-8
+#: W - W0 is sampled at GRID_POINTS radii from the horizon to R_FACTOR_MAX r_h.
+GRID_POINTS, R_FACTOR_MAX = 256, 30.0
+#: Slack of the W <= W0, boundary-curvature and mass-aspect verdicts.
+W_TOL, CURVATURE_TOL, MU_TOL = 1e-9, 1e-8, 1e-3
+
 
 def kappa_to_mass(k_hat: int, kappa: float):
     """Mass of the Kottler space with the given surface gravity.
@@ -214,15 +221,14 @@ class ComparisonReport:
 
 
 def compare_with_reference(p: RadialPotential, genus: int,
-                           grid_points: int = 256, r_factor_max: float = 30.0,
-                           static_tol: float = 1e-8, w_tol: float = 1e-9,
-                           curvature_tol: float = 1e-8, mu_tol: float = 1e-3,
                            map_r_end: float = 1e6) -> ComparisonReport:
     """Build the full comparison report for a static radial data set.
 
-    The data must be static to tolerance, have a horizon, curvature sign -1
+    The data must be static to STATIC_TOL, have a horizon, curvature sign -1
     at infinity, genus >= 2, and surface gravity at most 1 (nonpositive
     reference mass); otherwise the hypotheses are reported as not met.
+    The verdicts allow the slack W_TOL, CURVATURE_TOL and MU_TOL, and the
+    mass aspect is extracted from a map reaching at least map_r_end.
     """
     if p.k_hat != -1:
         raise DomainError("comparison requires curvature sign -1 at infinity")
@@ -235,9 +241,9 @@ def compare_with_reference(p: RadialPotential, genus: int,
 
     res = geometry.static_residual(p, np.geomspace(r_h * 1.02, r_h * 50.0, 48))
     worst = float(np.max(np.maximum(res.laplace_residual, res.ricci_residual)))
-    if worst > static_tol:
+    if worst > STATIC_TOL:
         raise DomainError(
-            f"input is not static: residual {worst:.3e} > {static_tol:.1e}")
+            f"input is not static: residual {worst:.3e} > {STATIC_TOL:.1e}")
 
     kappa = 0.5 * p.dphi(r_h)
     if kappa <= 0.0:
@@ -250,7 +256,7 @@ def compare_with_reference(p: RadialPotential, genus: int,
     m0 = kappa_to_mass(-1, kappa)
     ref = ReferencePotential(-1, m0)
 
-    grid = np.geomspace(r_h * (1.0 + 1e-8), r_h * r_factor_max, grid_points)
+    grid = np.geomspace(r_h * (1.0 + 1e-8), r_h * R_FACTOR_MAX, GRID_POINTS)
     sup = np.max(geometry.potential_gradient_squared(p, grid)
                  - ref.omega(np.sqrt(p.phi(grid))))
 
@@ -268,9 +274,9 @@ def compare_with_reference(p: RadialPotential, genus: int,
     cubic_residual = abs(2.0 * m0 + r0 - r0 ** 3)
 
     verdicts = {
-        "w_le_w0": bool(sup <= w_tol),
-        "boundary_curvature_ge_reference": bool(boundary_curv >= reference_curv - curvature_tol),
-        "mass_aspect_le_reference": bool(mu <= m0 + mu_tol),
+        "w_le_w0": bool(sup <= W_TOL),
+        "boundary_curvature_ge_reference": bool(boundary_curv >= reference_curv - CURVATURE_TOL),
+        "mass_aspect_le_reference": bool(mu <= m0 + MU_TOL),
         "area_radius_ge_reference": bool(frak_r >= r0 - 1e-10),
         "cubic_root": bool(cubic_residual <= 1e-10),
     }
@@ -287,14 +293,14 @@ def compare_with_reference(p: RadialPotential, genus: int,
     )
 
 
-def mean_curvature_evolution_residual(p: RadialPotential, r: float,
-                                      static_tol: float = 1e-8) -> float:
+def mean_curvature_evolution_residual(p: RadialPotential, r: float) -> float:
     """Defect of dH/dt = H nu(V) - |A|^2 V for the flow with normal speed V.
 
     The inner product reads the mean curvature vector as -H nu with nu
     outward.  The left side is differenced along the flow (dr/dt = phi);
     the right side is assembled pointwise, so the residual measures the
     discretization only and vanishes to high order on static profiles.
+    p must be static to STATIC_TOL at r.
     """
     p.require_inside(r)
     phi = p.phi(r)
@@ -303,7 +309,7 @@ def mean_curvature_evolution_residual(p: RadialPotential, r: float,
     if phi <= 0.0:
         return 0.0  # horizon: both sides vanish with phi
     res = geometry.static_residual(p, r)
-    if max(res.laplace_residual, res.ricci_residual) > static_tol:
+    if max(res.laplace_residual, res.ricci_residual) > STATIC_TOL:
         raise DomainError("input is not static to tolerance")
 
     def h_of(radius):
@@ -318,8 +324,7 @@ def mean_curvature_evolution_residual(p: RadialPotential, r: float,
     for k in range(2):
         step = h / 2.0 ** k
         estimates.append((h_of(r + step) - h_of(r - step)) / (2.0 * step))
-    dh_dr, _ = asymptotics.richardson(estimates, ratio=2.0, first_order=2,
-                                      levels=1)
+    dh_dr, _ = asymptotics.richardson(estimates, first_order=2, levels=1)
     lhs = phi * dh_dr  # dH/dt along dr/dt = V sqrt(phi) = phi
 
     sqrt_phi = math.sqrt(phi)

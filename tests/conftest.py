@@ -9,15 +9,14 @@ _MAP_CACHE = {}
 def submap():
     """Session-cached substitution maps keyed by family parameters."""
 
-    def get(k_hat, m, eps=0.0, r_start=2.0, r_end=1e6, nodes_per_decade=192):
-        key = (k_hat, m, eps, r_start, r_end, nodes_per_decade)
+    def get(k_hat, m, eps=0.0, r_start=2.0, r_end=1e6):
+        key = (k_hat, m, eps, r_start, r_end)
         if key not in _MAP_CACHE:
             if eps:
                 p = perturbed_kottler_potential(k_hat, m, eps)
             else:
                 p = kottler_potential(k_hat, m)
-            _MAP_CACHE[key] = build_substitution(
-                p, r_start, r_end, nodes_per_decade=nodes_per_decade)
+            _MAP_CACHE[key] = build_substitution(p, r_start, r_end)
         return _MAP_CACHE[key]
 
     return get

@@ -156,19 +156,6 @@ class TestDeterminism:
         run_scenario(cfg, b)
         assert read_bytes_map(a) == read_bytes_map(b)
 
-    def test_parallel_equals_serial_sweep(self, tmp_path):
-        base = {"kind": "penrose", "genus": 2,
-                "masses": [-0.15, -0.1, 0.0], "scan_points": 512}
-        serial = {"kind": "sweep", "base": base,
-                  "vary": {"genus": [2, 3, 4]}, "parallel": False}
-        parallel = dict(serial, parallel=True)
-        out_s, out_p = tmp_path / "s", tmp_path / "p"
-        reports_s, code_s = run_sweep(serial, out_s)
-        reports_p, code_p = run_sweep(parallel, out_p)
-        assert code_s == code_p == 0
-        assert len(reports_s) == len(reports_p) == 3
-        assert read_bytes_map(out_s) == read_bytes_map(out_p)
-
     def test_summary_rows_in_input_order(self, tmp_path):
         base = {"kind": "penrose", "genus": 2, "masses": [0.0],
                 "scan_points": 128}
@@ -258,6 +245,84 @@ class TestBuildOnce:
         assert changed.potential.params["m"] == 0.2
 
 
+#: Per kind and key: the config changes made on both runs, then the key's
+#: second value with the keys it constrains.  A massless Kottler space has
+#: Hawking mass 0 on every genus, so kottler genus is varied at m = -0.1.
+_SECOND_VALUES = {
+    "kottler": {
+        "k_hat": ({}, {"k_hat": 0, "genus": 1}),
+        "m": ({}, {"m": -0.1}),
+        "n_radii": ({}, {"n_radii": 21}),
+        "r_max_factor": ({}, {"r_max_factor": 100.0}),
+        "genus": ({"m": -0.1}, {"genus": 3}),
+        "tolerances": ({}, {"tolerances": {"scalar_curvature": 1e-9}}),
+    },
+    "flow": {
+        "k_hat": ({"m": 0.1}, {"k_hat": 0, "genus": 1}),
+        "m": ({}, {"m": 0.2}),
+        "genus": ({}, {"genus": 3}),
+        "r0": ({}, {"r0": 3.0}),
+        "t_max": ({}, {"t_max": 1.0}),
+        "eps": ({}, {"eps": 0.01}),
+        "steps": ({}, {"steps": 128}),
+        "tolerances": ({}, {"tolerances": {"area_law": 1e-7}}),
+    },
+    "mass-aspect": {
+        "k_hat": ({}, {"k_hat": 0}),
+        "m": ({}, {"m": 0.4}),
+        "r_end": ({}, {"r_end": 4e3}),
+        "eps": ({}, {"eps": 0.01}),
+        "tolerances": ({}, {"tolerances": {"mu_matches_mass": 1e-5}}),
+    },
+    "penrose": {
+        "genus": ({}, {"genus": 3}),
+        "masses": ({}, {"masses": [-0.1]}),
+        "scan_points": ({}, {"scan_points": 65}),
+        "scan_area_max": ({}, {"scan_area_max": 30.0 * math.pi}),
+        "tolerances": ({}, {"tolerances": {"equality": 1e-9}}),
+    },
+    "static-compare": {
+        "m": ({}, {"m": -0.05}),
+        "map_r_end": ({}, {"map_r_end": 2e4}),
+    },
+    "sweep": {
+        "base": ({}, {"base": dict(PENROSE_CFG, masses=[-0.1])}),
+        "vary": ({}, {"vary": {"genus": [2, 4]}}),
+    },
+}
+#: Keys that reach no artifact but the config's echo in report.json.  Each
+#: stays because perfbench's workloads set it, or, for static-compare
+#: tolerances, because every static-compare report echoes it.
+_NO_ARTIFACT = {
+    # the map's quadrature is adaptive; the aspect workload varies it
+    ("mass-aspect", "nodes_per_decade"),
+    # the extraction and the profile fits read the map no further in than
+    # r_end / 2^9, and r_end >= 1e3 r_start; the aspect workload sets it
+    ("mass-aspect", "r_start"),
+    # the area radius sqrt(|Sigma| r_h^2 / (4 pi (genus - 1))) is r_h on
+    # every genus >= 2; the compare workload sets it
+    ("static-compare", "genus"),
+    # the verdicts are booleans with the fixed slack of static_compare
+    ("static-compare", "tolerances"),
+}
+
+
+def _accepted_keys(kind):
+    """The keys a config of this kind may set, besides kind."""
+    try:
+        validate_config(dict(MINIMAL[kind], tolerances={}))
+    except ConfigError:
+        return list(cli._KINDS[kind].fields)
+    return [*cli._KINDS[kind].fields, "tolerances"]
+
+
+def _computed(root):
+    """Every artifact under root, with each report.json's echo of its config
+    left out."""
+    return {path: dict(json.loads(data), scenario=None) if path.name == "report.json"
+            else data for path, data in read_bytes_map(root).items()}
+
+
 class TestRegistry:
     def test_subcommands_are_the_registered_kinds(self, capsys):
         with pytest.raises(SystemExit):
@@ -326,6 +391,49 @@ class TestRegistry:
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([cfg["kind"], "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind in cli._KINDS for key in _accepted_keys(kind)
+        if (kind, key) not in _NO_ARTIFACT])
+    def test_every_key_reaches_the_artifacts(self, tmp_path, kind, key):
+        # a key whose second value leaves every computed artifact as it was
+        # is a knob that does nothing
+        context, change = _SECOND_VALUES[kind][key]
+        first = dict(MINIMAL[kind], **context)
+        run = run_sweep if kind == "sweep" else run_scenario
+        trees = []
+        for name, cfg in (("first", first), ("second", dict(first, **change))):
+            run(cfg, tmp_path / name)
+            trees.append(_computed(tmp_path / name))
+        assert trees[0] != trees[1]
+
+    @pytest.mark.parametrize("key,value", [("parallel", False), ("tolerances", {})])
+    def test_sweep_rejects_keys_no_member_reads(self, key, value):
+        # the serial loop was the only one; members carry their own tolerances
+        with pytest.raises(ConfigError) as info:
+            validate_config(dict(SWEEP_CFG, **{key: value}))
+        assert str(info.value) == f"unknown config keys for kind 'sweep': ['{key}']"
+
+    @pytest.mark.parametrize("cfg", [
+        dict(FLOW_CFG, steps=cli._STEPS_MAX),
+        dict(KOTTLER_CFG, n_radii=cli._N_RADII_MAX),
+        dict(PENROSE_CFG, scan_points=cli._SCAN_POINTS_MAX),
+    ])
+    def test_allocating_fields_at_their_caps_validate(self, cfg):
+        validate_config(cfg)  # not run: a member at a cap may take 0.8 GB
+
+    @pytest.mark.parametrize("cfg,message", [
+        (dict(FLOW_CFG, steps=cli._STEPS_MAX + 1),
+         "config key 'steps' must be at most 5e+06, got 5000001"),
+        (dict(KOTTLER_CFG, n_radii=cli._N_RADII_MAX + 1),
+         "config key 'n_radii' must be at most 5e+06, got 5000001"),
+        (dict(PENROSE_CFG, scan_points=cli._SCAN_POINTS_MAX + 1),
+         "config key 'scan_points' must be at most 2e+07, got 20000001"),
+    ])
+    def test_allocating_fields_past_their_caps_rejected(self, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("cfg", [
         dict(KOTTLER_CFG, k_hat=-1.0),

@@ -28,8 +28,8 @@ class TestIntegrate:
         inf = conformal_infinity(3)
         p = kottler_potential(-1, 0.4)
         traj = imcf_integrate(inf, p, 2.0, 3.0, steps=1024)
-        t = traj.column("t")
-        area = traj.column("area")
+        t = traj.t
+        area = traj.area
         assert np.max(np.abs(area / (area[0] * np.exp(t)) - 1.0)) <= 1e-8
 
     def test_equality_case_constant_mass(self):
@@ -37,10 +37,10 @@ class TestIntegrate:
         space = kottler_build(-1, -0.1)
         traj = imcf_integrate(inf, space.potential, space.horizon_radius, 4.0,
                               steps=512)
-        mass = traj.column("hawking_mass")
+        mass = traj.hawking_mass
         assert np.max(np.abs(mass + 0.1)) <= 1e-8
         assert traj.monotone
-        assert np.max(np.abs(traj.column("geroch_rate"))) <= 1e-10
+        assert np.max(np.abs(traj.geroch_rate)) <= 1e-10
 
     def test_state_fields(self):
         inf = conformal_infinity(2)
@@ -51,8 +51,8 @@ class TestIntegrate:
         assert s.mean_curvature == pytest.approx(
             2 * math.sqrt(p.phi(s.r)) / s.r, rel=1e-14)
         assert traj.states[0].t == 0.0
-        assert np.all(np.diff(traj.column("t")) > 0)
-        assert np.all(np.diff(traj.column("r")) > 0)
+        assert np.all(np.diff(traj.t) > 0)
+        assert np.all(np.diff(traj.r) > 0)
 
     def test_start_inside_horizon_rejected(self):
         inf = conformal_infinity(2)
@@ -121,9 +121,9 @@ class TestGerochRate:
         errs = []
         for steps in (128, 256):
             traj = imcf_integrate(inf, p, 2.0, 1.0, steps=steps)
-            t = traj.column("t")
-            mass = traj.column("hawking_mass")
-            rate = traj.column("geroch_rate")
+            t = traj.t
+            mass = traj.hawking_mass
+            rate = traj.geroch_rate
             dt = t[1] - t[0]
             fd = (mass[2:] - mass[:-2]) / (2 * dt)
             errs.append(np.max(np.abs(fd - rate[1:-1])))
@@ -161,7 +161,7 @@ class TestMonotonicity:
         traj = imcf_integrate(inf, p, 2.0, 2.0, steps=512)
         assert not traj.monotone
         assert traj.max_violation > 1e-4
-        mass = traj.column("hawking_mass")
+        mass = traj.hawking_mass
         assert mass[-1] < mass[0]
 
 

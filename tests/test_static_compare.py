@@ -210,7 +210,7 @@ class TestBoundaryCurvature:
         ref = ReferencePotential(-1, M_CRIT + delta)
         h = 0.04 * ref.kappa / 2.0 ** np.arange(4)
         second, _ = richardson(2.0 * (ref.omega(h) - ref.kappa ** 2) / (h * h),
-                               ratio=2.0, first_order=2, levels=3)
+                               first_order=2, levels=3)
         assert abs(-0.5 * second - boundary_gauss_curvature(ref)) <= 1e-8
 
     @pytest.mark.parametrize("delta", [1e-11, 1e-8, 1e-6, 1e-4])
