@@ -1,25 +1,31 @@
 """CSV text of float64 columns, byte for byte as format(v, ".17g").
 
-The writers format blocks of rows with array operations instead of one
-dtoa call per value.  This is the fast path with an exact fallback of Grisu
+The writers format blocks of rows with whole-array numpy passes instead of
+one dtoa call per value.  The fast path has an exact fallback, after Grisu
 (Loitsch, "Printing floating-point numbers quickly and accurately with
-integers", PLDI 2010):
+integers", PLDI 2010).  A block of float cells takes these passes:
 
-- |v| is scaled by 10^(16 - e10) in double-double arithmetic, so the scaled
-  value is known to about 1e-14 absolute, and rounded to a 17-digit
-  integer; e10 is corrected where the scaled value falls outside
-  [1e16, 1e17);
-- the digits become ASCII through a table of all 4-digit groups;
-- each cell is laid out in four 64-bit words whose byte masks come from
-  tables keyed by the decimal exponent and by the count of digits before
-  the point and of significant digits; the sign, the notation and the
-  exponent's width follow from these;
-- one boolean compress per block drops the bytes the cells do not use.
+- digits: floor(log10 |v|) picks a row of the exponent tables; |v| times
+  10^(16 - e10) in double-double arithmetic (Dekker's exact product plus the
+  table's rounded rest) is known to about 1e-14 absolute, and one rounding
+  to the nearest integer gives the 17 digits and the rest left over;
+- groups: `//` by a constant and a multiply-subtract split the integer into
+  the lead digit and four 4-digit groups, and one gather per group from a
+  table of all 10^4 groups gives their ASCII, two groups to a 64-bit word;
+- layout: the count of trailing zero digits comes from the last group, and
+  with the decimal exponent gives a layout key; gathers from 1-D tables by
+  key and by exponent give each word's byte masks, so a cell is four
+  64-bit words with fields at fixed bytes, their unused bytes zero;
+- one boolean compress per block drops those zero bytes.
 
-A cell takes "%.17g" % v where the fast path cannot prove its digits: v not
-finite, |v| outside [1e-280, 1e280] (where the split products of the
-scaling would leave the normal range), or a rounding fraction within 1e-6
-of 1/2, which includes every exact tie.  Zeros stay on the fast path.
+Fix-ups run only in blocks that need them, each found by a reduction over
+the block: cells off the fast range (zeros, non-finite values and |v|
+outside [1e-280, 1e280], where the split products of the scaling would
+leave the normal range), a log10 that missed by one next to a power of
+ten, a round-up that carries to 10^17, a last digit group of 0000, and a
+rest within 1e-6 of 1/2, which includes every exact tie.  A cell that the
+fast path cannot prove (non-finite, out of range or near a tie) takes
+"%.17g" % v; zeros stay on the fast path.
 
 Other columns hold config values (ints, strings, bools or floats); their
 cells keep the rule of format(v, ".17g") for floats and str(v) otherwise.
@@ -39,7 +45,7 @@ _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TIE_MARGIN = 1e-6
 _E_MIN, _E_MAX = -282, 281  # decimal exponents the tables cover
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-_TWO_53 = 2.0 ** 53
+_LOW, _HIGH = 10 ** 16, 10 ** 17  # the range of a 17-digit integer
 
 #: Bytes of a cell's layout (see _float_cells); the last holds the separator.
 _CELL = 32
@@ -52,15 +58,18 @@ class _Tables(NamedTuple):
     lo: np.ndarray       # ... and the rounded rest
     hi_head: np.ndarray  # hi split into two 26-bit halves
     hi_tail: np.ndarray
-    whole: np.ndarray    # digits before the point (0 below 1 in fixed notation)
+    full_key: np.ndarray  # the layout key of 17 significant digits; trailing zeros lower it
     prefix: np.ndarray   # word 0: the "0.", "0.0", ... of fixed notation below 1
     exponent: np.ndarray  # word 3: "e", sign and exponent digits, or nothing
     # by digit group 0..9999
-    quad: np.ndarray      # the group's 4 ASCII digits, little-endian in a uint64
+    quad: np.ndarray       # the group's 4 ASCII digits, little-endian in a uint64 ...
+    quad_high: np.ndarray  # ... and shifted to its upper half
     trailing: np.ndarray  # its trailing zero digits (4 for 0000)
-    # by whole * _POSITIONS + significant digits: the bytes of words 1-2
-    # taken from the digit string, from the string shifted on by one byte,
-    # and the point; and whether word 3 holds an 18th character
+    # by layout key, whole * _POSITIONS + significant digits (whole is the
+    # count of digits before the point, 0 below 1 in fixed notation): the
+    # bytes of words 1 and 2 taken from the digit string, from the string
+    # shifted on by one byte, and the point; and whether word 3 holds an
+    # 18th character.  Rows of each 2-D table are words 1 and 2.
     digit: np.ndarray    # (2, keys) masks
     shifted: np.ndarray  # (2, keys) masks
     point: np.ndarray    # (2, keys) "." bytes
@@ -118,8 +127,10 @@ def _tables() -> _Tables:
 
     last = np.where(sources[:, 17] == _SHIFTED, np.uint64(0xFF), np.uint64(0))
     tables = _Tables(hi, np.array(lo), hi_head, hi - hi_head,
-                     np.array(whole), np.array(prefix, dtype=np.uint64),
-                     np.array(exponent, dtype=np.uint64), quad, trailing,
+                     np.array(whole) * _POSITIONS + 17,
+                     np.array(prefix, dtype=np.uint64),
+                     np.array(exponent, dtype=np.uint64),
+                     quad, quad << np.uint64(32), trailing,
                      words(_DIGIT, 0xFF), words(_SHIFTED, 0xFF),
                      words(_POINT, ord(".")), last)
     for table in tables:
@@ -127,94 +138,126 @@ def _tables() -> _Tables:
     return tables
 
 
-def _scaled(a, e10, t: _Tables):
-    """|v| 10^(16 - e10) as p + q: p the rounded product, q what it left out.
+def _rounded(a, i, t: _Tables):
+    """|v| 10^(16 - e10) rounded to an integer, and the signed rest in
+    [-1/2, 1/2], for i = e10 - _E_MIN.
 
-    Dekker's exact product gives a * hi = p + err; adding a * lo brings the
-    table's error to about 2^-106 relative.
+    The product is p + q: p the rounded a * hi, q what it left out.  Dekker's
+    exact product gives a * hi = p + err; adding a * lo brings the table's
+    error to about 2^-106 relative.  p is an integer from 2^53 on, so the
+    sum of the two integer parts is exact there.
     """
-    i = e10 - _E_MIN
-    hi, head, tail = t.hi[i], t.hi_head[i], t.hi_tail[i]
-    p = a * hi
+    p = a * t.hi.take(i)
     scaled = _SPLIT * a
     a_head = scaled - (scaled - a)
     a_tail = a - a_head
-    err = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
-    return p, err + a * t.lo[i]
-
-
-def _integer_part(p, q):
-    """floor(p + q) and the fraction left, exact where p >= 2^53."""
-    floor_q = np.floor(q)
-    return p.astype(np.int64) + floor_q.astype(np.int64), q - floor_q
+    head, tail = t.hi_head.take(i), t.hi_tail.take(i)
+    q = a_head * head - p
+    q += a_head * tail
+    q += a_tail * head
+    q += a_tail * tail
+    q += a * t.lo.take(i)
+    whole = np.rint(q)
+    q -= whole
+    return p.astype(np.int64) + whole.astype(np.int64), q
 
 
 def _digits(a, t: _Tables):
-    """17-digit integers and decimal exponents of a = |v|, and where they are
-    proven.  Zeros give 0 and 0; cells off the fast path give placeholders."""
-    zero = a == 0.0
-    fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
-    a = np.where(fast & ~zero, a, 1.0)
-    e10 = np.floor(np.log10(a)).astype(np.int64)
-    p, q = _scaled(a, e10, t)
-    integer, frac = _integer_part(p, q)
-    # log10 may miss by one next to a power of ten
-    fix = (integer >= 10 ** 17).astype(np.int64) - (integer < 10 ** 16)
-    if fix.any():
-        e10 += fix
-        p, q = _scaled(a, e10, t)
-        integer, frac = _integer_part(p, q)
-    fast &= (p >= _TWO_53) & (integer >= 10 ** 16) & (integer < 10 ** 17)
-    fast &= np.abs(frac - 0.5) >= _TIE_MARGIN
-    digits = integer + (frac > 0.5)
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
-    e10 += carry
-    digits[zero] = 0
-    e10[zero] = 0
-    return digits, e10, fast
+    """17-digit integers of a = |v| rounded to nearest, the table index
+    e10 - _E_MIN of each, and the cells they do not prove (None if every
+    cell is proven).  Zeros give 0 at e10 = 0; cells that are not proven
+    give the placeholder 10^16."""
+    zero = slow = None
+    if not (a.min() >= _FAST_MIN and a.max() <= _FAST_MAX):  # NaN fails too
+        fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+        zero = a == 0.0
+        slow = ~(fast | zero)
+        a = np.where(fast, a, 1.0)
+    # floor(log10 a) - _E_MIN truncates a positive number
+    i = (np.log10(a) - _E_MIN).astype(np.intp)
+    digits, rest = _rounded(a, i, t)
+    low, high = digits.min(), digits.max()
+    # log10 may miss by one next to a power of ten.  Rounded up to 10^17 is
+    # a carry whichever way it missed; 10^16 from below is a miss.
+    if low < _LOW or high > _HIGH or (low == _LOW and (rest[digits == _LOW] < 0).any()):
+        i += digits > _HIGH
+        i -= (digits < _LOW) | ((digits == _LOW) & (rest < 0))
+        digits, rest = _rounded(a, i, t)
+        bad = (digits < _LOW) | (digits > _HIGH) | ((digits == _LOW) & (rest < 0))
+        slow = bad if slow is None else slow | bad
+        high = _HIGH
+    np.abs(rest, out=rest)
+    if rest.max() > 0.5 - _TIE_MARGIN:
+        tie = rest > 0.5 - _TIE_MARGIN
+        slow = tie if slow is None else slow | tie
+    if high == _HIGH:
+        carry = digits == _HIGH
+        digits[carry] = _LOW
+        i += carry
+    if zero is not None:
+        digits[zero] = 0
+    if slow is not None:
+        digits[slow] = _LOW
+    return digits, i, slow
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
+def _split(x, unit):
+    """x // unit and x % unit, with one division."""
+    quotient = x // unit
+    return quotient, x - quotient * unit
+
+
+def _float_cells(x: np.ndarray, separator=0) -> np.ndarray:
     """Bytes of format(v, ".17g") for each v of a float64 vector.
 
     Returns a (len(x), _CELL) uint8 array whose nonzero bytes, in order,
     are the cell's text.  A cell is four little-endian words with fields at
     fixed bytes, their unused bytes zero: 0 the sign, 1-5 the "0.000" of
     fixed notation below 1, 7-24 the digit string (the 17 digits, with the
-    point put in), 25-29 "e", the exponent's sign and its digits.
+    point put in), 25-29 "e", the exponent's sign and its digits, and 31
+    the byte of `separator` (a scalar or one uint64 word 3 per cell).
     """
     t = _tables()
-    n = x.size
-    digits, e10, fast = _digits(np.abs(x), t)
-    lead, rest = np.divmod(digits, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = (*np.divmod(high, 10000), *np.divmod(low, 10000))
-    trailing = t.trailing[groups[3]]
-    run = groups[3] == 0
-    for group in groups[2::-1]:
-        trailing += run * t.trailing[group]
-        run &= group == 0
+    digits, i, slow = _digits(np.abs(x), t)
+    lead, rest = _split(digits.view(np.uint64), _LOW)  # unsigned divides faster
+    high, low = _split(rest, 10 ** 8)
+    groups = [group.view(np.int64)  # take wants intp
+              for group in (*_split(high, 10000), *_split(low, 10000))]
 
-    i = e10 - _E_MIN
-    key = t.whole[i] * _POSITIONS + (17 - trailing)
-    lead = (lead + ord("0")).astype(np.uint64)
-    head = t.quad[groups[0]] | t.quad[groups[1]] << 32  # digits 1-8
-    tail = t.quad[groups[2]] | t.quad[groups[3]] << 32  # digits 9-16
-    shifted = (head << 8 | lead, tail << 8 | head >> 56)
+    trailing = t.trailing.take(groups[3])
+    if groups[3].min() == 0:
+        run = groups[3] == 0
+        for group in groups[2::-1]:
+            trailing += run * t.trailing.take(group)
+            run &= group == 0
+    key = t.full_key.take(i)
+    key -= trailing
 
-    words = np.empty((n, 4), dtype="<u8")
-    words[:, 0] = np.signbit(x) * np.uint64(ord("-")) | t.prefix[i] | lead << 56
-    for k, word in enumerate((head, tail)):
-        words[:, 1 + k] = (word & t.digit[k, key] | shifted[k] & t.shifted[k, key]
-                           | t.point[k, key])
-    words[:, 3] = tail >> 56 & t.last[key] | t.exponent[i]
+    head = t.quad.take(groups[0])
+    head |= t.quad_high.take(groups[1])  # digits 1-8
+    tail = t.quad.take(groups[2])
+    tail |= t.quad_high.take(groups[3])  # digits 9-16
+    lead += ord("0")
+
+    words = np.empty((x.size, 4), dtype="<u8")
+    word = lead << 56
+    word |= t.prefix.take(i)
+    np.bitwise_or(word, np.signbit(x) * np.uint64(ord("-")), out=words[:, 0])
+    for k, (digit, shifted) in enumerate(((head, head << 8 | lead),
+                                          (tail, tail << 8 | head >> 56))):
+        word = digit & t.digit[k].take(key)
+        shifted &= t.shifted[k].take(key)
+        word |= shifted
+        np.bitwise_or(word, t.point[k].take(key), out=words[:, 1 + k])
+    word = tail >> 56
+    word &= t.last.take(key)
+    word |= t.exponent.take(i)
+    np.bitwise_or(word, separator, out=words[:, 3])
 
     cells = words.view(np.uint8)
-    slow = ~fast
-    if slow.any():
+    if slow is not None:
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype="S")
-        cells[slow] = 0
+        cells[slow, :_CELL - 1] = 0
         cells[slow, :text.itemsize] = text.view(np.uint8).reshape(-1, text.itemsize)
     return cells
 
@@ -225,24 +268,24 @@ def _config_text(v) -> str:
     return str(v)
 
 
-def _block(columns, floats, values, start, stop) -> bytes:
+def _block(columns, floats, values, separator, start, stop) -> bytes:
     """CSV bytes of rows start..stop; `values` holds the float columns.
 
     Every cell gets a slot of equal width with its separator in the last
-    byte; one compress then keeps the used bytes.
+    byte; one compress then keeps the used bytes.  Where every column is a
+    float column, `separator` holds each cell's word 3 with its separator.
     """
     rows = stop - start
+    x = values[start:stop].ravel() if floats else None
+    if separator is not None:
+        cells = _float_cells(x, separator[:x.size]).ravel()
+        return np.compress(cells != 0, cells).tobytes()
     literals = {k: [_config_text(v).encode() for v in column[start:stop]]
                 for k, column in enumerate(columns) if k not in floats}
+    width = max([_CELL] + [len(s) + 1 for texts in literals.values() for s in texts])
+    out = np.zeros((rows, len(columns), width), dtype=np.uint8)
     if floats:
-        cells = _float_cells(values[start:stop].ravel()).reshape(rows, len(floats), _CELL)
-    if literals:
-        width = max([_CELL] + [len(s) + 1 for texts in literals.values() for s in texts])
-        out = np.zeros((rows, len(columns), width), dtype=np.uint8)
-        if floats:
-            out[:, floats, :_CELL] = cells
-    else:
-        out = cells
+        out[:, floats, :_CELL] = _float_cells(x).reshape(rows, len(floats), _CELL)
     out[:, :, -1] = ord(",")
     out[:, -1, -1] = ord("\n")
     keep = out != 0
@@ -268,6 +311,13 @@ def csv_text(header, columns):
               if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
     values = np.column_stack([np.asarray(columns[k], dtype=np.float64)
                               for k in floats]) if floats else None
+    separator = None
+    if len(floats) == len(columns):
+        separator = np.full((min(n_rows, BLOCK_ROWS), len(columns)), ord(","),
+                            dtype=np.uint64)
+        separator[:, -1] = ord("\n")
+        separator = (separator << np.uint64(56)).ravel()
     yield (",".join(header) + "\n").encode()
     for start in range(0, n_rows, BLOCK_ROWS):
-        yield _block(columns, floats, values, start, min(start + BLOCK_ROWS, n_rows))
+        yield _block(columns, floats, values, separator, start,
+                     min(start + BLOCK_ROWS, n_rows))

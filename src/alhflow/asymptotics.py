@@ -502,18 +502,20 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
     return MassAspectResult(mu=mu, error_estimate=err)
 
 
-def dyadic_profile_samples(sub_map: SubstitutionMap, values_of_r) -> np.ndarray:
-    """Sample a radial quantity on PROFILE_COUNT dyadic rho values, as
-    (rho, value) rows.
+def dyadic_profile_samples(sub_map: SubstitutionMap, *values_of_r) -> np.ndarray:
+    """Sample radial quantities on PROFILE_COUNT dyadic rho values, as
+    (rho, value, ...) rows with one value column per quantity.
 
-    `values_of_r` takes an array of radii and returns the values there.
-    The outer rho is min(rho(r_end)/4, PROFILE_RHO_MAX): for quantities
-    growing like rho^2 the coefficient elimination loses the 1/rho signal
-    to rounding once eps * rho^3 approaches it.
+    Each of `values_of_r` takes an array of radii and returns the values
+    there; the radii are solved once for all of them.  The outer rho is
+    min(rho(r_end)/4, PROFILE_RHO_MAX): for quantities growing like rho^2
+    the coefficient elimination loses the 1/rho signal to rounding once
+    eps * rho^3 approaches it.
     """
     rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, PROFILE_RHO_MAX)
     rhos = rho_max / 2.0 ** np.arange(PROFILE_COUNT - 1, -1, -1)
-    return np.column_stack((rhos, values_of_r(sub_map.r_of_rho(rhos))))
+    radii = sub_map.r_of_rho(rhos)
+    return np.column_stack((rhos, *(values(radii) for values in values_of_r)))
 
 
 def expansion_fit(samples) -> ExpansionFit:

@@ -14,7 +14,9 @@ is printed to stdout but never written into an artifact.  Re-running an
 identical config reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
-2 the configuration failed validation.
+2 the configuration failed validation.  A subcommand's scenario, or a sweep
+member, that raises after validation leaves error.json, with the
+exception's type and message, in its output directory.
 """
 
 from __future__ import annotations
@@ -429,14 +431,13 @@ def _run_mass_aspect(cfg, out_dir, checks):
     checks.add("extraction_converged", result.error_estimate)
     checks.add("mu_matches_mass", abs(result.mu - cfg["m"]))
 
+    samples = asymptotics.dyadic_profile_samples(
+        sub_map, lambda rr: geometry.potential_gradient_squared(p, rr), p.phi)
     fits = []
-    for quantity, fn, target in (
-            ("gradient_squared",
-             lambda rr: geometry.potential_gradient_squared(p, rr),
-             8.0 * cfg["m"] / 3.0),
-            ("potential_squared", p.phi, -4.0 * cfg["m"] / 3.0)):
-        samples = asymptotics.dyadic_profile_samples(sub_map, fn)
-        fit = asymptotics.expansion_fit(samples)
+    for column, (quantity, target) in enumerate(
+            (("gradient_squared", 8.0 * cfg["m"] / 3.0),
+             ("potential_squared", -4.0 * cfg["m"] / 3.0)), start=1):
+        fit = asymptotics.expansion_fit(samples[:, [0, column]])
         fits.append({"quantity": quantity, "a0": fit.a0, "a1": fit.a1,
                      "a2": fit.a2, "error_estimate": fit.error_estimate})
         checks.add(f"{quantity}_coefficient", abs(fit.a2 - target))
@@ -563,6 +564,15 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
     return report
 
 
+def _write_error(exc: Exception, out_dir) -> int:
+    """Keep the type and message of the exception a run raised in
+    out_dir/error.json; returns the run's exit code."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json({"type": type(exc).__name__, "message": str(exc)}, out_dir / "error.json")
+    return 2 if isinstance(exc, ConfigError) else 1
+
+
 def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     """Run every member scenario; results merge in input order."""
     if not isinstance(cfg, _Validated):
@@ -579,10 +589,7 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
             report = run_scenario(member, member_dir, tolerance)
             results.append((report, 0 if report.all_pass else 1))
         except Exception as exc:  # a failed member keeps its reason
-            member_dir.mkdir(parents=True, exist_ok=True)
-            write_json({"type": type(exc).__name__, "message": str(exc)},
-                       member_dir / "error.json")
-            results.append((None, 2 if isinstance(exc, ConfigError) else 1))
+            results.append((None, _write_error(exc, member_dir)))
 
     columns = [range(len(members)), [member["kind"] for member in members]]
     columns += [[member.get(k) for member in members] for k in vary_keys]
@@ -631,12 +638,12 @@ def main(argv=None) -> int:
                   f"{time.perf_counter() - started:.2f}s wall time")
             return code
         report = run_scenario(cfg, args.out, args.tolerance)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # invariant violation during the run
-        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # the run failed after validation: keep its reason
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+        else:
+            print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _write_error(exc, args.out)
 
     for check in report.checks:
         status = "pass" if check["passed"] else "FAIL"

@@ -151,6 +151,25 @@ def test_trajectory_csv_matches_scalar_rendering(tmp_path, submap):
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("k_hat, genus, m", [(1, 0, 0.7), (0, 1, 0.4), (-1, 3, 0.2)])
+def test_long_trajectory_csv_matches_format(tmp_path, submap, k_hat, genus, m):
+    # a flow-long benchmark member's table: 4,097 rows, nine blocks of the writer
+    eps, r0 = 0.1, 4.0
+    p = perturbed_kottler_potential(k_hat, m, eps)
+    sub_map = submap(k_hat, m, eps=eps, r_start=r0, r_end=1e4)
+    traj = imcf_integrate(conformal_infinity(genus), p, r0, 2.0 * np.log(4e3 / r0),
+                          steps=4096)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, p, sub_map, path)
+    columns = (traj.t, traj.r, sub_map.rho(traj.r), traj.area, traj.mean_curvature,
+               traj.hawking_mass, traj.geroch_rate, traj.scalar_curvature)
+    lines = path.read_text().split("\n")
+    assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
+    assert len(lines) == 4099 and lines[-1] == ""
+    for line, row in zip(lines[1:], zip(*columns)):
+        assert line.split(",") == [format(float(v), ".17g") for v in row]
+
+
 def _dipping_table():
     # phi > 0 near r = 1, closed on [2, 3], open again beyond
     grid = np.linspace(1.0, 8.0, 141)

@@ -92,6 +92,7 @@ class TestMain:
         cfg = write_cfg(tmp_path, "bad.json", dict(KOTTLER_CFG, typo=1))
         assert main(["kottler", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # a rejected config writes nothing
 
     def test_kind_mismatch_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "k.json", KOTTLER_CFG)
@@ -201,6 +202,23 @@ def test_failed_sweep_member_keeps_its_reason(tmp_path, monkeypatch):
     assert rows[2] == "1,mass-aspect,20000,1,False"
 
 
+def test_failed_scenario_keeps_its_reason(tmp_path, monkeypatch, capsys):
+    # the single run fails as the second sweep member above does
+    from alhflow import asymptotics
+
+    def failing_build(p, r_start, r_end):
+        raise NumericalError("substitution deviation is not finite")
+
+    monkeypatch.setattr(asymptotics, "build_substitution", failing_build)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "aspect.json", ASPECT_CFG)
+    assert main(["mass-aspect", "--config", cfg, "--out", str(out)]) == 1
+    assert "run error: NumericalError" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text()) == {
+        "type": "NumericalError", "message": "substitution deviation is not finite"}
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
@@ -226,6 +244,15 @@ class TestBuildOnce:
             out = str(tmp_path / f"o{i}")
             assert main(["sweep", "--config", path, "--out", out]) == 0
             assert len(calls) == 2  # one perturbed potential per member
+
+    def test_mass_aspect_solves_profile_radii_once(self, tmp_path, monkeypatch):
+        from alhflow.asymptotics import SubstitutionMap
+        calls = []
+        r_of_rho = SubstitutionMap.r_of_rho
+        monkeypatch.setattr(SubstitutionMap, "r_of_rho",
+                            lambda sub_map, rho: calls.append(rho) or r_of_rho(sub_map, rho))
+        run_scenario(ASPECT_CFG, tmp_path / "o")
+        assert len(calls) == 1  # both profile fits read the same radii
 
     def test_sweep_members_match_single_runs(self, tmp_path):
         run_sweep(self.SWEEP, tmp_path / "sweep")

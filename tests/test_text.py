@@ -69,6 +69,38 @@ def test_explicit_cells_match_format(name):
     assert kernel_cells(values) == [format(v, ".17g") for v in values]
 
 
+#: Cells the kernel handles off its main path, by the fix-up they need
+RARE = {
+    "zero low groups": [1.0, 123.0, 1e16, -2.5e-3],
+    # doubles just below a power of ten that print as it: log10 gives the
+    # power, one too high, and at the exponent below the digits round up
+    "carry to 10^17": [1e-14, -1e98, 1e129],
+    "log10 off by one": [float(np.nextafter(v, 0.0)) for v in (1e16, -1e-5, 1e22, 1e-30)],
+    "ties and non-finite": [2.0 ** -25, 1234567890123456.25, -4503599627370495.5,
+                            float("nan"), float("inf"), -float("inf")],
+    "beyond 1e280": [1e281, -1.7976931348623157e308, 1e-300, 5e-324],
+    "zeros": [0.0, -0.0],
+}
+
+
+@pytest.mark.parametrize("kinds", [[kind] for kind in RARE] + [list(RARE)],
+                         ids=[*RARE, "all"])
+def test_rare_cells_in_every_block_match_reference(kinds):
+    """Every block of a multi-column table mixes in the rare cells, so a
+    fix-up skipped in a block that needs it shows."""
+    rows, width = 3 * BLOCK_ROWS + 1, 5
+    rng = np.random.default_rng(len(kinds))
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 12, rows)
+               for _ in range(width)]
+    values = [v for kind in kinds for v in RARE[kind]]
+    for start in range(0, rows, BLOCK_ROWS):
+        block = min(BLOCK_ROWS, rows - start)
+        for j, v in enumerate(values):
+            columns[j % width][start + 37 * j % block] = v
+    header = [f"c{k}" for k in range(width)]
+    assert b"".join(csv_text(header, columns)) == reference_csv(header, zip(*columns))
+
+
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_block_edges_match_reference(rows):
     rng = np.random.default_rng(rows)
