@@ -78,6 +78,10 @@ RARE = {
     "log10 off by one": [float(np.nextafter(v, 0.0)) for v in (1e16, -1e-5, 1e22, 1e-30)],
     "ties and non-finite": [2.0 ** -25, 1234567890123456.25, -4503599627370495.5,
                             float("nan"), float("inf"), -float("inf")],
+    # |v| 10^(16 - e10) within 3e-16 of n + 1/2 but off it, closer than the
+    # scaled product's error: rounded on the fast path, these come out wrong
+    "near ties": [float.fromhex(h) for h in ("0x1.a5ca9080b933ep-25", "-0x1.55d224bfed7adp-28",
+                                             "0x1.545bb680250a6p-28")],
     "beyond 1e280": [1e281, -1.7976931348623157e308, 1e-300, 5e-324],
     "zeros": [0.0, -0.0],
 }
