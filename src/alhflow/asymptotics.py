@@ -156,12 +156,12 @@ class SubstitutionMap:
             beyond = -p.tail(r_end) / (6.0 * r_end * math.sqrt(r_end * r_end + k))
 
         count = math.ceil(_PANELS_PER_OCTAVE * math.log2(r_end / r_start))
-        breaks = [*p.knots, _ARCCOSH_BELOW] if k == -1.0 else list(p.knots)
+        breaks = [*p.knots, ARCCOSH_BELOW] if k == -1.0 else list(p.knots)
         edges = np.union1d(r_end * np.exp2(-np.arange(count) / _PANELS_PER_OCTAVE),
                            [r_start, *breaks])
         edges = edges[(edges >= r_start) & (edges <= r_end)]
         # k_hat = -1 maps integrate u = arccosh(rho) on the panels below `inner`
-        inner = int(np.searchsorted(edges, _ARCCOSH_BELOW)) if k == -1.0 else 0
+        inner = int(np.searchsorted(edges, ARCCOSH_BELOW)) if k == -1.0 else 0
         below = edges[:inner + 1]
         edges, pieces = _pieces(g, g_rounding, edges[inner:])
         values = -(beyond + _to_last(pieces))  # D at the pieces' edges
@@ -171,7 +171,7 @@ class SubstitutionMap:
         if inner:
             inner_edges, pieces = _pieces(inner_f, inner_rounding, below)
             # u from r = 2 inward; the edge at 2 keeps D, the lower edge of an outer piece
-            u = math.acosh(_ARCCOSH_BELOW) + values[0] - _to_last(pieces)
+            u = math.acosh(ARCCOSH_BELOW) + values[0] - _to_last(pieces)
             if u[0] <= 0.0:
                 raise DomainError(f"rho reaches 1 above r_start = {r_start}: "
                                   "the map does not exist there")
@@ -349,7 +349,7 @@ _MAX_SUBPANELS = 8192
 #: Panels evaluated per batch, which bounds the temporaries.
 _BATCH = 1024
 #: Below this radius k_hat = -1 maps integrate u = arccosh(rho) directly.
-_ARCCOSH_BELOW = 2.0
+ARCCOSH_BELOW = 2.0
 #: Panels per octave of a map's partition: at 2.9% wide, a panel away from a
 #: horizon passes its first test, so it costs one bisection into two pieces.
 _PANELS_PER_OCTAVE = 24
@@ -481,8 +481,8 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
     closed = p.phi(probe) <= 0.0
     if closed.any():
         raise DomainError(f"phi({probe[closed][0]}) <= 0 inside the requested range")
-    if p.k_hat == -1 and r_end < _ARCCOSH_BELOW:
-        raise DomainError(f"k_hat = -1 maps need r_end >= {_ARCCOSH_BELOW}")
+    if p.k_hat == -1 and r_end < ARCCOSH_BELOW:
+        raise DomainError(f"k_hat = -1 maps need r_end >= {ARCCOSH_BELOW}")
     return SubstitutionMap(p, r_start, r_end)
 
 
@@ -524,9 +524,8 @@ def expansion_fit(samples) -> ExpansionFit:
     Dyadic spacing lets the two leading terms be eliminated exactly
     (4 y_j - y_{j+1} kills rho^2, differencing kills the constant), after
     which the 1/rho coefficient sequence is Richardson-accelerated over up
-    to three levels.
-    Non-dyadic input falls back to a least-squares solve with a condition
-    diagnostic.
+    to three levels.  The samples must double in rho from one to the next,
+    as dyadic_profile_samples gives them; other spacings raise DomainError.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
@@ -537,28 +536,17 @@ def expansion_fit(samples) -> ExpansionFit:
         raise DomainError("sample radii must be positive")
     if rho[-1] / rho[0] < 100.0 * (1.0 - 1e-9):
         raise DomainError("samples must span at least 2 decades")
-    ratios = rho[1:] / rho[:-1]
-    if np.max(np.abs(ratios - 2.0)) <= 1e-6:
-        u = (4.0 * y[:-1] - y[1:]) / 3.0
-        v = u[:-1] - u[1:]
-        a2_seq = (12.0 / 7.0) * rho[: v.size] * v
-        a2, a2_err = richardson(a2_seq)
-        a1_seq = u - (7.0 / 6.0) * a2 / rho[: u.size]
-        a1, _ = richardson(a1_seq)
-        a0 = (y[-1] - a1 - a2 / rho[-1]) / rho[-1] ** 2
-        return ExpansionFit(a0=float(a0), a1=float(a1), a2=float(a2),
-                            error_estimate=a2_err)
-    # general spacing: scaled least squares
-    basis = np.column_stack([rho ** 2, np.ones_like(rho), 1.0 / rho])
-    scale = np.max(np.abs(basis), axis=0)
-    cond = np.linalg.cond(basis / scale)
-    if cond > 1e6:
-        raise ExtractionError(f"ill-conditioned fit: condition number {cond:.3e}")
-    coef, res, *_ = np.linalg.lstsq(basis / scale, y, rcond=None)
-    coef = coef / scale
-    resid = float(np.sqrt(res[0] / rho.size)) if res.size else 0.0
-    return ExpansionFit(a0=float(coef[0]), a1=float(coef[1]), a2=float(coef[2]),
-                        error_estimate=resid * float(rho[0]))
+    if np.max(np.abs(rho[1:] / rho[:-1] - 2.0)) > 1e-6:
+        raise DomainError("sample radii must double from one to the next")
+    u = (4.0 * y[:-1] - y[1:]) / 3.0
+    v = u[:-1] - u[1:]
+    a2_seq = (12.0 / 7.0) * rho[: v.size] * v
+    a2, a2_err = richardson(a2_seq)
+    a1_seq = u - (7.0 / 6.0) * a2 / rho[: u.size]
+    a1, _ = richardson(a1_seq)
+    a0 = (y[-1] - a1 - a2 / rho[-1]) / rho[-1] ** 2
+    return ExpansionFit(a0=float(a0), a1=float(a1), a2=float(a2),
+                        error_estimate=a2_err)
 
 
 def conformal_area(inf: ConformalInfinity, p: RadialPotential,

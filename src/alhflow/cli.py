@@ -264,10 +264,13 @@ def _check_flow(cfg):
     if cfg["steps"] < 4:  # rate_matches_difference differences five states
         raise ConfigError("flow scenarios need steps >= 4")
     # the flow reaches r0 e^(t_max/2), and the trajectory's map beyond it
-    if _flow_map_end(cfg["r0"], cfg["r0"] * math.exp(0.5 * cfg["t_max"])) > _R_MAX:
+    map_end = _flow_map_end(cfg["r0"], cfg["r0"] * math.exp(0.5 * cfg["t_max"]))
+    if map_end > _R_MAX:
         raise ConfigError(f"the flow's map would end past r = {_R_MAX:g}")
+    _check_map_end(cfg, map_end)
     potential = _potential_from(cfg)
-    if potential.phi(cfg["r0"]) <= 0.0:
+    # phi is positive again below an inner root, which domain_start excludes
+    if cfg["r0"] < potential.domain_start or potential.phi(cfg["r0"]) <= 0.0:
         raise ConfigError("flow scenarios need phi(r0) > 0 "
                           "(strictly outside the horizon)")
     return {"potential": potential}
@@ -278,14 +281,21 @@ def _flow_map_end(r0, r_final):
     return max(r_final * 8.0, r0 * 1.01e3)
 
 
+def _check_map_end(cfg, r_end) -> None:
+    if cfg["k_hat"] == -1 and r_end < asymptotics.ARCCOSH_BELOW:
+        raise ConfigError(f"k_hat = -1 maps need r_end >= {asymptotics.ARCCOSH_BELOW:g}, "
+                          f"and this one would end at r = {r_end:g}")
+
+
 def _check_mass_aspect(cfg):
     _admissible_mass(cfg)
     if not cfg["r_start"] < cfg["r_end"]:
         raise ConfigError("need 0 < r_start < r_end")
     if cfg["r_end"] / cfg["r_start"] < 1e3:
         raise ConfigError("need r_end / r_start >= 1e3")
+    _check_map_end(cfg, cfg["r_end"])
     potential = _potential_from(cfg)
-    if potential.phi(cfg["r_start"]) <= 0.0:
+    if cfg["r_start"] < potential.domain_start or potential.phi(cfg["r_start"]) <= 0.0:
         raise ConfigError("r_start lies inside the horizon")
     return {"potential": potential}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "FlowTrajectory",
     "imcf_integrate",
     "geroch_rate",
-    "bracket_check",
     "penrose_rhs",
     "hawking_lower_bound",
     "holder_bound",
@@ -41,9 +40,6 @@ SIXTEEN_PI = 16.0 * math.pi
 
 #: Violations below this relative size are attributed to discretization.
 MONOTONE_TOL = 1e-8
-
-#: Sub/supersolution bracketing is only asserted beyond this start radius.
-BRACKET_MIN_RHO = 10.0
 
 TRAJECTORY_COLUMNS = ("t", "r", "rho", "area", "H", "hawking_mass",
                       "geroch_rate", "scalar_curvature")
@@ -75,7 +71,6 @@ class FlowTrajectory:
     hawking_mass: np.ndarray
     geroch_rate: np.ndarray
     scalar_curvature: np.ndarray
-    start_radius: float
     monotone: bool
     max_violation: float
 
@@ -137,7 +132,6 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         hawking_mass=masses,
         geroch_rate=geroch_rate(inf, p, radii),
         scalar_curvature=geometry.scalar_curvature(p, radii),
-        start_radius=float(r0),
         monotone=max_violation <= tol,
         max_violation=max_violation)
 
@@ -156,25 +150,6 @@ def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
         raise DomainError("infinity and potential disagree on curvature sign")
     p.require_inside(r)
     return -0.25 * inf.gamma * r * (p.tail(r) + r * p.dtail(r))
-
-
-def bracket_check(traj: FlowTrajectory, sub_map) -> bool:
-    """Check the flow against the sub/supersolution barriers.
-
-    In the compactification coordinate the flow started at rho_0 must stay
-    inside [(rho_0 - 1) e^(t/2) + 1, (rho_0 + 1) e^(t/2) - 1] for t > 0.
-    The barrier argument only applies for large starts; starts below
-    rho_0 = 10 are rejected as not applicable.
-    """
-    rho = sub_map.rho(traj.r)
-    rho0 = rho[0]
-    if rho0 < BRACKET_MIN_RHO:
-        raise DomainError(
-            f"bracket check not applicable: start rho {rho0:.3f} < {BRACKET_MIN_RHO}")
-    grow = np.exp(0.5 * traj.t[1:])
-    lower = (rho0 - 1.0) * grow + 1.0
-    upper = (rho0 + 1.0) * grow - 1.0
-    return bool(np.all((lower - 1e-12 <= rho[1:]) & (rho[1:] <= upper + 1e-12)))
 
 
 def penrose_rhs(genus: int, area: float) -> float:
@@ -201,25 +176,19 @@ def hawking_lower_bound(genus: int) -> tuple[float, float]:
     return -((g1 / 3.0) ** 1.5), 4.0 * math.pi * g1 / 3.0
 
 
-def holder_bound(mu_samples: Sequence[float], inf: ConformalInfinity,
-                 weights: Optional[Sequence[float]] = None) -> float:
+def holder_bound(mu_samples: Sequence[float], inf: ConformalInfinity) -> float:
     """Power-mean mass bound for a nonpositive mass aspect.
 
-    Returns -(mean |mu|^(2/3))^(3/2) * (|Sigma_hat|/4pi)^(3/2) where the
-    mean is weighted over the cross section.  Always <= sup(mu) * c^(3/2).
+    Returns -(mean |mu|^(2/3))^(3/2) * (|Sigma_hat|/4pi)^(3/2), the mean
+    taken over samples of equal weight on the cross section.  Always
+    <= sup(mu) * c^(3/2).
     """
     mu = np.asarray(mu_samples, dtype=float)
     if mu.size == 0:
         raise DomainError("need at least one sample")
     if np.any(mu > 0.0):
         raise DomainError("mass aspect samples must be nonpositive")
-    if weights is None:
-        w = np.full(mu.shape, 1.0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != mu.shape or np.any(w <= 0.0) or w.sum() <= 0.0:
-            raise DomainError("weights must be positive and match the samples")
-    mean = float(np.sum(w * np.abs(mu) ** (2.0 / 3.0)) / np.sum(w))
+    mean = float(np.mean(np.abs(mu) ** (2.0 / 3.0)))
     return -(mean ** 1.5) * (inf.area / (4.0 * math.pi)) ** 1.5
 
 

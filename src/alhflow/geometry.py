@@ -58,9 +58,9 @@ CRITICAL_MASS_HYPERBOLIC = -1.0 / (3.0 * math.sqrt(3.0))
 class ConformalInfinity:
     """Topology and normalization of the surface at infinity, fixed by the genus.
 
-    The curvature sign is +1, 0 or -1 for genus 0, 1 or >= 2; the
-    normalization is c = max(1, genus - 1), the area 4*pi*c and the Euler
-    characteristic 2 - 2*genus, so that 1 - genus - c*curvature_sign = 0.
+    The curvature sign is +1, 0 or -1 for genus 0, 1 or >= 2, and the
+    normalization is c = max(1, genus - 1) with area 4*pi*c, so that
+    Gauss-Bonnet, 1 - genus - c*curvature_sign = 0, holds.
     """
 
     genus: int
@@ -80,10 +80,6 @@ class ConformalInfinity:
     @property
     def area(self) -> float:
         return FOUR_PI * self.c
-
-    @property
-    def euler_char(self) -> int:
-        return 2 - 2 * self.genus
 
     @property
     def gamma(self) -> float:

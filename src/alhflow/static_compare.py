@@ -12,7 +12,6 @@ cubic of the reference radius).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +25,11 @@ __all__ = [
     "ReferencePotential",
     "ComparisonReport",
     "kappa_to_mass",
-    "mass_to_kappa",
     "omega_derivatives",
     "alpha_coefficient",
     "omega_ode_residual",
-    "potential_derivative_residual",
     "boundary_gauss_curvature",
     "compare_with_reference",
-    "mean_curvature_evolution_residual",
 ]
 
 #: Largest static residual (Laplace and Ricci) accepted as static data.
@@ -44,40 +40,24 @@ GRID_POINTS, R_FACTOR_MAX = 256, 30.0
 W_TOL, CURVATURE_TOL, MU_TOL = 1e-9, 1e-8, 1e-3
 
 
-def kappa_to_mass(k_hat: int, kappa: float):
+def kappa_to_mass(k_hat: int, kappa: float) -> float:
     """Mass of the Kottler space with the given surface gravity.
 
     kappa = (3 r^2 + k_hat) / (2 r) inverts monotonically for
-    k_hat in {-1, 0}.  For k_hat = +1 the relation is not injective
-    (minimum sqrt(3) at r = 1/sqrt(3)); both masses are returned, sorted,
-    with a warning.
+    k_hat in {-1, 0}.  For k_hat = +1 it does not (minimum sqrt(3) at
+    r = 1/sqrt(3)), so no single mass answers and DomainError is raised.
     """
     geometry._check_k(k_hat)
+    if k_hat == 1:
+        raise DomainError("surface gravity does not determine the mass "
+                          "for curvature sign +1")
     if kappa <= 0.0:
         raise DomainError("surface gravity must be positive")
-    if k_hat == 1:
-        disc = kappa * kappa - 3.0
-        if disc < 0.0:
-            raise DomainError(
-                "no spherical horizon for surface gravity below sqrt(3)")
-        warnings.warn("surface gravity does not determine the mass for "
-                      "curvature sign +1; returning both branches")
-        roots = sorted(((kappa - math.sqrt(disc)) / 3.0,
-                        (kappa + math.sqrt(disc)) / 3.0))
-        return tuple(0.5 * (r ** 3 + r) for r in roots)
     if k_hat == 0:
         r = 2.0 * kappa / 3.0
     else:
         r = (kappa + math.sqrt(kappa * kappa + 3.0)) / 3.0
     return 0.5 * (r ** 3 + k_hat * r)
-
-
-def mass_to_kappa(k_hat: int, m: float) -> float:
-    """Surface gravity of the Kottler space with the given mass."""
-    space = kottler_build(k_hat, m)
-    if space.horizon_radius <= 0.0:
-        raise DomainError("no horizon: surface gravity undefined")
-    return space.surface_gravity
 
 
 class ReferencePotential:
@@ -162,16 +142,6 @@ def omega_ode_residual(ref: ReferencePotential, v: float) -> float:
     lhs = d2 * omega + 3.0 * d1 * v
     rhs = 0.75 * d1 * d1 - 3.0 * v * d1 + 9.0 * v * v + omega * d1 / v
     return abs(lhs - rhs)
-
-
-def potential_derivative_residual(ref: ReferencePotential, r: float) -> float:
-    """Defect of dV/dr = sqrt(omega(V))/V along the reference profile."""
-    if r <= ref.horizon_radius:
-        raise DomainError("r must lie outside the horizon")
-    phi = r * r + ref.k_hat - 2.0 * ref.m0 / r
-    v = math.sqrt(phi)
-    dv_dr = (r + ref.m0 / (r * r)) / v
-    return abs(dv_dr - math.sqrt(ref.omega(v)) / v)
 
 
 def boundary_gauss_curvature(ref: ReferencePotential) -> float:
@@ -292,44 +262,3 @@ def compare_with_reference(p: RadialPotential, genus: int,
         verdicts=verdicts,
     )
 
-
-def mean_curvature_evolution_residual(p: RadialPotential, r: float) -> float:
-    """Defect of dH/dt = H nu(V) - |A|^2 V for the flow with normal speed V.
-
-    The inner product reads the mean curvature vector as -H nu with nu
-    outward.  The left side is differenced along the flow (dr/dt = phi);
-    the right side is assembled pointwise, so the residual measures the
-    discretization only and vanishes to high order on static profiles.
-    p must be static to STATIC_TOL at r.
-    """
-    p.require_inside(r)
-    phi = p.phi(r)
-    if phi < -1e-12 * max(1.0, r * r):
-        raise DomainError("r lies inside the horizon")
-    if phi <= 0.0:
-        return 0.0  # horizon: both sides vanish with phi
-    res = geometry.static_residual(p, r)
-    if max(res.laplace_residual, res.ricci_residual) > STATIC_TOL:
-        raise DomainError("input is not static to tolerance")
-
-    def h_of(radius):
-        return geometry.mean_curvature_sphere(p, radius)
-
-    h = r * 1e-4
-    if p.domain_start > 0.0:
-        h = min(h, 0.4 * (r - p.domain_start))
-    if h <= 0.0:
-        raise NumericalError("no room to difference the flow at this radius")
-    estimates = []
-    for k in range(2):
-        step = h / 2.0 ** k
-        estimates.append((h_of(r + step) - h_of(r - step)) / (2.0 * step))
-    dh_dr, _ = asymptotics.richardson(estimates, first_order=2, levels=1)
-    lhs = phi * dh_dr  # dH/dt along dr/dt = V sqrt(phi) = phi
-
-    sqrt_phi = math.sqrt(phi)
-    nu_v = 0.5 * p.dphi(r)          # nu(V) = sqrt(phi) V'(r)
-    h_val = 2.0 * sqrt_phi / r
-    a_sq = 0.5 * h_val * h_val      # umbilic: |A|^2 = H^2/2
-    rhs = h_val * nu_v - a_sq * sqrt_phi
-    return abs(lhs - rhs)

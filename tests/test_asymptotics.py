@@ -159,18 +159,12 @@ class TestExpansionFit:
         assert fit.a2 == pytest.approx(1.25, abs=2e-6)
         assert fit.error_estimate <= 1e-5
 
-    def test_non_dyadic_falls_back_to_least_squares(self):
-        rho = np.geomspace(3.0, 450.0, 9)
+    @pytest.mark.parametrize("rho", [np.geomspace(3.0, 450.0, 9),
+                                     np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 150.0])],
+                             ids=["geometric", "clustered"])
+    def test_non_dyadic_rejected(self, rho):
         y = 0.5 * rho ** 2 + 2.0 - 3.0 / rho
-        fit = expansion_fit(np.column_stack([rho, y]))
-        assert fit.a0 == pytest.approx(0.5, rel=1e-10)
-        assert fit.a1 == pytest.approx(2.0, rel=1e-8)
-        assert fit.a2 == pytest.approx(-3.0, rel=1e-6)
-
-    def test_ill_conditioned_reported(self):
-        rho = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 150.0])
-        y = rho ** 2
-        with pytest.raises(ExtractionError, match="condition"):
+        with pytest.raises(DomainError, match="double"):
             expansion_fit(np.column_stack([rho, y]))
 
     def test_input_validation(self):

@@ -334,6 +334,11 @@ _NO_ARTIFACT = {
 }
 
 
+#: phi = r^2 - 1 + 1/r^2 has no zero; the flow's map ends at 1.01e3 r0 = 1.01
+FLOW_SHORT_MAP_CFG = dict(FLOW_CFG, m=0.0, eps=1.0, r0=0.001, t_max=1.0, steps=64)
+ASPECT_SHORT_MAP_CFG = dict(ASPECT_CFG, m=0.0, eps=1.0, r_start=1e-4, r_end=0.5)
+
+
 def _accepted_keys(kind):
     """The keys a config of this kind may set, besides kind."""
     try:
@@ -413,6 +418,12 @@ class TestRegistry:
         dict(ASPECT_CFG, r_start=1e51, r_end=1e55),
         # the profile samples reach down to rho = 32
         dict(ASPECT_CFG, r_start=33.0, r_end=3.3e4),
+        # starts below the inner root 0.2296 of m = -0.1, where phi > 0 again
+        dict(FLOW_CFG, r0=0.1, t_max=1.0, steps=64),
+        dict(ASPECT_CFG, m=-0.1, r_start=0.1, r_end=200.0),
+        # k_hat = -1 maps that would end below r = 2
+        FLOW_SHORT_MAP_CFG,
+        ASPECT_SHORT_MAP_CFG,
     ])
     def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)
@@ -538,6 +549,10 @@ class TestRegistry:
         (dict(STATIC_CFG, genus=1), "static-compare requires integer genus >= 2"),
         (dict(STATIC_CFG, m=-1.0 / (3.0 * math.sqrt(3.0))),
          "critical data has no surface-gravity reference"),
+        (FLOW_SHORT_MAP_CFG,
+         "k_hat = -1 maps need r_end >= 2, and this one would end at r = 1.01"),
+        (ASPECT_SHORT_MAP_CFG,
+         "k_hat = -1 maps need r_end >= 2, and this one would end at r = 0.5"),
     ])
     def test_messages_kept(self, cfg, message):
         with pytest.raises(ConfigError) as info:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (DomainError, FlowError, HypothesesNotMet, bracket_check,
-                     conformal_infinity, geroch_rate, hawking_lower_bound,
+from alhflow import (DomainError, FlowError, HypothesesNotMet, conformal_infinity, geroch_rate, hawking_lower_bound,
                      hawking_mass_from_integrals, holder_bound, imcf_integrate,
                      jump_bound_check, kottler_build, kottler_potential,
                      penrose_rhs, perturbed_kottler_potential,
@@ -165,35 +164,6 @@ class TestMonotonicity:
         assert mass[-1] < mass[0]
 
 
-class TestBracket:
-    def test_kottler_inside_barriers(self, submap):
-        inf = conformal_infinity(2)
-        p = kottler_potential(-1, 0.5)
-        sub_map = submap(-1, 0.5)
-        traj = imcf_integrate(inf, p, 20.0, 4.0, steps=256)
-        assert bracket_check(traj, sub_map) is True
-
-    def test_start_at_time_zero_trivial(self, submap):
-        inf = conformal_infinity(2)
-        p = kottler_potential(-1, 0.5)
-        traj = imcf_integrate(inf, p, 15.0, 1e-6, steps=1)
-        assert bracket_check(traj, submap(-1, 0.5)) is True
-
-    def test_hyperbolic_space(self, submap):
-        inf = conformal_infinity(0)
-        p = kottler_potential(1, 0.0)
-        sub_map = submap(1, 0.0, r_start=5.0, r_end=5e4)
-        traj = imcf_integrate(inf, p, 10.0, 3.0, steps=128)
-        assert bracket_check(traj, sub_map) is True
-
-    def test_small_start_not_applicable(self, submap):
-        inf = conformal_infinity(2)
-        p = kottler_potential(-1, 0.5)
-        traj = imcf_integrate(inf, p, 3.0, 1.0, steps=32)
-        with pytest.raises(DomainError, match="not applicable"):
-            bracket_check(traj, submap(-1, 0.5))
-
-
 class TestPenroseRhs:
     def test_values(self):
         assert penrose_rhs(2, FOUR_PI) == pytest.approx(0.0, abs=1e-14)
@@ -269,14 +239,6 @@ class TestHolderBound:
         inf = conformal_infinity(genus)
         got = holder_bound(samples, inf)
         assert got <= max(samples) * inf.c ** 1.5 + 1e-12
-
-    def test_weights(self):
-        inf = conformal_infinity(2)
-        got = holder_bound([-0.1, -0.3], inf, weights=[3.0, 1.0])
-        expect = -(((3 * 0.1 ** (2 / 3) + 0.3 ** (2 / 3)) / 4) ** 1.5)
-        assert got == pytest.approx(expect, rel=1e-12)
-        with pytest.raises(DomainError):
-            holder_bound([-0.1, -0.3], inf, weights=[1.0])
 
 
 def _admissible_jump_tuple(rng, genus):

@@ -41,7 +41,6 @@ class TestConformalInfinity:
         assert inf.curvature_sign == k
         assert inf.area == pytest.approx(area, rel=1e-14)
         assert inf.c == c
-        assert inf.euler_char == 2 - 2 * genus
         assert inf.gamma == pytest.approx(c ** 1.5, rel=1e-15)
 
     def test_negative_genus_rejected(self):

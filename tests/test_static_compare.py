@@ -6,10 +6,8 @@ import pytest
 from alhflow import (DomainError, HypothesesNotMet, ReferencePotential,
                      alpha_coefficient, boundary_gauss_curvature,
                      compare_with_reference, kappa_to_mass, kottler_build,
-                     kottler_potential, mass_to_kappa,
-                     mean_curvature_evolution_residual, omega_derivatives,
-                     omega_ode_residual, perturbed_kottler_potential,
-                     potential_derivative_residual, richardson, static_compare)
+                     kottler_potential, omega_derivatives, omega_ode_residual,
+                     perturbed_kottler_potential, richardson, static_compare)
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -35,15 +33,11 @@ class TestBijection:
         assert kappa_to_mass(-1, 1e-9) == pytest.approx(M_CRIT, abs=1e-9)
 
     def test_spherical_two_branches(self):
-        with pytest.warns(UserWarning, match="both branches"):
-            masses = kappa_to_mass(1, 2.0)
-        assert masses[0] == pytest.approx(5.0 / 27.0, rel=1e-12)
-        assert masses[1] == pytest.approx(1.0, rel=1e-12)
-        # both satisfy kappa = r_m + m / r_m^2
-        for m in masses:
-            s = kottler_build(1, m)
-            r = s.horizon_radius
-            assert r + m / r ** 2 == pytest.approx(2.0, rel=1e-12)
+        # kappa = 2 belongs to the masses 5/27 and 1, so neither is the answer
+        for m in (5.0 / 27.0, 1.0):
+            assert kottler_build(1, m).surface_gravity == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(DomainError, match="does not determine the mass"):
+            kappa_to_mass(1, 2.0)
 
     def test_spherical_below_minimum_rejected(self):
         with pytest.raises(DomainError):
@@ -57,14 +51,15 @@ class TestBijection:
     def test_round_trip_identity(self, k_hat):
         for kappa in np.linspace(0.05, 3.0, 17):
             m = kappa_to_mass(k_hat, kappa)
-            assert mass_to_kappa(k_hat, m) == pytest.approx(kappa, abs=1e-12)
+            assert kottler_build(k_hat, m).surface_gravity == pytest.approx(
+                kappa, abs=1e-12)
 
     def test_kappa_increasing_in_horizon_radius(self):
         for k_hat in (-1, 0):
             kappas = []
             for m in np.linspace(critical := M_CRIT if k_hat == -1 else 0.0,
                                  2.0, 40)[1:]:
-                kappas.append(mass_to_kappa(k_hat, m))
+                kappas.append(kottler_build(k_hat, m).surface_gravity)
             assert np.all(np.diff(kappas) > 0)
 
 
@@ -159,33 +154,6 @@ class TestOmegaOde:
         ref = ReferencePotential(k_hat, m0)
         for v in (0.5, 1.0, 2.0):
             assert omega_ode_residual(ref, v) <= 1e-8
-
-
-class TestPotentialDerivative:
-    def test_massless_closed_form(self):
-        ref = ReferencePotential(-1, 0.0)
-        # both sides equal 2/sqrt(3) at r = 2
-        assert potential_derivative_residual(ref, 2.0) <= 1e-12
-        v = math.sqrt(3.0)
-        assert (2.0 / math.sqrt(3.0)) == pytest.approx(
-            math.sqrt(ref.omega(v)) / v, rel=1e-12)
-
-    def test_positive_mass(self):
-        ref = ReferencePotential(-1, 0.5)
-        assert potential_derivative_residual(ref, 3.0) <= 1e-10
-
-    def test_asymptotic_limit(self):
-        ref = ReferencePotential(-1, 0.2)
-        r = 1e5
-        phi = r * r - 1.0 - 0.4 / r
-        v = math.sqrt(phi)
-        assert (r + 0.2 / r ** 2) / v == pytest.approx(1.0, abs=1e-9)
-        assert potential_derivative_residual(ref, r) <= 1e-10
-
-    def test_inside_horizon_rejected(self):
-        ref = ReferencePotential(-1, 0.5)
-        with pytest.raises(DomainError):
-            potential_derivative_residual(ref, 0.5 * ref.horizon_radius)
 
 
 class TestBoundaryCurvature:
@@ -284,25 +252,3 @@ class TestCompare:
             "mass_aspect_le_reference", "area_radius_ge_reference",
             "cubic_root"}
 
-
-class TestHEvolution:
-    def test_massless_value_structure(self):
-        p = kottler_potential(-1, 0.0)
-        r = 2.0
-        phi, dphi = p.phi(r), p.dphi(r)
-        rhs = math.sqrt(phi) * dphi / r - 2.0 * phi ** 1.5 / r ** 2
-        assert rhs == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
-        assert mean_curvature_evolution_residual(p, r) <= 1e-8
-
-    def test_horizon_trivial(self):
-        p = kottler_potential(-1, 0.0)
-        assert mean_curvature_evolution_residual(p, 1.0) == 0.0
-
-    def test_positive_mass(self):
-        p = kottler_potential(-1, 0.3)
-        assert mean_curvature_evolution_residual(p, 3.0) <= 1e-8
-
-    def test_non_static_rejected(self):
-        p = perturbed_kottler_potential(-1, 0.3, 0.1)
-        with pytest.raises(DomainError):
-            mean_curvature_evolution_residual(p, 3.0)
