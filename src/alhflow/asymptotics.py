@@ -96,13 +96,13 @@ class SubstitutionMap:
 
     The map keeps D(r) = -int_r^inf g (see build_substitution) at the edges
     of an adaptive partition of [r_start, r_end]: _PANELS_PER_OCTAVE panels
-    per octave, counted down from r_end and broken at the potential's knots,
-    each bisected until the quadrature accepts its pieces.  At any radius r,
-    D(r) = D(top) - int_r^top g, where top is the upper edge of the piece
-    holding r and the partial integral is one Gauss rule on part of an
-    accepted piece.  So a value depends on r alone: an array call returns
-    the scalar calls' values bit for bit.  For k_hat = -1 the pieces below
-    r = 2 keep u = arccosh(rho) instead, through du/dr = 1/sqrt(phi).
+    per octave, counted down from r_end, each bisected until the quadrature
+    accepts its pieces.  At any radius r, D(r) = D(top) - int_r^top g,
+    where top is the upper edge of the piece holding r and the partial
+    integral is one Gauss rule on part of an accepted piece.  So a value
+    depends on r alone: an array call returns the scalar calls' values bit
+    for bit.  For k_hat = -1 the pieces below r = 2 keep u = arccosh(rho)
+    instead, through du/dr = 1/sqrt(phi).
 
     c = r^2 (r - rho), rho, s = 1/rho, the mass aspect and the area factor
     follow from D without cancellation; the slope is the defining equation's
@@ -132,9 +132,10 @@ class SubstitutionMap:
             return 1.0 / np.sqrt(open_phi(s, p.phi(s)))
 
         # Bounds on the rounding of the integrands.  phi and the tail are taken
-        # to carry that of s^2 + |k_hat| + phi, as when the tail is formed as
-        # phi - s^2 - k_hat (tabulated potentials); sqrt(phi) turns it into a
-        # relative error of half that over phi.
+        # to carry that of s^2 + |k_hat| + phi, as if the tail were formed as
+        # phi - s^2 - k_hat: conservative for the closed-form tails, but it
+        # decides which panels bisect, so it stays.  sqrt(phi) turns it into
+        # a relative error of half that over phi.
         def g_rounding(s):
             phi = p.phi(s)
             err = _ULP * (s * s + abs(k) + phi)
@@ -147,19 +148,17 @@ class SubstitutionMap:
             return 0.5 * _ULP * (s * s + abs(k) + phi) / (phi * np.sqrt(phi))
 
         self._g, self._inner_f = g, inner_f
-        # int of g beyond r_end: exact, or from the leading-order match
-        if math.isinf(p.domain_end):
-            def in_t(f):  # s = r_end / t maps (0, 1] onto [r_end, inf)
-                return lambda t: f(r_end / t) * (r_end / (t * t))
-            beyond = _panel_integrals(in_t(g), in_t(g_rounding), np.zeros(1), np.ones(1))[0]
-        else:
-            beyond = -p.tail(r_end) / (6.0 * r_end * math.sqrt(r_end * r_end + k))
+        def in_t(f):  # s = r_end / t maps (0, 1] onto [r_end, inf)
+            return lambda t: f(r_end / t) * (r_end / (t * t))
+        beyond = _panel_integrals(in_t(g), in_t(g_rounding), np.zeros(1), np.ones(1))[0]
 
         count = math.ceil(_PANELS_PER_OCTAVE * math.log2(r_end / r_start))
-        breaks = [*p.knots, ARCCOSH_BELOW] if k == -1.0 else list(p.knots)
-        edges = np.union1d(r_end * np.exp2(-np.arange(count) / _PANELS_PER_OCTAVE),
-                           [r_start, *breaks])
-        edges = edges[(edges >= r_start) & (edges <= r_end)]
+        breaks = [r_start, ARCCOSH_BELOW] if k == -1.0 else [r_start]
+        edges = np.sort(np.concatenate(
+            (r_end * np.exp2(-np.arange(count) / _PANELS_PER_OCTAVE), breaks)))
+        # drop repeats by hand: np.unique imports numpy.ma on first use
+        fresh = np.append(True, edges[1:] != edges[:-1])
+        edges = edges[fresh & (edges >= r_start) & (edges <= r_end)]
         # k_hat = -1 maps integrate u = arccosh(rho) on the panels below `inner`
         inner = int(np.searchsorted(edges, ARCCOSH_BELOW)) if k == -1.0 else 0
         below = edges[:inner + 1]
@@ -461,12 +460,11 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
 
     where R = sqrt(s^2 + k_hat); g is 1/sqrt(phi) - 1/R written without
     cancellation.  The integral over [r_end, inf) is taken exactly through
-    s = r_end / t; a potential ending at a finite domain_end starts instead
-    from the leading-order match rho = r + tail(r)/(6 r) at r_end.  For
-    k_hat = -1 the reference is singular at s = 1, so below r = 2 the map
-    integrates u = arccosh(rho) through du/dr = 1/sqrt(phi), and r_end must
-    be at least 2.  u <= 0 means rho reaches 1, and rho <= 0 (k_hat = 1)
-    that rho reaches 0: the map does not exist there (DomainError).
+    s = r_end / t.  For k_hat = -1 the reference is singular at s = 1, so
+    below r = 2 the map integrates u = arccosh(rho) through
+    du/dr = 1/sqrt(phi), and r_end must be at least 2.  u <= 0 means rho
+    reaches 1, and rho <= 0 (k_hat = 1) that rho reaches 0: the map does
+    not exist there (DomainError).
 
     The quadrature is adaptive and exact at every radius (see
     SubstitutionMap).
@@ -475,8 +473,6 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
         raise DomainError("need 0 < r_start < r_end")
     if r_end / r_start < 1e3 * (1.0 - 1e-12):
         raise DomainError("need r_end / r_start >= 1e3 for reliable asymptotics")
-    if r_end > p.domain_end:
-        raise DomainError("r_end beyond the potential's domain")
     probe = np.geomspace(r_start, r_end, 65)
     closed = p.phi(probe) <= 0.0
     if closed.any():

@@ -269,10 +269,13 @@ def _check_flow(cfg):
         raise ConfigError(f"the flow's map would end past r = {_R_MAX:g}")
     _check_map_end(cfg, map_end)
     potential = _potential_from(cfg)
-    # phi is positive again below an inner root, which domain_start excludes
-    if cfg["r0"] < potential.domain_start or potential.phi(cfg["r0"]) <= 0.0:
+    if potential.phi(cfg["r0"]) <= 0.0:
         raise ConfigError("flow scenarios need phi(r0) > 0 "
                           "(strictly outside the horizon)")
+    # phi is positive again below an inner root, which domain_start excludes
+    if cfg["r0"] < potential.domain_start:
+        raise ConfigError(f"flow scenarios need r0 >= domain_start = "
+                          f"{potential.domain_start!r} (the horizon radius)")
     return {"potential": potential}
 
 

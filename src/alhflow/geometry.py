@@ -29,7 +29,6 @@ __all__ = [
     "conformal_infinity",
     "kottler_potential",
     "perturbed_kottler_potential",
-    "tabulated_potential",
     "largest_zero",
     "kottler_build",
     "critical_mass",
@@ -96,12 +95,10 @@ def conformal_infinity(genus: int) -> ConformalInfinity:
 class RadialPotential:
     """Radial profile phi(r) = V(r)^2 of a warped-product metric.
 
-    `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its derivative.
-    Analytic families supply both in closed form so that large-radius
-    asymptotics are free of catastrophic cancellation; tabulated profiles
-    fall back to plain subtraction.  Every evaluator takes a float or an
-    array of radii.  `knots` lists the radii where phi is only piecewise
-    smooth (a table's samples), so that quadratures can break there.
+    `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its derivative, both
+    in closed form, so that large-radius asymptotics are free of
+    catastrophic cancellation.  Every evaluator takes a float or an array
+    of radii.  The domain is [domain_start, inf).
     """
 
     k_hat: int
@@ -112,12 +109,10 @@ class RadialPotential:
     d2phi: Callable
     tail: Callable
     dtail: Callable
-    domain_end: float = math.inf
     params: dict = field(default_factory=dict)
-    knots: tuple = field(default=(), repr=False)
 
     def require_inside(self, r) -> None:
-        """Accept radii in [domain_start, domain_end] with r > 0.
+        """Accept radii r >= domain_start with r > 0.
 
         r is a float or an array; an array passes only if every entry does,
         and the error names its first offending entry.  The lower endpoint
@@ -125,15 +120,15 @@ class RadialPotential:
         needing phi > 0 there check that separately.
         """
         if isinstance(r, float) or not isinstance(r, np.ndarray):
-            if r > 0.0 and self.domain_start <= r <= self.domain_end:
+            if r > 0.0 and self.domain_start <= r:
                 return
         else:
-            outside = ~((r > 0.0) & (r >= self.domain_start) & (r <= self.domain_end))
+            outside = ~((r > 0.0) & (r >= self.domain_start))
             if not outside.any():
                 return
             r = r[outside][0]
         raise DomainError(
-            f"r = {r} outside domain [{self.domain_start}, {self.domain_end}]")
+            f"r = {r} outside domain [{self.domain_start}, inf]")
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,6 @@ class KottlerSpace:
     """
 
     k_hat: int
-    mass: float
     horizon_radius: float
     surface_gravity: float
     potential: RadialPotential
@@ -285,46 +279,6 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
         params=p.params)
 
 
-def tabulated_potential(k_hat: int, r_samples, phi_samples) -> RadialPotential:
-    """Monotone cubic interpolation of sampled phi values.
-
-    Derivatives come from the interpolant; the tail and its derivative fall
-    back to plain subtraction, so asymptotic extraction from tabulated data
-    degrades at very large radii.
-    """
-    _check_k(k_hat)
-    r_arr = np.asarray(r_samples, dtype=float)
-    phi_arr = np.asarray(phi_samples, dtype=float)
-    if r_arr.ndim != 1 or r_arr.size < 4:
-        raise DomainError("need at least 4 samples on a 1-d radius grid")
-    if np.any(np.diff(r_arr) <= 0):
-        raise DomainError("radius samples must be strictly increasing")
-    # the one use of scipy, imported here so that importing the package needs none
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(r_arr, phi_arr, extrapolate=False)
-    d1 = interp.derivative(1)
-    d2 = interp.derivative(2)
-    k = float(k_hat)
-
-    def as_float(f):
-        def call(r):
-            out = f(r)
-            if np.any(np.isnan(out)):
-                raise DomainError("evaluation outside tabulated range")
-            return float(out) if np.isscalar(r) else out
-        return call
-
-    phi_eval, dphi_eval = as_float(interp), as_float(d1)
-    return RadialPotential(
-        k_hat=k_hat, kind="tabulated",
-        domain_start=float(r_arr[0]), domain_end=float(r_arr[-1]),
-        phi=phi_eval, dphi=dphi_eval, d2phi=as_float(d2),
-        tail=lambda r: phi_eval(r) - r * r - k,
-        dtail=lambda r: dphi_eval(r) - 2.0 * r,
-        knots=tuple(r_arr),
-    )
-
-
 def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     """Kottler space of the given mass, with horizon radius and surface gravity.
 
@@ -344,27 +298,25 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
         r_m, is_double = found
         kappa = 0.0 if is_double else (3.0 * r_m * r_m + k_hat) / (2.0 * r_m)
     return KottlerSpace(
-        k_hat=k_hat, mass=float(m), horizon_radius=r_m,
+        k_hat=k_hat, horizon_radius=r_m,
         surface_gravity=kappa, potential=_kottler_potential(k_hat, m, r_m))
 
 
 def horizon_radius(p: RadialPotential) -> Optional[float]:
     """Largest zero of phi for a generic potential, by bracketed scan, or None.
 
-    The scan runs from r_hi = 10 (1 + |tail(1)| + |k_hat|) down to 1e-8 (a
-    table's first radius) at about 205 points a decade.  Without a sign
-    change on it, phi is minimized between the neighbours of its smallest
-    scan value by bisection on phi'.  A minimum below zero brackets the
-    root.  A minimum within the rounding of phi of zero is returned as a
-    double root; one otherwise within 1e-12 max(1, r^2) of zero raises
-    NumericalError, since phi may touch zero there or miss it.
+    The scan runs from r_hi = 10 (1 + |tail(1)| + |k_hat|) down to 1e-8 at
+    about 205 points a decade.  Without a sign change on it, phi is
+    minimized between the neighbours of its smallest scan value by
+    bisection on phi'.  A minimum below zero brackets the root.  A minimum
+    within the rounding of phi of zero is returned as a double root; one
+    otherwise within 1e-12 max(1, r^2) of zero raises NumericalError, since
+    phi may touch zero there or miss it.
     """
     if p.kind == "kottler":
         return largest_zero(p.k_hat, p.params["m"])
-    r_hi = min(p.domain_end, 10.0 * (1.0 + abs(p.tail(1.0)) + abs(p.k_hat)))
-    if p.kind == "tabulated":
-        r_hi = p.domain_end
-    r_lo = max(p.domain_start, 1e-8) if p.kind == "tabulated" else 1e-8
+    r_hi = 10.0 * (1.0 + abs(p.tail(1.0)) + abs(p.k_hat))
+    r_lo = 1e-8
     # 2048 points over ten decades, and as densely over a wider span
     count = max(2048, math.ceil(204.7 * (math.log10(r_hi) - math.log10(r_lo))) + 1)
     grid = np.geomspace(r_hi, r_lo, count)

@@ -5,6 +5,8 @@ calls, and must raise the DomainError a scalar call raises at the offending
 radius.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,22 +16,21 @@ from alhflow import (DomainError, FlowError, build_substitution,
                      kottler_potential, mean_curvature_sphere,
                      perturbed_kottler_potential, potential_gradient_squared,
                      ricci_components, scalar_curvature, static_residual,
-                     tabulated_potential, write_trajectory_csv)
+                     write_trajectory_csv)
 from alhflow.flow import TRAJECTORY_COLUMNS
 
 
-def _tabulated_through_horizon():
-    # samples reach inside the horizon, so radii in the domain can sit at
-    # the horizon clamp or beyond it
-    src = kottler_potential(-1, 0.3)
-    grid = np.geomspace(0.8 * src.domain_start, 60.0, 300)
-    return tabulated_potential(-1, grid, src.phi(grid))
+def _through_horizon():
+    # the domain reaches inside the horizon, so radii in it can sit at the
+    # horizon clamp or beyond it
+    p = kottler_potential(-1, 0.3)
+    return dataclasses.replace(p, domain_start=0.8 * p.domain_start)
 
 
 FAMILIES = {
     "kottler": (2, lambda: kottler_potential(-1, 0.3)),
     "perturbed": (1, lambda: perturbed_kottler_potential(0, 0.4, 0.09)),
-    "tabulated": (2, _tabulated_through_horizon),
+    "through-horizon": (2, _through_horizon),
 }
 
 
@@ -45,9 +46,9 @@ def _clamp_radius(p):
 
 
 def _radii(p):
-    r_h = p.domain_start if p.kind != "tabulated" else horizon_radius(p)
+    r_h = horizon_radius(p)
     radii = [r_h, r_h * (1 + 1e-9), 1.3 * r_h, 2.0, 7.5, 41.0]
-    if p.kind == "tabulated":
+    if p.domain_start < r_h:
         radii.append(_clamp_radius(p))
     return np.array(sorted(radii))
 
@@ -84,7 +85,7 @@ def test_array_equals_scalar_bitwise(family):
 
 
 def test_mean_curvature_clamped_at_horizon():
-    p = _tabulated_through_horizon()
+    p = _through_horizon()
     r = _clamp_radius(p)
     assert mean_curvature_sphere(p, r) == 0.0
     assert mean_curvature_sphere(p, np.array([r, 2.0]))[0] == 0.0
@@ -97,11 +98,10 @@ def _bad_radii(p):
                 "geroch_rate", "ricci_radial", "ricci_tangential",
                 "static_residual")
     bad = [(-1.0, allpoint), (0.0, allpoint)]
-    if p.kind == "tabulated":
-        bad.append((2.0 * p.domain_end, allpoint))
-        inside = 0.9 * horizon_radius(p)
-        bad.append((inside, ("mean_curvature_sphere", "hawking_mass_sphere",
-                             "static_residual")))
+    r_h = horizon_radius(p)
+    if p.domain_start < r_h:
+        bad.append((0.9 * r_h, ("mean_curvature_sphere", "hawking_mass_sphere",
+                                "static_residual")))
         bad.append((_clamp_radius(p), ("static_residual",)))
     else:
         bad.append((0.5 * p.domain_start, allpoint))
@@ -170,19 +170,14 @@ def test_long_trajectory_csv_matches_format(tmp_path, submap, k_hat, genus, m):
         assert line.split(",") == [format(float(v), ".17g") for v in row]
 
 
-def _dipping_table():
-    # phi > 0 near r = 1, closed on [2, 3], open again beyond
-    grid = np.linspace(1.0, 8.0, 141)
-    return tabulated_potential(0, grid, (grid - 2.0) * (grid - 3.0))
-
-
 def test_flow_look_ahead_names_first_closed_radius():
-    p = _dipping_table()
-    r0, t_max = 1.0, 2.0 * np.log(6.0)
+    # phi(0.1) = 1.01 > 0 below the inner root; phi <= 0 again up to the horizon
+    p = kottler_potential(-1, -0.1)
+    r0, t_max = 0.1, 2.0 * np.log(6.0)
     ahead = np.geomspace(r0 * (1.0 + 1e-9), r0 * np.exp(0.5 * t_max), 257)
     first = next(r for r in ahead if p.phi(r) <= 0.0)
     with pytest.raises(FlowError, match=f"horizon encountered at r = {first} "):
-        imcf_integrate(conformal_infinity(1), p, r0, t_max)
+        imcf_integrate(conformal_infinity(2), p, r0, t_max)
 
 
 def test_substitution_probe_names_first_closed_radius():

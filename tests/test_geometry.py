@@ -9,7 +9,7 @@ from alhflow import (ConformalInfinity, DomainError, conformal_infinity,
                      horizon_radius, kottler_build, kottler_potential,
                      largest_zero, mean_curvature_sphere,
                      perturbed_kottler_potential, ricci_components,
-                     scalar_curvature, static_residual, tabulated_potential)
+                     scalar_curvature, static_residual)
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -338,39 +338,6 @@ def test_critical_data_values():
     assert critical_mass(-1) == pytest.approx(M_CRIT, rel=1e-15)
     assert critical_mass(0) == 0.0
     assert critical_mass(1) == 0.0
-
-
-class TestTabulated:
-    def test_matches_analytic_source(self):
-        src = kottler_potential(-1, 0.4)
-        grid = np.geomspace(src.domain_start * 1.01, 50.0, 400)
-        tab = tabulated_potential(-1, grid, [src.phi(r) for r in grid])
-        for r in (1.7, 3.3, 20.0):
-            assert tab.phi(r) == pytest.approx(src.phi(r), rel=1e-6)
-            assert tab.dphi(r) == pytest.approx(src.dphi(r), rel=1e-3)
-            assert abs(scalar_curvature(tab, r) + 6.0) <= 5e-2
-
-    def test_derivative_consistent_with_sample_differences(self):
-        grid = np.linspace(1.0, 3.0, 200)
-        vals = np.sin(grid)
-        tab = tabulated_potential(1, grid, vals)
-        h = grid[1] - grid[0]
-        for r in (1.5, 2.0, 2.5):
-            fd = (tab.phi(r + h) - tab.phi(r - h)) / (2 * h)
-            assert tab.dphi(r) == pytest.approx(fd, abs=5 * h ** 2)
-
-    def test_outside_range_raises(self):
-        tab = tabulated_potential(0, [1.0, 2.0, 3.0, 4.0], [1.0, 4.0, 9.0, 16.0])
-        with pytest.raises(DomainError):
-            tab.phi(5.0)
-        with pytest.raises(DomainError):
-            scalar_curvature(tab, 0.5)
-
-    def test_bad_samples_rejected(self):
-        with pytest.raises(DomainError):
-            tabulated_potential(0, [1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(DomainError):
-            tabulated_potential(0, [1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0])
 
 
 class TestHorizonRadius:

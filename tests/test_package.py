@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import inspect
+import sys
 from pathlib import Path
 
 import alhflow
@@ -10,11 +13,48 @@ ROOT = Path(__file__).resolve().parents[1]
 _UNREAD_KEPT = {
     # the paper's Hölder step; the strict Penrose scenario is to call it
     "holder_bound",
-    # puts knots into the map's partition, and is the one user of scipy
-    "tabulated_potential",
     # the sympy curvature oracle checks it, and perfbench's POINTWISE layer names it
     "ricci_components",
 }
+
+#: Public class members kept although no reader above reads them, each with
+#: its reason.
+_UNREAD_MEMBERS_KEPT = {
+    # the mpmath oracle tests of test_substitution.py need c itself: rho
+    # cannot give it without cancellation
+    "SubstitutionMap.deviation_scale",
+}
+
+#: Top-level modules the package may import besides the standard library.
+_THIRD_PARTY = {"numpy"}
+
+
+def _package_sources():
+    return sorted((ROOT / "src" / "alhflow").glob("*.py"))
+
+
+def _trees(paths):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _reads():
+    """(names, attributes) that the package and the acceptance tests read."""
+    names, attributes = set(), set()
+    for tree in _trees([*_package_sources(), ROOT / "tests" / "test_acceptance.py"]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _public_members(cls):
+    """Public methods, properties and fields that the class itself defines."""
+    members = {name for name in vars(cls) if not name.startswith("_")}
+    if dataclasses.is_dataclass(cls):
+        members |= {f.name for f in dataclasses.fields(cls)}
+    return members
 
 
 def test_public_names_resolve_once():
@@ -25,14 +65,31 @@ def test_public_names_resolve_once():
 
 def test_every_public_name_is_read():
     # a public name that only its own unit tests call is surface to retire
-    read = set()
-    for path in [*sorted((ROOT / "src" / "alhflow").glob("*.py")),
-                 ROOT / "tests" / "test_acceptance.py"]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    names, attributes = _reads()
+    read = names | attributes
     assert sorted(set(alhflow.__all__) - read - _UNREAD_KEPT) == []
     # an exception that gains a reader, or leaves __all__, goes from the list
     assert _UNREAD_KEPT <= set(alhflow.__all__) - read
+
+
+def test_every_public_member_is_read():
+    # a field, property or method of a public class is read as an attribute
+    _, attributes = _reads()
+    unread = {f"{name}.{member}"
+              for name in alhflow.__all__ if inspect.isclass(getattr(alhflow, name))
+              for member in _public_members(getattr(alhflow, name))
+              if member not in attributes}
+    assert sorted(unread - _UNREAD_MEMBERS_KEPT) == []
+    assert _UNREAD_MEMBERS_KEPT <= unread
+
+
+def test_imports_numpy_alone():
+    # besides the standard library the package runs on numpy only
+    imported = set()
+    for tree in _trees(_package_sources()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - set(sys.stdlib_module_names) - _THIRD_PARTY) == []

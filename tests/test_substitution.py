@@ -16,7 +16,7 @@ import pytest
 from alhflow import (DomainError, NumericalError, RadialPotential,
                      build_substitution, conformal_area, conformal_infinity,
                      horizon_radius, kottler_potential,
-                     perturbed_kottler_potential, tabulated_potential)
+                     perturbed_kottler_potential)
 from alhflow.asymptotics import _GAUSS_W, _GAUSS_X, _panel_integrals
 from alhflow.cli import main
 from alhflow.geometry import CRITICAL_MASS_HYPERBOLIC
@@ -144,24 +144,6 @@ def test_gauss_rule_matches_numpy():
     for degree in range(8):  # exact through degree 2n - 1
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
         assert np.sum(_GAUSS_W * _GAUSS_X ** degree) == pytest.approx(exact, abs=1e-14)
-
-
-@pytest.mark.parametrize("samples", [300, 10000])
-def test_tabulated_kottler_within_table_error(samples):
-    # the dense table has several knots per panel: panels must break there
-    exact = kottler_potential(-1, 0.5)
-    grid = np.geomspace(1.4, 2.2e3, samples)
-    table = tabulated_potential(-1, grid, exact.phi(grid))
-    r_end = 2e3
-    tab_map = build_substitution(table, 2.0, r_end)
-    exact_map_ = build_substitution(exact, 2.0, r_end)
-    check = np.geomspace(2.0, r_end, 20001)
-    table_error = np.max(np.abs(table.phi(check) / exact.phi(check) - 1.0))
-    r = np.geomspace(2.0, r_end, 577)
-    drho = np.abs(tab_map.deviation_scale(r) - exact_map_.deviation_scale(r)) / r ** 2
-    # a relative error e in phi moves D by at most (e/2) int ds/sqrt(phi),
-    # and the leading-order start at r_end by e/6; rho moves by r times that
-    assert np.all(drho <= r * table_error * (np.log(r_end / r) + 1.0))
 
 
 def test_negative_mass_start_below_one():
