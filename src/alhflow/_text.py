@@ -16,7 +16,7 @@ integers", PLDI 2010).  A block of float cells takes these passes:
   with the decimal exponent gives a layout key; gathers from 1-D tables by
   key and by exponent give each word's byte masks, so a cell is four
   64-bit words with fields at fixed bytes, their unused bytes zero;
-- one boolean compress per block drops those zero bytes.
+- one bytes.translate per block deletes those zero bytes.
 
 Fix-ups run only in blocks that need them, each found by a reduction over
 the block: cells off the fast range (zeros, non-finite values and |v|
@@ -272,14 +272,15 @@ def _block(columns, floats, values, separator, start, stop) -> bytes:
     """CSV bytes of rows start..stop; `values` holds the float columns.
 
     Every cell gets a slot of equal width with its separator in the last
-    byte; one compress then keeps the used bytes.  Where every column is a
-    float column, `separator` holds each cell's word 3 with its separator.
+    byte, and the used bytes are kept in order.  Where every column is a
+    float column, `separator` holds each cell's word 3 with its separator,
+    and the used bytes are the nonzero ones; config strings may hold a NUL,
+    so mixed blocks keep bytes by length.
     """
     rows = stop - start
     x = values[start:stop].ravel() if floats else None
     if separator is not None:
-        cells = _float_cells(x, separator[:x.size]).ravel()
-        return np.compress(cells != 0, cells).tobytes()
+        return _float_cells(x, separator[:x.size]).tobytes().translate(None, b"\0")
     literals = {k: [_config_text(v).encode() for v in column[start:stop]]
                 for k, column in enumerate(columns) if k not in floats}
     width = max([_CELL] + [len(s) + 1 for texts in literals.values() for s in texts])

@@ -37,6 +37,8 @@ solve_ivp = None
 
 #: The largest outer rho and the sample count of dyadic_profile_samples.
 PROFILE_RHO_MAX, PROFILE_COUNT = 4096.0, 8
+#: mass_aspect_extract reads mu at the radii r_end / 2^k with k < MU_SAMPLES.
+MU_SAMPLES = 10
 
 __all__ = [
     "SubstitutionMap",
@@ -488,7 +490,7 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
     if sub_map.decades < 3.0 - 1e-9:
         raise DomainError("map must cover at least 3 decades")
     max_halvings = int(math.floor(math.log2(sub_map.r_end / sub_map.r_start)))
-    count = min(10, max_halvings + 1)
+    count = min(MU_SAMPLES, max_halvings + 1)
     radii = sub_map.r_end / 2.0 ** np.arange(count - 1, -1, -1)
     values = sub_map.mu_at(radii)
     mu, err = richardson(values, levels=levels)

@@ -14,7 +14,7 @@ cosmological constant -3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,16 +119,8 @@ class RadialPotential:
         (the horizon, when present) belongs to the manifold; operations
         needing phi > 0 there check that separately.
         """
-        if isinstance(r, float) or not isinstance(r, np.ndarray):
-            if r > 0.0 and self.domain_start <= r:
-                return
-        else:
-            outside = ~((r > 0.0) & (r >= self.domain_start))
-            if not outside.any():
-                return
-            r = r[outside][0]
-        raise DomainError(
-            f"r = {r} outside domain [{self.domain_start}, inf]")
+        _raise_where(r, np.logical_not((r > 0.0) & (r >= self.domain_start)),
+                     "r = {r} outside domain [{start}, inf]", start=self.domain_start)
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ class KottlerSpace:
 
 @dataclass(frozen=True)
 class StaticResidual:
-    """Residuals of the static vacuum system at one radius."""
+    """Residuals of the static vacuum system at a radius or an array of radii."""
 
     laplace_residual: float
     ricci_residual: float
@@ -253,30 +245,17 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
     """phi = r^2 + k_hat - 2m/r + eps/r^2 (scalar curvature -6 + 2 eps/r^4)."""
     _check_k(k_hat)
     k = float(k_hat)
-
-    def phi(r):
-        return r * r + k - 2.0 * m / r + eps / (r * r)
-
-    def dphi(r):
-        return 2.0 * r + 2.0 * m / (r * r) - 2.0 * eps / (r * r * r)
-
-    def d2phi(r):
-        return 2.0 - 4.0 * m / (r * r * r) + 6.0 * eps / (r * r * r * r)
-
     p = RadialPotential(
         k_hat=k_hat, kind="perturbed-kottler", domain_start=0.0,
-        phi=phi, dphi=dphi, d2phi=d2phi,
+        phi=lambda r: r * r + k - 2.0 * m / r + eps / (r * r),
+        dphi=lambda r: 2.0 * r + 2.0 * m / (r * r) - 2.0 * eps / (r * r * r),
+        d2phi=lambda r: 2.0 - 4.0 * m / (r * r * r) + 6.0 * eps / (r * r * r * r),
         tail=lambda r: -2.0 * m / r + eps / (r * r),
         dtail=lambda r: 2.0 * m / (r * r) - 2.0 * eps / (r * r * r),
         params={"m": float(m), "eps": float(eps)},
     )
     start = horizon_radius(p)
-    if start is None:
-        return p
-    return RadialPotential(
-        k_hat=k_hat, kind="perturbed-kottler", domain_start=start,
-        phi=phi, dphi=dphi, d2phi=d2phi, tail=p.tail, dtail=p.dtail,
-        params=p.params)
+    return p if start is None else replace(p, domain_start=start)
 
 
 def kottler_build(k_hat: int, m: float) -> KottlerSpace:
@@ -373,26 +352,25 @@ def _bisect(f, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 # pointwise quantities
 #
-# Each function takes r as a float or as an array of radii.  An array call
-# returns arrays equal entry by entry to the scalar calls, and raises
-# DomainError where a scalar call would, naming the first offending radius.
+# Each function has one numpy body for a float radius and for an array of
+# radii.  An array call returns, entry by entry, the values of the calls at
+# its radii, and raises the DomainError that a call at its first offending
+# radius raises.  A float radius gives a float or an np.float64.
 
 
-def _raise_where(r, bad: np.ndarray, message: str) -> None:
-    """DomainError naming the first radius where the array mask holds."""
-    if bad.any():
-        at = np.broadcast_to(r, bad.shape)[bad][0]
-        raise DomainError(message.format(r=at))
+def _raise_where(r, bad, message: str, **fields) -> None:
+    """DomainError naming, as a float, the first radius where the mask
+    holds (0-d for a float r); the message is formatted only then."""
+    if np.any(bad):
+        at = np.broadcast_to(r, np.shape(bad))[bad][0]
+        raise DomainError(message.format(r=float(at), **fields))
 
 
 def _check_horizon(r, phi) -> None:
     """DomainError where phi is negative beyond the rounding noise
     -1e-12 max(1, r^2) tolerated at the horizon root."""
-    if isinstance(phi, np.ndarray):
-        _raise_where(r, phi < -1e-12 * np.maximum(1.0, r * r),
-                     "phi({r}) < 0: inside the horizon")
-    elif phi < -1e-12 * max(1.0, r * r):
-        raise DomainError(f"phi({r}) < 0: inside the horizon")
+    _raise_where(r, phi < -1e-12 * np.maximum(1.0, r * r),
+                 "phi({r}) < 0: inside the horizon")
 
 
 def scalar_curvature(p: RadialPotential, r):
@@ -418,13 +396,8 @@ def mean_curvature_sphere(p: RadialPotential, r):
     """Outward mean curvature H = 2 sqrt(phi)/r of the sphere {r} x Sigma_hat."""
     p.require_inside(r)
     phi = p.phi(r)
-    # negative phi that passes the horizon check is rounding noise at the root
-    if isinstance(phi, float):
-        if phi < 0.0:
-            _check_horizon(r, phi)
-            phi = 0.0
-        return 2.0 * math.sqrt(phi) / r
     _check_horizon(r, phi)
+    # negative phi that passes the horizon check is rounding noise at the root
     return 2.0 * np.sqrt(np.where(phi < 0.0, 0.0, phi)) / r
 
 
@@ -451,9 +424,7 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
         raise DomainError(
             f"infinity curvature {inf.curvature_sign} != potential k_hat {p.k_hat}")
     p.require_inside(r)
-    phi = p.phi(r)
-    if not isinstance(phi, float) or phi < 0.0:
-        _check_horizon(r, phi)
+    _check_horizon(r, p.phi(r))
     return -inf.gamma * 0.5 * r * p.tail(r)
 
 
@@ -471,16 +442,11 @@ def static_residual(p: RadialPotential, r) -> StaticResidual:
     """
     p.require_inside(r)
     phi = p.phi(r)
-    array = not isinstance(phi, float)
-    if array:
-        _raise_where(r, phi <= 0.0, "phi({r}) <= 0: V is not smooth here")
-    elif phi <= 0.0:
-        raise DomainError(f"phi({r}) <= 0: V is not smooth here")
+    _raise_where(r, phi <= 0.0, "phi({r}) <= 0: V is not smooth here")
     dphi, d2phi = p.dphi(r), p.d2phi(r)
     slope = dphi / r
-    lap = (np.sqrt(phi) if array else math.sqrt(phi)) * (slope + 0.5 * d2phi - 3.0)
+    lap = np.sqrt(phi) * (slope + 0.5 * d2phi - 3.0)
     ric_rad = abs(3.0 - slope - 0.5 * d2phi)
     ric_tan = abs(3.0 - slope + (p.k_hat - phi) / (r * r))
-    return StaticResidual(
-        laplace_residual=abs(lap),
-        ricci_residual=np.maximum(ric_rad, ric_tan) if array else max(ric_rad, ric_tan))
+    return StaticResidual(laplace_residual=abs(lap),
+                          ricci_residual=np.maximum(ric_rad, ric_tan))

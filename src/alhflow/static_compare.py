@@ -233,8 +233,11 @@ def compare_with_reference(p: RadialPotential, genus: int,
     boundary_curv = p.k_hat / (r_h * r_h)
     reference_curv = boundary_gauss_curvature(ref)
 
-    map_start = 2.0 * r_h
-    map_end = max(map_r_end, map_start * 1.001e3)
+    # The extraction reads the map at r_end / 2^k, k < MU_SAMPLES.  The map
+    # sums D from r_end down, so those values do not depend on the pieces
+    # below r_end / 2^MU_SAMPLES, and the map starts there when it can.
+    map_end = max(map_r_end, 2.0 * r_h * 1.001e3)
+    map_start = max(2.0 * r_h, map_end / 2.0 ** asymptotics.MU_SAMPLES)
     sub_map = asymptotics.build_substitution(p, map_start, map_end)
     mu = asymptotics.mass_aspect_extract(p, sub_map).mu
 

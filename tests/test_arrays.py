@@ -77,11 +77,16 @@ def test_array_equals_scalar_bitwise(family):
     for name, fn in _pointwise(inf).items():
         expect = [fn(p, float(r)) for r in radii]
         assert _bits(fn(p, radii)) == _bits(expect), name
+        # a 0-d array and a Python int give the float call's values
+        assert _bits([fn(p, np.array(r)) for r in radii]) == _bits(expect), name
+        assert _bits(fn(p, 2)) == _bits(fn(p, 2.0)), name
     smooth = radii[p.phi(radii) > 0.0]
     res = static_residual(p, smooth)
-    scalar = [static_residual(p, float(r)) for r in smooth]
-    assert _bits(res.laplace_residual) == _bits([s.laplace_residual for s in scalar])
-    assert _bits(res.ricci_residual) == _bits([s.ricci_residual for s in scalar])
+    for inputs in ([float(r) for r in smooth], [np.array(r) for r in smooth]):
+        scalar = [static_residual(p, r) for r in inputs]
+        assert _bits(res.laplace_residual) == _bits([s.laplace_residual for s in scalar])
+        assert _bits(res.ricci_residual) == _bits([s.ricci_residual for s in scalar])
+    assert static_residual(p, 2) == static_residual(p, 2.0)
 
 
 def test_mean_curvature_clamped_at_horizon():
@@ -115,14 +120,18 @@ def test_array_raises_scalar_error(family):
     functions = dict(_pointwise(inf), static_residual=static_residual)
     good = np.array([2.0, 7.5, 41.0])
     for r_bad, names in _bad_radii(p):
-        radii = np.insert(good, 1, r_bad)
+        # an array holding r_bad, r_bad as a 0-d array and, where whole, as an int
+        inputs = [np.insert(good, 1, r_bad), np.array(r_bad)]
+        if r_bad.is_integer():
+            inputs.append(int(r_bad))
         for name in names:
             fn = functions[name]
             with pytest.raises(DomainError) as scalar_err:
                 fn(p, r_bad)
-            with pytest.raises(DomainError) as array_err:
-                fn(p, radii)
-            assert str(array_err.value) == str(scalar_err.value), (name, r_bad)
+            for r in inputs:
+                with pytest.raises(DomainError) as err:
+                    fn(p, r)
+                assert str(err.value) == str(scalar_err.value), (name, r)
 
 
 def test_require_inside_array():

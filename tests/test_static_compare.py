@@ -5,8 +5,9 @@ import pytest
 
 from alhflow import (DomainError, HypothesesNotMet, ReferencePotential,
                      alpha_coefficient, boundary_gauss_curvature,
-                     compare_with_reference, kappa_to_mass, kottler_build,
-                     kottler_potential, omega_derivatives, omega_ode_residual,
+                     build_substitution, compare_with_reference, horizon_radius,
+                     kappa_to_mass, kottler_build, kottler_potential,
+                     mass_aspect_extract, omega_derivatives, omega_ode_residual,
                      perturbed_kottler_potential, richardson, static_compare)
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
@@ -242,6 +243,19 @@ class TestCompare:
     def test_near_critical_data_pass(self, delta):
         report = compare_with_reference(kottler_potential(-1, M_CRIT + delta), 2)
         assert report.all_pass, report.verdicts
+
+    @pytest.mark.parametrize("genus", [2, 5])
+    @pytest.mark.parametrize("map_r_end", [2002.0, 1e6, 1e50])
+    def test_mass_aspect_equals_map_from_twice_the_horizon(self, map_r_end, genus):
+        # the comparison's map starts at r_end / 2^10 where that exceeds 2 r_h;
+        # the radii the extraction reads take the same bits from the map
+        # built down to 2 r_h, arccosh pieces included
+        for delta in np.geomspace(2e-11, -M_CRIT, 8):
+            p = kottler_potential(-1, M_CRIT + delta)
+            r_h = horizon_radius(p)
+            full = build_substitution(p, 2.0 * r_h, max(map_r_end, 2.0 * r_h * 1.001e3))
+            mu = compare_with_reference(p, genus, map_r_end).mass_aspect
+            assert mu == mass_aspect_extract(p, full).mu, delta
 
     def test_report_serialization(self):
         report = compare_with_reference(kottler_potential(-1, -0.1), 2)
