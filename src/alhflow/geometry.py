@@ -44,6 +44,7 @@ __all__ = [
 FOUR_PI = 4.0 * math.pi
 
 _ULP = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)
 
 #: Critical mass below which no k_hat = -1 horizon exists.
 CRITICAL_MASS_HYPERBOLIC = -1.0 / (3.0 * math.sqrt(3.0))
@@ -243,7 +244,7 @@ def _kottler_potential(k_hat: int, m: float, start: float) -> RadialPotential:
 
 def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPotential:
     """phi = r^2 + k_hat - 2m/r + eps/r^2 (scalar curvature -6 + 2 eps/r^4)."""
-    _check_k(k_hat)
+    _require_admissible(k_hat, m)
     k = float(k_hat)
     p = RadialPotential(
         k_hat=k_hat, kind="perturbed-kottler", domain_start=0.0,
@@ -258,6 +259,14 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
     return p if start is None else replace(p, domain_start=start)
 
 
+def _require_admissible(k_hat: int, m: float) -> None:
+    """DomainError for a mass more than 1e-15 below the critical one."""
+    lo = critical_mass(k_hat)
+    if m < lo - 1e-15:
+        raise DomainError(
+            f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
+
+
 def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     """Kottler space of the given mass, with horizon radius and surface gravity.
 
@@ -265,10 +274,7 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     exactly 0 for the critical k_hat = -1 member (double root), which also
     stands for the admissible masses up to 1e-15 below it.
     """
-    lo = critical_mass(k_hat)
-    if m < lo - 1e-15:
-        raise DomainError(
-            f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
+    _require_admissible(k_hat, m)
     found = _horizon_root(k_hat, m)
     if found is None:
         # boundary members m = 0 with k_hat in {0, +1}: no horizon
@@ -282,71 +288,62 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
 
 
 def horizon_radius(p: RadialPotential) -> Optional[float]:
-    """Largest zero of phi for a generic potential, by bracketed scan, or None.
+    """Largest zero of a Kottler or perturbed Kottler phi, or None.
 
-    The scan runs from r_hi = 10 (1 + |tail(1)| + |k_hat|) down to 1e-8 at
-    about 205 points a decade.  Without a sign change on it, phi is
-    minimized between the neighbours of its smallest scan value by
-    bisection on phi'.  A minimum below zero brackets the root.  A minimum
-    within the rounding of phi of zero is returned as a double root; one
-    otherwise within 1e-12 max(1, r^2) of zero raises NumericalError, since
-    phi may touch zero there or miss it.
+    A perturbed phi = r^2 + k_hat - 2m/r + eps/r^2 vanishes where
+    Q = r^2 phi = r^4 + k r^2 - 2m r + eps does.  Q's last critical point c
+    is the largest root of the cubic Q'/4 = r^3 + (k/2) r - m/2, or 0;
+    beyond it, Q increases and is convex.  With b = 1e-12 max(|k|, c^2)
+    (phi scales like r^2 where k = 0), phi(c) decides: above b, no horizon;
+    within its rounding 8u (c^2 + |k| + |tail(c)|) of zero, the double root
+    c; otherwise above -b, NumericalError, as phi may touch zero or miss it;
+    below, the root beyond c, by Newton steps on Q from max(c, Fujiwara's
+    bound 2 max(|k|^(1/2), |2m|^(1/3), |eps/2|^(1/4)) on every root) until
+    a step no longer lowers r.  With c = 0, Q increases from eps, which
+    decides.  A root where Q's terms are subnormal raises NumericalError.
+
+    For an admissible mass, phi(c) > 0 leaves no zero below c.  Where
+    k_hat >= 0, Q is convex.  Where k_hat = -1 and m >= m_crit, the Kottler
+    cubic has a root r_K, so Q(c) <= Q(r_K) = eps and phi(c) > 0 needs
+    eps > 0; below c, Q' has at most one more root, a maximum of Q, so on
+    [0, c], Q is least at an end, eps or Q(c).
     """
     if p.kind == "kottler":
         return largest_zero(p.k_hat, p.params["m"])
-    r_hi = 10.0 * (1.0 + abs(p.tail(1.0)) + abs(p.k_hat))
-    r_lo = 1e-8
-    # 2048 points over ten decades, and as densely over a wider span
-    count = max(2048, math.ceil(204.7 * (math.log10(r_hi) - math.log10(r_lo))) + 1)
-    grid = np.geomspace(r_hi, r_lo, count)
-    vals = p.phi(grid)
-    if vals[0] <= 0:
-        raise DomainError("potential not positive at the outer scan radius")
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
-    if flips.size:
-        i = flips[0]
-        hi, lo = grid[i], grid[i + 1]
-    else:
-        i = int(np.argmin(vals))
-        r_min = grid[i]
-        if 0 < i < grid.size - 1:
-            r_min = _bisect(p.dphi, grid[i + 1], grid[i - 1])
-        phi_min = p.phi(r_min)
-        if vals[i] < phi_min:
-            r_min, phi_min = grid[i], vals[i]
-        tol = 1e-12 * max(1.0, r_min * r_min)
-        if phi_min > tol:
+    if p.kind != "perturbed-kottler":
+        raise DomainError(f"no horizon solver for a {p.kind!r} potential")
+    k, m, eps = float(p.k_hat), p.params["m"], p.params["eps"]
+
+    def quartic(r):
+        return ((r * r + k) * r - 2.0 * m) * r + eps
+
+    found = _largest_cubic_root(0.5 * k, 0.5 * m)
+    c = 0.0 if found is None else found[0]
+    if c > 0.0:
+        # phi(c) = Q(c) / c^2, compared in Q's units: c^2 may underflow
+        q_c, c2 = quartic(c), c * c
+        tol = 1e-12 * max(abs(k), c2) * c2
+        if q_c > tol:
             return None
-        # zero to within the rounding of phi: a double root, as at the
-        # critical Kottler mass
-        rounding = 8.0 * _ULP * (r_min * r_min + abs(p.k_hat) + abs(p.tail(r_min)))
-        if abs(phi_min) <= rounding:
-            return float(r_min)
-        if phi_min >= -tol:
-            raise NumericalError(f"phi comes to {phi_min:.3e} at r = {r_min} "
-                                 "without a sign change: horizon undecided")
-        # phi dips below zero between two scan points
-        hi, lo = grid[i - 1], r_min
-    root = _bisect(p.phi, lo, hi)
-    for _ in range(3):
-        slope = p.dphi(root)
-        if slope == 0.0:
-            break
-        root -= p.phi(root) / slope
-    return float(root)
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Where f turns positive in [lo, hi], f(lo) <= 0 < f(hi), to 1e-15 relative."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, mid):
-            break
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if abs(q_c) <= 8.0 * _ULP * (c2 * c2 + abs(k) * c2 + abs(eps - 2.0 * m * c)):
+            return c
+        if q_c >= -tol:
+            raise NumericalError(f"phi comes to {q_c / c2:.3e} at its last minimum "
+                                 f"r = {c}: horizon undecided")
+    elif eps >= 0.0:
+        return None
+    r = max(c, 2.0 * math.sqrt(abs(k)), 2.0 * abs(2.0 * m) ** (1.0 / 3.0),
+            (8.0 * abs(eps)) ** 0.25)
+    # where Q ~ r^2 + eps (k_hat = +1, r < 1) each step about halves r:
+    # 520 steps reach the root 1.5e-154 of eps = -2.2e-308
+    for _ in range(1000):
+        lower = r - quartic(r) / ((4.0 * r * r + 2.0 * k) * r - 2.0 * m)
+        if not lower < r:
+            if r * r * (r * r + abs(k)) + abs(2.0 * m * r) + abs(eps) < _TINY:
+                raise NumericalError(f"Q's terms underflow at r = {r}: horizon unresolved")
+            return r
+        r = lower
+    raise NumericalError(f"horizon Newton steps did not settle at r = {r}")
 
 
 # ---------------------------------------------------------------------------

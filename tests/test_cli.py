@@ -424,6 +424,11 @@ class TestRegistry:
         # k_hat = -1 maps that would end below r = 2
         FLOW_SHORT_MAP_CFG,
         ASPECT_SHORT_MAP_CFG,
+        # phi(0.3) > 0, but 0.3 lies inside the horizon 0.5777, which sits
+        # beyond a near-critical minimum of r^2 phi
+        dict(FLOW_CFG, m=-1.0 / (3.0 * math.sqrt(3.0)) + 1e-8, eps=-1e-7, r0=0.3),
+        dict(ASPECT_CFG, m=-1.0 / (3.0 * math.sqrt(3.0)) + 1e-8, eps=-1e-7,
+             r_start=0.3, r_end=1e3),
     ])
     def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)

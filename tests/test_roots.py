@@ -1,14 +1,18 @@
-"""Horizon roots against 50-digit mpmath solves.
+"""Horizon roots against 50- and 60-digit mpmath solves.
 
 The tolerance of a root r of p(r) = r^3 + k r - 2m is its conditioning: a
 float r can only make |p(r)| as small as the rounding of its terms,
 beta = 16 u (r^3 + |k| r + 2|m|).  The largest |dr| with
 p' dr + (p''/2) dr^2 = beta is 2 beta / (p' + sqrt(p'^2 + 2 p'' beta)):
 beta/p' at a simple root, sqrt(2 beta/p'') at a double one.  Add u r for
-representing r.
+representing r.  A perturbed horizon, a root of the quartic
+Q(r) = r^4 + k r^2 - 2m r + eps, gets the same bound from Q's terms.
 """
 
+import dataclasses
 import math
+import random
+import re
 
 import mpmath
 import numpy as np
@@ -16,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (NumericalError, ReferencePotential, geometry,
+from alhflow import (DomainError, NumericalError, ReferencePotential,
+                     critical_mass, geometry,
                      horizon_radius, kottler_build, kottler_potential,
                      largest_zero, perturbed_kottler_potential)
 from alhflow.geometry import _largest_cubic_root
@@ -47,6 +52,32 @@ def assert_matches_mpmath(k_hat, m):
     space = kottler_build(k_hat, m)
     assert space.horizon_radius == r
     assert space.surface_gravity > 0.0
+
+
+def _positive_real(coefficients):
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coefficients, maxsteps=400, extraprec=200)
+        return [z.real for z in roots
+                if abs(z.imag) <= mpmath.mpf(10) ** -40 * abs(z) and z.real > 0]
+
+
+def exact_quartic(k_hat, m, eps):
+    """Largest positive root of Q = r^4 + k r^2 - 2m r + eps, or None."""
+    roots = _positive_real([1, 0, k_hat, -2 * mpmath.mpf(m), mpmath.mpf(eps)])
+    return float(max(roots)) if roots else None
+
+
+def quartic_tolerance(k_hat, m, eps, r):
+    beta = 16.0 * U * (r ** 4 + abs(k_hat) * r * r + 2.0 * abs(m) * r + abs(eps))
+    d1 = abs(4.0 * r ** 3 + 2.0 * k_hat * r - 2.0 * m)
+    d2 = abs(12.0 * r * r + 2.0 * k_hat)
+    return U * r + 2.0 * beta / (d1 + math.sqrt(d1 * d1 + 2.0 * d2 * beta))
+
+
+def assert_horizon_matches_mpmath(k_hat, m, eps):
+    exact = exact_quartic(k_hat, m, eps)
+    r = perturbed_kottler_potential(k_hat, m, eps).domain_start
+    assert abs(r - exact) <= quartic_tolerance(k_hat, m, eps, exact), (r, exact)
 
 
 @pytest.mark.parametrize("delta", np.logspace(-15, -1, 29))
@@ -132,13 +163,9 @@ class TestNearTangentHorizon:
             perturbed_kottler_potential(1, 3.0, 4.0 + 1e-13)
 
     def test_dip_between_scan_points_finds_the_outer_root(self):
-        # roots at 1 -+ 3.8e-4, closer than the scan's 1.1% spacing
-        tau = -1e-6
-        with mpmath.workdps(50):
-            exact = max(float(mpmath.re(z)) for z in mpmath.polyroots(
-                [1, 0, 1, -6, mpmath.mpf(4.0 + tau)]) if abs(mpmath.im(z)) < 1e-30)
-        p = perturbed_kottler_potential(1, 3.0, 4.0 + tau)
-        assert p.domain_start == pytest.approx(exact, rel=1e-12)
+        # roots at 1 -+ 3.8e-4, either side of the last minimum of Q at 1
+        p = perturbed_kottler_potential(1, 3.0, 4.0 - 1e-6)
+        assert p.domain_start == pytest.approx(exact_quartic(1, 3.0, 4.0 - 1e-6), rel=1e-12)
         assert horizon_radius(p) == p.domain_start
 
     @pytest.mark.parametrize("k_hat,m,eps,root", [(1, 3.0, 4.0, 1.0),
@@ -156,21 +183,90 @@ class TestNearTangentHorizon:
 
     def test_resolved_dip_finds_the_outer_root(self):
         p = perturbed_kottler_potential(1, 3.0, 4.0 - 0.05)
-        with mpmath.workdps(50):
-            exact = max(float(mpmath.re(z)) for z in mpmath.polyroots(
-                [1, 0, 1, -6, mpmath.mpf(4.0 - 0.05)]) if abs(mpmath.im(z)) < 1e-30)
-        assert p.domain_start == pytest.approx(exact, rel=1e-13)
+        assert p.domain_start == pytest.approx(exact_quartic(1, 3.0, 4.0 - 0.05), rel=1e-13)
 
 
 @pytest.mark.parametrize("eps", [-1e12, -1e14, -1e16, -1e20])
 def test_horizon_far_out_is_found(eps):
-    # r^2 phi = r^4 - r^2 - r + eps has its root near |eps|^(1/4), more than
-    # ten decades below the scan's top radius 10 (2 + |eps|) from eps = -1e14
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([1, 0, -1, -1, mpmath.mpf(eps)],
-                                 maxsteps=400, extraprec=200)
-        exact = float(max(mpmath.re(z) for z in roots
-                          if abs(mpmath.im(z)) <= mpmath.mpf(10) ** -40 * abs(z)))
+    # r^2 phi = r^4 - r^2 - r + eps has its root near |eps|^(1/4), far beyond
+    # the last minimum of Q near r = 0.88
     p = perturbed_kottler_potential(-1, 0.5, eps)
-    assert p.domain_start == pytest.approx(exact, rel=1e-14)
+    assert p.domain_start == pytest.approx(exact_quartic(-1, 0.5, eps), rel=1e-14)
     assert horizon_radius(p) == p.domain_start
+
+
+class TestPerturbedHorizon:
+    def test_root_beyond_a_near_critical_minimum(self):
+        # Q(c) = eps at c = 1/sqrt(3), the critical mass's double root: the
+        # horizon lies 2.6e-4 beyond c, and Q has an inner root at 1.78e-7
+        assert_horizon_matches_mpmath(-1, M_CRIT, -6.851876594763874e-08)
+
+    def test_tiny_horizon_near_two_m(self):
+        # eps is negligible: the horizon is the Kottler one, near 2m = 1.24e-10
+        assert_horizon_matches_mpmath(1, 6.195763825488999e-11, -2.3992614044532914e-212)
+
+    def test_positive_eps_without_a_critical_point(self):
+        # Q = r^4 + eps > 0 has neither a critical point nor a root
+        p = perturbed_kottler_potential(0, 0.0, 3.19e-126)
+        assert p.domain_start == 0.0 and horizon_radius(p) is None
+
+    def test_tiny_horizon_takes_hundreds_of_steps(self):
+        # Q = r^4 + r^2 + eps, r^2 = -2 eps / (1 + sqrt(1 - 4 eps)): Newton
+        # steps from the bound 2 about halve r, 464 of them
+        eps = -1e-274
+        with mpmath.workdps(50):
+            e = mpmath.mpf(eps)
+            exact = float(mpmath.sqrt(-2 * e / (1 + mpmath.sqrt(1 - 4 * e))))
+        r = perturbed_kottler_potential(1, 0.0, eps).domain_start
+        assert abs(r - exact) <= quartic_tolerance(1, 0.0, eps, exact)
+
+    def test_k_hat_zero_band_scales_like_c_squared(self):
+        # phi(c) = -8.8e-14 at c = 1.7e-7 is a clear dip on phi's scale c^2
+        assert_horizon_matches_mpmath(0, 1e-20, 1e-30)
+
+    def test_subnormal_terms_raise(self):
+        # Q = r^4 + eps with eps the least subnormal: no digits left in Q(r)
+        with pytest.raises(NumericalError, match="underflow"):
+            perturbed_kottler_potential(0, 0.0, -5e-324)
+
+    def test_inadmissible_mass_raises(self):
+        for k_hat in (-1, 0, 1):
+            m = critical_mass(k_hat) - 1e-12
+            with pytest.raises(DomainError, match=re.escape(f"mass {m} inadmissible")):
+                perturbed_kottler_potential(k_hat, m, 0.1)
+        # the 1e-15 slack of kottler_build holds here too
+        perturbed_kottler_potential(-1, M_CRIT - 1e-15, 0.1)
+
+    def test_other_kinds_have_no_horizon_solver(self):
+        p = perturbed_kottler_potential(0, 0.4, 0.09)
+        with pytest.raises(DomainError, match="no horizon solver for a 'dip' potential"):
+            horizon_radius(dataclasses.replace(p, kind="dip"))
+
+    def test_seeded_draws_match_mpmath(self):
+        # every answer is the largest root, None exactly when there is none,
+        # or NumericalError where phi at the last minimum c of Q lies within
+        # 1e-12 max(|k|, c^2) of zero
+        rng = random.Random(1310)
+        for _ in range(240):
+            k_hat = rng.choice((-1, 0, 1))
+            m = critical_mass(k_hat)
+            if rng.random() < 0.9:
+                m += 10.0 ** rng.uniform(-15.0, 2.0)
+            eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 20.0)
+            case = (k_hat, m, eps)
+            exact = exact_quartic(*case)
+            try:
+                r = perturbed_kottler_potential(*case).domain_start
+            except NumericalError:
+                c = max(_positive_real([1, 0, mpmath.mpf(k_hat) / 2, -mpmath.mpf(m) / 2]))
+                with mpmath.workdps(60):
+                    phi_c = float(c * c + k_hat - 2 * mpmath.mpf(m) / c
+                                  + mpmath.mpf(eps) / (c * c))
+                band = 1e-12 * max(abs(k_hat), float(c * c))
+                assert abs(phi_c) <= band * (1.0 + 1e-3), case
+                continue
+            if r == 0.0:
+                assert exact is None, case
+            else:
+                assert exact is not None, case
+                assert abs(r - exact) <= quartic_tolerance(k_hat, m, eps, exact), case
