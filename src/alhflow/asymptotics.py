@@ -466,7 +466,9 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
     below r = 2 the map integrates u = arccosh(rho) through
     du/dr = 1/sqrt(phi), and r_end must be at least 2.  u <= 0 means rho
     reaches 1, and rho <= 0 (k_hat = 1) that rho reaches 0: the map does
-    not exist there (DomainError).
+    not exist there (DomainError).  r_start must lie in p's domain
+    (require_inside), beyond which phi > 0; a quadrature node where phi is
+    not positive still raises DomainError.
 
     The quadrature is adaptive and exact at every radius (see
     SubstitutionMap).
@@ -475,10 +477,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
         raise DomainError("need 0 < r_start < r_end")
     if r_end / r_start < 1e3 * (1.0 - 1e-12):
         raise DomainError("need r_end / r_start >= 1e3 for reliable asymptotics")
-    probe = np.geomspace(r_start, r_end, 65)
-    closed = p.phi(probe) <= 0.0
-    if closed.any():
-        raise DomainError(f"phi({probe[closed][0]}) <= 0 inside the requested range")
+    p.require_inside(r_start)
     if p.k_hat == -1 and r_end < ARCCOSH_BELOW:
         raise DomainError(f"k_hat = -1 maps need r_end >= {ARCCOSH_BELOW}")
     return SubstitutionMap(p, r_start, r_end)

@@ -15,7 +15,8 @@ identical config reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
 2 the configuration failed validation.  A subcommand's scenario, or a sweep
-member, that raises after validation leaves error.json, with the
+member, that raises after validation, or whose validation raises
+NumericalError (a horizon solve that fails), leaves error.json, with the
 exception's type and message, in its output directory.
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .geometry import (conformal_infinity, critical_mass, kottler_build,
                        kottler_potential, perturbed_kottler_potential)
 
@@ -177,7 +178,8 @@ class _Validated(dict):
 
     It keeps what validation built, so running it builds nothing twice: the
     potential of a flow or mass-aspect config, the validated members of a
-    sweep.  It is read-only, since a changed key would leave those stale.
+    sweep (a member whose validation raised NumericalError stays as given).
+    It is read-only, since a changed key would leave those stale.
     """
 
     def __init__(self, cfg: dict, potential=None, members=()):
@@ -242,7 +244,13 @@ def _check_sweep(out):
     for key, values in out["vary"].items():
         if not isinstance(values, list):
             raise ConfigError(f"vary parameter '{key}' must map to a list")
-    return {"members": [validate_config(member) for member in expand_sweep(out)]}
+    members = []
+    for member in expand_sweep(out):
+        try:
+            members.append(validate_config(member))
+        except NumericalError:  # a horizon solve failed: the member's run
+            members.append(member)  # raises it again, and run_sweep records it
+    return {"members": members}
 
 
 def _admissible_mass(cfg) -> None:
@@ -326,9 +334,7 @@ def _check_static_compare(cfg) -> None:
 
 
 def _potential_from(cfg):
-    if cfg.get("eps", 0.0):
-        return perturbed_kottler_potential(cfg["k_hat"], cfg["m"], cfg["eps"])
-    return kottler_potential(cfg["k_hat"], cfg["m"])
+    return perturbed_kottler_potential(cfg["k_hat"], cfg["m"], cfg["eps"])
 
 
 def expand_sweep(cfg: dict) -> list[dict]:
@@ -586,6 +592,15 @@ def _write_error(exc: Exception, out_dir) -> int:
     return 2 if isinstance(exc, ConfigError) else 1
 
 
+def _failed_run(exc: Exception, out_dir) -> int:
+    """Print the reason a run failed, keep it in error.json; the exit code."""
+    if isinstance(exc, ConfigError):
+        print(f"config error: {exc}", file=sys.stderr)
+    else:
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return _write_error(exc, out_dir)
+
+
 def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     """Run every member scenario; results merge in input order."""
     if not isinstance(cfg, _Validated):
@@ -635,13 +650,18 @@ def main(argv=None) -> int:
         if args.tolerance is not None and not (
                 _is_a(args.tolerance, float) and args.tolerance > 0):
             raise ConfigError("--tolerance must be a positive number")
-        cfg = validate_config(load_config(args.config))
-        if cfg["kind"] != args.command:
+        cfg = load_config(args.config)
+        # before validation, whose horizon solve may raise NumericalError
+        if (isinstance(cfg, dict) and cfg.get("kind") in _KINDS
+                and cfg["kind"] != args.command):
             raise ConfigError(f"config kind '{cfg['kind']}' does not match "
                               f"subcommand '{args.command}'")
+        cfg = validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:  # a horizon solve failed: the config's run error
+        return _failed_run(exc, args.out)
 
     try:
         if _KINDS[cfg["kind"]].run is None:  # a sweep
@@ -652,11 +672,7 @@ def main(argv=None) -> int:
             return code
         report = run_scenario(cfg, args.out, args.tolerance)
     except Exception as exc:  # the run failed after validation: keep its reason
-        if isinstance(exc, ConfigError):
-            print(f"config error: {exc}", file=sys.stderr)
-        else:
-            print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _write_error(exc, args.out)
+        return _failed_run(exc, args.out)
 
     for check in report.checks:
         status = "pass" if check["passed"] else "FAIL"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "geroch_rate",
     "penrose_rhs",
     "hawking_lower_bound",
-    "holder_bound",
     "jump_bound_check",
     "hawking_mass_from_integrals",
     "write_trajectory_csv",
@@ -91,8 +90,8 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
 
     The coordinate speed is r/2 on every warped product, so the flow is
     r(t) = r0 e^(t/2) exactly; `steps` sets only the sampling density.
-    Requires phi(r0) >= 0 and phi > 0 strictly beyond r0 up to the final
-    radius.
+    r0 must lie in the potential's domain (require_inside): from the horizon
+    onward, where phi > 0 beyond r0.
     """
     if inf.curvature_sign != p.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
@@ -100,14 +99,7 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         raise DomainError("need at least one step")
     if t_max <= 0.0:
         raise DomainError("t_max must be positive")
-    if r0 <= 0.0:
-        raise DomainError(f"start radius {r0} outside the potential's domain")
-    if p.phi(r0) < -1e-12 * max(1.0, r0 * r0):
-        raise FlowError(f"start radius {r0} lies inside the horizon")
-    ahead = np.geomspace(r0 * (1.0 + 1e-9), r0 * math.exp(0.5 * t_max), 257)
-    closed = p.phi(ahead) <= 0.0
-    if closed.any():
-        raise FlowError(f"horizon encountered at r = {ahead[closed][0]} ahead of the flow")
+    p.require_inside(r0)
 
     dt = t_max / steps
     if r0 + 0.5 * r0 * dt == r0:
@@ -171,22 +163,6 @@ def hawking_lower_bound(genus: int) -> tuple[float, float]:
         raise DomainError("bound formula requires genus >= 1")
     g1 = genus - 1
     return -((g1 / 3.0) ** 1.5), 4.0 * math.pi * g1 / 3.0
-
-
-def holder_bound(mu_samples: Sequence[float], inf: ConformalInfinity) -> float:
-    """Power-mean mass bound for a nonpositive mass aspect.
-
-    Returns -(mean |mu|^(2/3))^(3/2) * (|Sigma_hat|/4pi)^(3/2), the mean
-    taken over samples of equal weight on the cross section.  Always
-    <= sup(mu) * c^(3/2).
-    """
-    mu = np.asarray(mu_samples, dtype=float)
-    if mu.size == 0:
-        raise DomainError("need at least one sample")
-    if np.any(mu > 0.0):
-        raise DomainError("mass aspect samples must be nonpositive")
-    mean = float(np.mean(np.abs(mu) ** (2.0 / 3.0)))
-    return -(mean ** 1.5) * (inf.area / (4.0 * math.pi)) ** 1.5
 
 
 def hawking_mass_from_integrals(genus: int, area: float, h2_integral: float) -> float:

@@ -14,8 +14,8 @@ cosmological constant -3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -94,23 +94,47 @@ def conformal_infinity(genus: int) -> ConformalInfinity:
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Radial profile phi(r) = V(r)^2 of a warped-product metric.
+    """The perturbed Kottler profile phi(r) = V(r)^2 = r^2 + k_hat - 2m/r + eps/r^2.
 
-    `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its derivative, both
-    in closed form, so that large-radius asymptotics are free of
-    catastrophic cancellation.  Every evaluator takes a float or an array
-    of radii.  The domain is [domain_start, inf).
+    Its scalar curvature is -6 + 2 eps/r^4; eps = 0 gives the Kottler
+    family.  `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its
+    derivative, both in closed form, so that large-radius asymptotics are
+    free of catastrophic cancellation.  Every evaluator takes a float or an
+    array of radii.  The domain is [domain_start, inf), where domain_start
+    is the horizon, the largest zero of phi, or 0 without one: phi > 0
+    beyond it.
     """
 
     k_hat: int
-    kind: str
+    m: float
+    eps: float
     domain_start: float
-    phi: Callable
-    dphi: Callable
-    d2phi: Callable
-    tail: Callable
-    dtail: Callable
-    params: dict = field(default_factory=dict)
+
+    def _plus_eps(self, kottler, a: float, r, n: int):
+        """The Kottler closed form plus a eps / r^n, r^n formed left to right.
+        For eps = 0 the closed form itself, bit for bit: no 0/0 where r^n
+        underflows, and the -0.0 tail of m = 0 keeps its sign."""
+        if self.eps == 0.0:
+            return kottler
+        power = r * r
+        for _ in range(n - 2):
+            power = power * r
+        return kottler + a * self.eps / power
+
+    def phi(self, r):
+        return self._plus_eps(r * r + self.k_hat - 2.0 * self.m / r, 1.0, r, 2)
+
+    def dphi(self, r):
+        return self._plus_eps(2.0 * r + 2.0 * self.m / (r * r), -2.0, r, 3)
+
+    def d2phi(self, r):
+        return self._plus_eps(2.0 - 4.0 * self.m / (r * r * r), 6.0, r, 4)
+
+    def tail(self, r):
+        return self._plus_eps(-2.0 * self.m / r, 1.0, r, 2)
+
+    def dtail(self, r):
+        return self._plus_eps(2.0 * self.m / (r * r), -2.0, r, 3)
 
     def require_inside(self, r) -> None:
         """Accept radii r >= domain_start with r > 0.
@@ -223,38 +247,14 @@ def _check_k(k_hat: int) -> None:
 
 
 def kottler_potential(k_hat: int, m: float) -> RadialPotential:
-    """phi = r^2 + k_hat - 2m/r with exact derivative and tail evaluators."""
-    return _kottler_potential(k_hat, m, largest_zero(k_hat, m) or 0.0)
-
-
-def _kottler_potential(k_hat: int, m: float, start: float) -> RadialPotential:
-    k = float(k_hat)
-    return RadialPotential(
-        k_hat=k_hat,
-        kind="kottler",
-        domain_start=start,
-        phi=lambda r: r * r + k - 2.0 * m / r,
-        dphi=lambda r: 2.0 * r + 2.0 * m / (r * r),
-        d2phi=lambda r: 2.0 - 4.0 * m / (r * r * r),
-        tail=lambda r: -2.0 * m / r,
-        dtail=lambda r: 2.0 * m / (r * r),
-        params={"m": float(m)},
-    )
+    """The eps = 0 member phi = r^2 + k_hat - 2m/r, from its horizon outward."""
+    return RadialPotential(k_hat, float(m), 0.0, largest_zero(k_hat, m) or 0.0)
 
 
 def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPotential:
     """phi = r^2 + k_hat - 2m/r + eps/r^2 (scalar curvature -6 + 2 eps/r^4)."""
     _require_admissible(k_hat, m)
-    k = float(k_hat)
-    p = RadialPotential(
-        k_hat=k_hat, kind="perturbed-kottler", domain_start=0.0,
-        phi=lambda r: r * r + k - 2.0 * m / r + eps / (r * r),
-        dphi=lambda r: 2.0 * r + 2.0 * m / (r * r) - 2.0 * eps / (r * r * r),
-        d2phi=lambda r: 2.0 - 4.0 * m / (r * r * r) + 6.0 * eps / (r * r * r * r),
-        tail=lambda r: -2.0 * m / r + eps / (r * r),
-        dtail=lambda r: 2.0 * m / (r * r) - 2.0 * eps / (r * r * r),
-        params={"m": float(m), "eps": float(eps)},
-    )
+    p = RadialPotential(k_hat, float(m), float(eps), 0.0)
     start = horizon_radius(p)
     return p if start is None else replace(p, domain_start=start)
 
@@ -284,11 +284,11 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
         kappa = 0.0 if is_double else (3.0 * r_m * r_m + k_hat) / (2.0 * r_m)
     return KottlerSpace(
         k_hat=k_hat, horizon_radius=r_m,
-        surface_gravity=kappa, potential=_kottler_potential(k_hat, m, r_m))
+        surface_gravity=kappa, potential=RadialPotential(k_hat, float(m), 0.0, r_m))
 
 
 def horizon_radius(p: RadialPotential) -> Optional[float]:
-    """Largest zero of a Kottler or perturbed Kottler phi, or None.
+    """Largest zero of phi, or None: for eps = 0 the Kottler cubic's root.
 
     A perturbed phi = r^2 + k_hat - 2m/r + eps/r^2 vanishes where
     Q = r^2 phi = r^4 + k r^2 - 2m r + eps does.  Q's last critical point c
@@ -308,11 +308,9 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
     eps > 0; below c, Q' has at most one more root, a maximum of Q, so on
     [0, c], Q is least at an end, eps or Q(c).
     """
-    if p.kind == "kottler":
-        return largest_zero(p.k_hat, p.params["m"])
-    if p.kind != "perturbed-kottler":
-        raise DomainError(f"no horizon solver for a {p.kind!r} potential")
-    k, m, eps = float(p.k_hat), p.params["m"], p.params["eps"]
+    if p.eps == 0.0:
+        return largest_zero(p.k_hat, p.m)
+    k, m, eps = float(p.k_hat), p.m, p.eps
 
     def quartic(r):
         return ((r * r + k) * r - 2.0 * m) * r + eps

@@ -219,6 +219,39 @@ def test_failed_scenario_keeps_its_reason(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+#: phi comes within its rounding of zero at its last minimum r = 1, so the
+#: horizon solve of validation raises NumericalError
+UNDECIDED_CFG = {"kind": "flow", "k_hat": 1, "genus": 0, "m": 3,
+                 "eps": 4.0000000000001, "r0": 2, "t_max": 1, "steps": 64}
+UNDECIDED_ERROR = {"type": "NumericalError", "message": "phi comes to 1.004e-13 "
+                   "at its last minimum r = 1.0: horizon undecided"}
+
+
+def test_undecided_horizon_is_a_run_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "flow.json", UNDECIDED_CFG)
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 1
+    assert "run error: NumericalError" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text()) == UNDECIDED_ERROR
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    # under another subcommand it is a config error, as any config would be
+    assert main(["kottler", "--config", cfg, "--out", str(tmp_path / "k")]) == 2
+    assert not (tmp_path / "k").exists()
+
+
+def test_undecided_sweep_member_keeps_its_reason(tmp_path):
+    # the member fails as its single run does, and the sweep runs the next one
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "sweep.json", {"kind": "sweep", "base": UNDECIDED_CFG,
+                                             "vary": {"eps": [4.0000000000001, 0.1]}})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads((out / "member_000" / "error.json").read_text()) == UNDECIDED_ERROR
+    assert (out / "member_001" / "trajectory.csv").is_file()
+    rows = (out / "summary.csv").read_text().split("\n")
+    assert rows[1:3] == ["0,flow,4.0000000000001004,1,False",
+                         "1,flow,0.10000000000000001,0,True"]
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
@@ -269,7 +302,7 @@ class TestBuildOnce:
                 change()
         changed = validate_config(dict(cfg, m=0.2))
         assert changed["m"] == 0.2
-        assert changed.potential.params["m"] == 0.2
+        assert changed.potential.m == 0.2
 
 
 #: Per kind and key: the config changes made on both runs, then the key's

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from alhflow import (ConformalInfinity, DomainError, conformal_infinity,
                      largest_zero, mean_curvature_sphere,
                      perturbed_kottler_potential, ricci_components,
                      scalar_curvature, static_residual)
+from alhflow.cli import main
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 
@@ -113,6 +115,30 @@ class TestKottlerBuild:
     def test_admissible_interval(self):
         assert critical_mass(-1) == pytest.approx(M_CRIT)
         assert critical_mass(0) == 0.0
+
+    def test_evaluators_are_the_closed_forms(self, tmp_path):
+        # an eps = 0 member adds nothing to the Kottler closed forms: no 0/0
+        # where r^n underflows, no +0.0 for the -0.0 tail of m = 0
+        r = np.geomspace(1e-300, 1e300, 601)
+        for k in (-1, 0, 1):
+            masses = [0.0, -0.0, 1e-300, 1e-250, 1e-90, 1.0]
+            for m in masses + ([M_CRIT, -0.1] if k == -1 else []):
+                p = kottler_potential(k, m)
+                with np.errstate(all="ignore"):
+                    pairs = ((p.phi(r), r * r + k - 2 * m / r),
+                             (p.dphi(r), 2 * r + 2 * m / (r * r)),
+                             (p.d2phi(r), 2 - 4 * m / (r * r * r)),
+                             (p.tail(r), -2 * m / r),
+                             (p.dtail(r), 2 * m / (r * r)))
+                for got, closed in pairs:
+                    # the same bits: NaN equals NaN, and zeros keep their sign
+                    assert np.array_equal(got.view(np.uint64), closed.view(np.uint64))
+        # a horizon of 5e-251: r^4 underflows at the profile's radii
+        path = tmp_path / "kottler.json"
+        path.write_text(json.dumps({"kind": "kottler", "k_hat": 0, "genus": 1,
+                                    "m": 1e-250}))
+        assert main(["kottler", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 class TestScalarCurvature:

@@ -11,8 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Public names kept although neither the package nor the acceptance tests
 #: read them, each with its reason.
 _UNREAD_KEPT = {
-    # the paper's Hölder step; the strict Penrose scenario is to call it
-    "holder_bound",
     # the sympy curvature oracle checks it, and perfbench's POINTWISE layer names it
     "ricci_components",
 }

@@ -9,7 +9,6 @@ representing r.  A perturbed horizon, a root of the quartic
 Q(r) = r^4 + k r^2 - 2m r + eps, gets the same bound from Q's terms.
 """
 
-import dataclasses
 import math
 import random
 import re
@@ -236,11 +235,6 @@ class TestPerturbedHorizon:
                 perturbed_kottler_potential(k_hat, m, 0.1)
         # the 1e-15 slack of kottler_build holds here too
         perturbed_kottler_potential(-1, M_CRIT - 1e-15, 0.1)
-
-    def test_other_kinds_have_no_horizon_solver(self):
-        p = perturbed_kottler_potential(0, 0.4, 0.09)
-        with pytest.raises(DomainError, match="no horizon solver for a 'dip' potential"):
-            horizon_radius(dataclasses.replace(p, kind="dip"))
 
     def test_seeded_draws_match_mpmath(self):
         # every answer is the largest root, None exactly when there is none,

@@ -175,13 +175,16 @@ def test_rho_reaching_zero_raises():
 
 
 def test_closed_between_probe_radii_raises():
-    # phi < 0 only within 1.3e-3 of s = 2.5, which no probe radius hits
-    def tail(s):
-        return -1.5 * s * s * np.exp(-((s - 2.5) / 2e-3) ** 2)
+    # phi < 0 only within 1.3e-3 of s = 2.5, between the 65 radii below:
+    # the quadrature-node guard finds it
+    class Dip(RadialPotential):
+        def tail(self, s):
+            return -1.5 * s * s * np.exp(-((s - 2.5) / 2e-3) ** 2)
 
-    p = RadialPotential(k_hat=0, kind="dip", domain_start=0.0,
-                        phi=lambda s: s * s + tail(s), dphi=None, d2phi=None,
-                        tail=tail, dtail=None)
+        def phi(self, s):
+            return s * s + self.tail(s)
+
+    p = Dip(k_hat=0, m=0.0, eps=0.0, domain_start=0.0)
     assert np.all(p.phi(np.geomspace(1.0, 2e3, 65)) > 0.0)
     with pytest.raises(DomainError, match="at a quadrature node"):
         build_substitution(p, 1.0, 2e3)
@@ -220,8 +223,13 @@ def test_conformal_area_matches_mpmath():
 
 
 def test_non_finite_deviation_raises():
-    p = RadialPotential(k_hat=0, kind="broken", domain_start=0.0,
-                        phi=lambda s: s * s, dphi=None, d2phi=None,
-                        tail=lambda s: np.where(s > 50.0, np.nan, 0.0), dtail=None)
+    class Broken(RadialPotential):
+        def tail(self, s):
+            return np.where(s > 50.0, np.nan, 0.0)
+
+        def phi(self, s):
+            return s * s
+
+    p = Broken(k_hat=0, m=0.0, eps=0.0, domain_start=0.0)
     with pytest.raises(NumericalError, match="not finite"):
         build_substitution(p, 1.0, 1e3)
