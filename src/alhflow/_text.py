@@ -27,8 +27,10 @@ rest within 1e-6 of 1/2, which includes every exact tie.  A cell that the
 fast path cannot prove (non-finite, out of range or near a tie) takes
 "%.17g" % v; zeros stay on the fast path.
 
-Other columns hold config values (ints, strings, bools or floats); their
-cells keep the rule of format(v, ".17g") for floats and str(v) otherwise.
+The kernel serves tables whose columns are all float arrays.  A table
+with any other column holds config values (ints, strings, bools or floats),
+a few rows of them, and bypasses the kernel: its rows are joined one by
+one, each cell format(v, ".17g") for floats and str(v) otherwise.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _split(x, unit):
     return quotient, x - quotient * unit
 
 
-def _float_cells(x: np.ndarray, separator=0) -> np.ndarray:
+def _float_cells(x: np.ndarray, separator: np.ndarray) -> np.ndarray:
     """Bytes of format(v, ".17g") for each v of a float64 vector.
 
     Returns a (len(x), _CELL) uint8 array whose nonzero bytes, in order,
@@ -215,7 +217,8 @@ def _float_cells(x: np.ndarray, separator=0) -> np.ndarray:
     fixed bytes, their unused bytes zero: 0 the sign, 1-5 the "0.000" of
     fixed notation below 1, 7-24 the digit string (the 17 digits, with the
     point put in), 25-29 "e", the exponent's sign and its digits, and 31
-    the byte of `separator` (a scalar or one uint64 word 3 per cell).
+    the cell's separator.  `separator` holds one uint64 word per cell, its
+    word 3 with the separator in byte 31 and zeros elsewhere.
     """
     t = _tables()
     digits, i, slow = _digits(np.abs(x), t)
@@ -268,57 +271,28 @@ def _config_text(v) -> str:
     return str(v)
 
 
-def _block(columns, floats, values, separator, start, stop) -> bytes:
-    """CSV bytes of rows start..stop; `values` holds the float columns.
-
-    Every cell gets a slot of equal width with its separator in the last
-    byte, and the used bytes are kept in order.  Where every column is a
-    float column, `separator` holds each cell's word 3 with its separator,
-    and the used bytes are the nonzero ones; config strings may hold a NUL,
-    so mixed blocks keep bytes by length.
-    """
-    rows = stop - start
-    x = values[start:stop].ravel() if floats else None
-    if separator is not None:
-        return _float_cells(x, separator[:x.size]).tobytes().translate(None, b"\0")
-    literals = {k: [_config_text(v).encode() for v in column[start:stop]]
-                for k, column in enumerate(columns) if k not in floats}
-    width = max([_CELL] + [len(s) + 1 for texts in literals.values() for s in texts])
-    out = np.zeros((rows, len(columns), width), dtype=np.uint8)
-    if floats:
-        out[:, floats, :_CELL] = _float_cells(x).reshape(rows, len(floats), _CELL)
-    out[:, :, -1] = ord(",")
-    out[:, -1, -1] = ord("\n")
-    keep = out != 0
-    for k, texts in literals.items():
-        # lengths, not nonzero bytes: a config string may hold a NUL
-        text = np.array(texts)
-        out[:, k, :text.itemsize] = text.view(np.uint8).reshape(rows, text.itemsize)
-        keep[:, k, :-1] = np.arange(width - 1) < np.array([len(s) for s in texts])[:, None]
-    return np.compress(keep.ravel(), out.ravel()).tobytes()
-
-
 def csv_text(header, columns):
-    """Yield the bytes of a CSV table: the header line, then blocks of rows.
+    """Yield the bytes of a CSV table: the header line, then its rows.
 
-    Arrays of a floating dtype go through the kernel.  Any other column
-    holds config values, whose cells read as format(v, ".17g") for floats
-    and str(v) otherwise.
+    A table has one of two shapes.  If every column is an array of a
+    floating dtype, blocks of BLOCK_ROWS rows go through the kernel.  Any
+    other table holds config values, a few rows of them, and is written row
+    by row: its cells read as format(v, ".17g") for floats and str(v)
+    otherwise.
     """
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError("CSV columns differ in length")
-    floats = [k for k, column in enumerate(columns)
-              if isinstance(column, np.ndarray) and column.dtype.kind == "f"]
-    values = np.column_stack([np.asarray(columns[k], dtype=np.float64)
-                              for k in floats]) if floats else None
-    separator = None
-    if len(floats) == len(columns):
-        separator = np.full((min(n_rows, BLOCK_ROWS), len(columns)), ord(","),
-                            dtype=np.uint64)
-        separator[:, -1] = ord("\n")
-        separator = (separator << np.uint64(56)).ravel()
     yield (",".join(header) + "\n").encode()
+    if not all(isinstance(column, np.ndarray) and column.dtype.kind == "f"
+               for column in columns):
+        yield "".join(",".join(map(_config_text, row)) + "\n"
+                      for row in zip(*columns)).encode()
+        return
+    values = np.column_stack([np.asarray(column, dtype=np.float64) for column in columns])
+    separator = np.full((min(n_rows, BLOCK_ROWS), len(columns)), ord(","), dtype=np.uint64)
+    separator[:, -1] = ord("\n")
+    separator = (separator << np.uint64(56)).ravel()
     for start in range(0, n_rows, BLOCK_ROWS):
-        yield _block(columns, floats, values, separator, start,
-                     min(start + BLOCK_ROWS, n_rows))
+        x = values[start:start + BLOCK_ROWS].ravel()
+        yield _float_cells(x, separator[:x.size]).tobytes().translate(None, b"\0")

@@ -5,8 +5,9 @@ each entry declares a kind's config keys with the type, range and default
 of each, the check that spans keys, and the runner (none for sweep, which
 runs the scenarios it expands).  There is one subcommand per registered
 kind.  Each takes --config (a JSON file), --out (output directory) and
-optionally --tolerance (a global tolerance override; individual checks can
-instead be overridden through a "tolerances" object in the config).
+optionally --tolerance (a global tolerance override).  A "tolerances" object
+in the config overrides individual tolerances, and may name only those its
+kind reads.
 
 Artifacts are deterministic: floats are canonicalized to 17 significant
 digits, JSON keys keep a fixed order, CSV columns are fixed, and wall time
@@ -36,31 +37,10 @@ import numpy as np
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import (conformal_infinity, critical_mass, kottler_build,
+from .geometry import (FOUR_PI, conformal_infinity, critical_mass, kottler_build,
                        kottler_potential, perturbed_kottler_potential)
 
 __all__ = ["main", "run_scenario", "run_sweep", "RunReport", "load_config"]
-
-FOUR_PI = 4.0 * math.pi
-
-DEFAULT_TOLERANCES = {
-    "horizon_relation": 1e-12,
-    "surface_gravity": 1e-12,
-    "scalar_curvature": 1e-10,
-    "static_residual": 1e-9,
-    "hawking_mass_constant": 1e-10,
-    "area_law": 1e-8,
-    "final_radius": 1e-8,
-    "hawking_monotone": 1e-8,
-    "rate_matches_difference": 1e-8,
-    "extraction_converged": 1e-4,
-    "mu_matches_mass": 1e-4,
-    "gradient_squared_coefficient": 1e-3,
-    "potential_squared_coefficient": 1e-3,
-    "equality": 1e-10,
-    "scan_above_bound": 1e-9,
-    "minimizer_location": 1.0,  # in units of the grid spacing
-}
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +115,16 @@ class _Field(NamedTuple):
 class _Kind(NamedTuple):
     """A scenario kind.  `fields` maps every key but kind and tolerances, in
     check order, to its _Field, or to None when `check` alone reads it.
-    `defaults` fills the optional keys in order.  `check`, run after every
-    field passed, tests what spans fields and returns what _Validated keeps,
-    as keyword arguments, or None.  `run` is None for sweep (see run_sweep)."""
+    `defaults` fills the optional keys in order.  `tolerances` maps the name
+    of each tolerance that `run` reads to its default; a config's
+    "tolerances" may override these and name no other.  `check`, run after
+    every field passed, tests what spans fields and returns what _Validated
+    keeps, as keyword arguments, or None.  `run` is None for sweep (see
+    run_sweep)."""
 
     fields: dict
     defaults: dict
+    tolerances: dict
     check: Callable
     run: Callable
 
@@ -220,7 +204,7 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(out["tolerances"], dict):
         raise ConfigError("'tolerances' must be an object")
     for name, val in out["tolerances"].items():
-        if name not in DEFAULT_TOLERANCES:
+        if name not in spec.tolerances:
             raise ConfigError(f"unknown tolerance name '{name}'")
         if not _is_a(val, float) or val <= 0:
             raise ConfigError(f"tolerance '{name}' must be a positive number")
@@ -367,20 +351,17 @@ class RunReport:
 
 
 class _Checks:
-    def __init__(self, cfg, tol_override):
-        self._cfg_tols = cfg.get("tolerances", {})
-        self._override = tol_override
+    """The checks of one run.  A tolerance is the config's, else the
+    --tolerance override, else the kind's default."""
+
+    def __init__(self, defaults, cfg_tols, tol_override):
+        self._tols = {name: float(cfg_tols.get(
+            name, default if tol_override is None else tol_override))
+            for name, default in defaults.items()}
         self.items = []
 
-    def tol(self, name):
-        if name in self._cfg_tols:
-            return float(self._cfg_tols[name])
-        if self._override is not None:
-            return float(self._override)
-        return DEFAULT_TOLERANCES[name]
-
     def add(self, name, value, tol_name=None):
-        tol = self.tol(tol_name or name)
+        tol = self._tols[tol_name or name]
         self.items.append({"name": name, "value": float(value),
                            "tolerance": tol, "passed": bool(value <= tol)})
 
@@ -519,7 +500,11 @@ _KINDS = {
                                _R_MAX / (2.0 * _MASS_MAX) ** (1.0 / 3.0),
                                "r_max_factor must exceed 1"),
         "genus": _GENUS,
-    }, {"n_radii": 20, "r_max_factor": 1e3}, _check_kottler, _run_kottler),
+    }, {"n_radii": 20, "r_max_factor": 1e3}, {
+        "horizon_relation": 1e-12, "surface_gravity": 1e-12,
+        "scalar_curvature": 1e-10, "static_residual": 1e-9,
+        "hawking_mass_constant": 1e-10,
+    }, _check_kottler, _run_kottler),
     "flow": _Kind({
         "k_hat": _K_HAT, "m": _MASS, "genus": _GENUS,
         "r0": _Field(float, _POSITIVE, message=_R0_T_MAX),
@@ -527,7 +512,10 @@ _KINDS = {
         "t_max": _Field(float, _POSITIVE, 1400.0, _R0_T_MAX),
         "eps": _EPS,
         "steps": _Field(int, 1, _STEPS_MAX, "steps must be a positive integer"),
-    }, {"eps": 0.0, "steps": 4096}, _check_flow, _run_flow),
+    }, {"eps": 0.0, "steps": 4096}, {
+        "area_law": 1e-8, "final_radius": 1e-8, "hawking_monotone": 1e-8,
+        "rate_matches_difference": 1e-8,
+    }, _check_flow, _run_flow),
     "mass-aspect": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
         # changes no result (the map's quadrature is adaptive), but stays a
@@ -541,7 +529,10 @@ _KINDS = {
                           "need 0 < r_start < r_end"),
         "r_end": _Field(float, hi=_MU_R_MAX),
         "eps": _EPS,
-    }, {"eps": 0.0, "nodes_per_decade": 192}, _check_mass_aspect, _run_mass_aspect),
+    }, {"eps": 0.0, "nodes_per_decade": 192}, {
+        "extraction_converged": 1e-4, "mu_matches_mass": 1e-4,
+        "gradient_squared_coefficient": 1e-3, "potential_squared_coefficient": 1e-3,
+    }, _check_mass_aspect, _run_mass_aspect),
     "penrose": _Kind({
         "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),
         "masses": None,
@@ -549,16 +540,20 @@ _KINDS = {
                               "scan_points must be an integer >= 10"),
         # the scanned A^(3/2) overflows from about A = 6e206
         "scan_area_max": _Field(float, hi=1e200),
-    }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi},
-        _check_penrose, _run_penrose),
+    }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi}, {
+        "equality": 1e-10, "scan_above_bound": 1e-9,
+        "minimizer_location": 1.0,  # in units of the grid spacing
+    }, _check_penrose, _run_penrose),
     "static-compare": _Kind({
         "m": _Field(float, critical_mass(-1) - 1e-15, 0.0, _STATIC_MASS, _STATIC_MASS),
         # the boundary area 4 pi (genus - 1) overflows from genus 1.4e307
         "genus": _Field(int, 2, 1e307, "static-compare requires integer genus >= 2"),
         # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs
         "map_r_end": _Field(float, 2.0 * 1.001e3, _MU_R_MAX),
-    }, {"map_r_end": 1e6}, _check_static_compare, _run_static_compare),
-    "sweep": _Kind(dict.fromkeys(("base", "vary")), {}, _check_sweep, None),
+    }, {"map_r_end": 1e6},
+        {},  # its verdicts are booleans, with the fixed slack of static_compare
+        _check_static_compare, _run_static_compare),
+    "sweep": _Kind(dict.fromkeys(("base", "vary")), {}, {}, _check_sweep, None),
 }
 
 
@@ -566,14 +561,14 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
     """Validate, execute and persist one scenario; returns the report."""
     if not isinstance(cfg, _Validated):
         cfg = validate_config(cfg)
-    run = _KINDS[cfg["kind"]].run
-    if run is None:
+    spec = _KINDS[cfg["kind"]]
+    if spec.run is None:
         raise ConfigError("use run_sweep for sweep configs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    checks = _Checks(cfg, tolerance)
-    payload, outputs = run(cfg, out_dir, checks)
+    checks = _Checks(spec.tolerances, cfg["tolerances"], tolerance)
+    payload, outputs = spec.run(cfg, out_dir, checks)
     report = RunReport(scenario=cfg, checks=checks.items,
                        outputs=outputs + ["report.json"],
                        wall_time_s=time.perf_counter() - started)

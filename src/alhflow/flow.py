@@ -150,7 +150,7 @@ def penrose_rhs(genus: int, area: float) -> float:
         raise DomainError("genus must be nonnegative")
     if area < 0.0:
         raise DomainError("area must be nonnegative")
-    gamma = float(max(1, genus - 1)) ** 1.5
+    gamma = geometry.conformal_infinity(genus).gamma
     return math.sqrt(area / SIXTEEN_PI) * (1.0 - genus + area / (4.0 * math.pi)) / gamma
 
 
@@ -200,10 +200,10 @@ def jump_bound_check(area_before: float, area_after: float,
         if m_before < 0.0:
             failures.append("pre-jump Hawking mass is negative")
     else:
-        floor = -(((genus - 1) / 3.0) ** 1.5)
+        floor, floor_area = hawking_lower_bound(genus)
         if m_before < floor:
             failures.append(f"pre-jump Hawking mass below {floor}")
-        if area_before < 4.0 * math.pi * (genus - 1) / 3.0:
+        if area_before < floor_area:
             failures.append("pre-jump area below the minimal-surface floor")
     if failures:
         raise HypothesesNotMet("hypotheses not met: " + "; ".join(failures))

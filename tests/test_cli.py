@@ -351,8 +351,7 @@ _SECOND_VALUES = {
     },
 }
 #: Keys that reach no artifact but the config's echo in report.json.  Each
-#: stays because perfbench's workloads set it, or, for static-compare
-#: tolerances, because every static-compare report echoes it.
+#: stays because perfbench's workloads set it.
 _NO_ARTIFACT = {
     # the map's quadrature is adaptive; the aspect workload varies it
     ("mass-aspect", "nodes_per_decade"),
@@ -362,8 +361,6 @@ _NO_ARTIFACT = {
     # the area radius sqrt(|Sigma| r_h^2 / (4 pi (genus - 1))) is r_h on
     # every genus >= 2; the compare workload sets it
     ("static-compare", "genus"),
-    # the verdicts are booleans with the fixed slack of static_compare
-    ("static-compare", "tolerances"),
 }
 
 
@@ -373,12 +370,10 @@ ASPECT_SHORT_MAP_CFG = dict(ASPECT_CFG, m=0.0, eps=1.0, r_start=1e-4, r_end=0.5)
 
 
 def _accepted_keys(kind):
-    """The keys a config of this kind may set, besides kind."""
-    try:
-        validate_config(dict(MINIMAL[kind], tolerances={}))
-    except ConfigError:
-        return list(cli._KINDS[kind].fields)
-    return [*cli._KINDS[kind].fields, "tolerances"]
+    """The keys a config of this kind may set, besides kind: tolerances
+    only where the kind reads one."""
+    spec = cli._KINDS[kind]
+    return [*spec.fields, "tolerances"] if spec.tolerances else list(spec.fields)
 
 
 def _computed(root):
@@ -411,8 +406,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("cfg", [
         dict(PENROSE_CFG, masses=[math.nan]),
-        dict(KOTTLER_CFG, tolerances={"equality": math.inf}),
-        dict(KOTTLER_CFG, tolerances={"equality": math.nan}),
+        dict(KOTTLER_CFG, tolerances={"scalar_curvature": math.inf}),
+        dict(KOTTLER_CFG, tolerances={"scalar_curvature": math.nan}),
         # values that overflowed at run time
         dict(FLOW_CFG, t_max=1500.0),
         dict(KOTTLER_CFG, m=1e300),
@@ -462,6 +457,10 @@ class TestRegistry:
         dict(FLOW_CFG, m=-1.0 / (3.0 * math.sqrt(3.0)) + 1e-8, eps=-1e-7, r0=0.3),
         dict(ASPECT_CFG, m=-1.0 / (3.0 * math.sqrt(3.0)) + 1e-8, eps=-1e-7,
              r_start=0.3, r_end=1e3),
+        # tolerance names the kind never reads
+        dict(FLOW_CFG, tolerances={"equality": 1e-30}),
+        dict(KOTTLER_CFG, tolerances={"area_law": 1.0}),
+        dict(STATIC_CFG, tolerances={"equality": 1e-300}),
     ])
     def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)
@@ -482,6 +481,15 @@ class TestRegistry:
             run(cfg, tmp_path / name)
             trees.append(_computed(tmp_path / name))
         assert trees[0] != trees[1]
+
+    @pytest.mark.parametrize("kind", [kind for kind, spec in cli._KINDS.items()
+                                      if spec.run is not None])
+    def test_each_kind_declares_the_tolerances_its_checks_read(self, tmp_path, kind):
+        report = run_scenario(MINIMAL[kind], tmp_path)
+        # penrose checks each mass as equality_m<i>, against one tolerance
+        read = {"equality" if check["name"].startswith("equality_m") else check["name"]
+                for check in report.checks if check["tolerance"] > 0}
+        assert read == set(cli._KINDS[kind].tolerances)
 
     @pytest.mark.parametrize("key,value", [("parallel", False), ("tolerances", {})])
     def test_sweep_rejects_keys_no_member_reads(self, key, value):
@@ -567,8 +575,8 @@ class TestRegistry:
         (dict(KOTTLER_CFG, genus=1), "genus 1 has curvature sign 0, config says -1"),
         (dict(KOTTLER_CFG, n_radii=1), "n_radii must be an integer >= 2"),
         (dict(KOTTLER_CFG, r_max_factor=1), "r_max_factor must exceed 1"),
-        (dict(KOTTLER_CFG, tolerances={"equality": -1}),
-         "tolerance 'equality' must be a positive number"),
+        (dict(KOTTLER_CFG, tolerances={"scalar_curvature": -1}),
+         "tolerance 'scalar_curvature' must be a positive number"),
         (dict(FLOW_CFG, r0=-1), "r0 and t_max must be positive"),
         (dict(FLOW_CFG, steps=0), "steps must be a positive integer"),
         (dict(FLOW_CFG, r0=0.5),
