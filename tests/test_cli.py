@@ -575,8 +575,8 @@ class TestRegistry:
         (dict(KOTTLER_CFG, genus=1), "genus 1 has curvature sign 0, config says -1"),
         (dict(KOTTLER_CFG, n_radii=1), "n_radii must be an integer >= 2"),
         (dict(KOTTLER_CFG, r_max_factor=1), "r_max_factor must exceed 1"),
-        (dict(KOTTLER_CFG, tolerances={"scalar_curvature": -1}),
-         "tolerance 'scalar_curvature' must be a positive number"),
+        (dict(PENROSE_CFG, tolerances={"equality": -1}),
+         "tolerance 'equality' must be a positive number"),
         (dict(FLOW_CFG, r0=-1), "r0 and t_max must be positive"),
         (dict(FLOW_CFG, steps=0), "steps must be a positive integer"),
         (dict(FLOW_CFG, r0=0.5),
@@ -603,6 +603,8 @@ class TestRegistry:
         (dict(FLOW_CFG, r0=0.1, t_max=1.0, steps=64),
          "flow scenarios need r0 >= domain_start = 0.8788850662499729 "
          "(the horizon radius)"),
+        (dict(KOTTLER_CFG, tolerances={"scalar_curvature": -1}),
+         "tolerance 'scalar_curvature' must be a positive number"),
     ])
     def test_messages_kept(self, cfg, message):
         with pytest.raises(ConfigError) as info:
