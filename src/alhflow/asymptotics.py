@@ -37,8 +37,10 @@ solve_ivp = None
 
 #: The largest outer rho and the sample count of dyadic_profile_samples.
 PROFILE_RHO_MAX, PROFILE_COUNT = 4096.0, 8
-#: mass_aspect_extract reads mu at the radii r_end / 2^k with k < MU_SAMPLES.
-MU_SAMPLES = 10
+#: mass_aspect_extract reads mu at the radii r_end / 2^k with k < MU_SAMPLES,
+#: and raises ExtractionError when its last two extrapolation levels differ
+#: by more than MU_TOLERANCE.
+MU_SAMPLES, MU_TOLERANCE = 10, 1e-3
 
 __all__ = [
     "SubstitutionMap",
@@ -114,7 +116,6 @@ class SubstitutionMap:
 
     def __init__(self, potential: RadialPotential, r_start: float, r_end: float):
         p = self.potential = potential
-        self.k_hat = p.k_hat
         k = self._k = float(p.k_hat)
         self._r_start, self._r_end = float(r_start), float(r_end)
 
@@ -483,8 +484,7 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
     return SubstitutionMap(p, r_start, r_end)
 
 
-def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
-                        levels: int = 3, tolerance: float = 1e-3) -> MassAspectResult:
+def mass_aspect_extract(sub_map: SubstitutionMap) -> MassAspectResult:
     """Extract mu = (3/2) lim rho (r^2 - rho^2) by dyadic extrapolation."""
     if sub_map.decades < 3.0 - 1e-9:
         raise DomainError("map must cover at least 3 decades")
@@ -492,10 +492,10 @@ def mass_aspect_extract(p: RadialPotential, sub_map: SubstitutionMap,
     count = min(MU_SAMPLES, max_halvings + 1)
     radii = sub_map.r_end / 2.0 ** np.arange(count - 1, -1, -1)
     values = sub_map.mu_at(radii)
-    mu, err = richardson(values, levels=levels)
-    if err > tolerance:
+    mu, err = richardson(values)
+    if err > MU_TOLERANCE:
         raise ExtractionError(
-            f"extrapolation levels disagree by {err:.3e} > {tolerance:.3e}")
+            f"extrapolation levels disagree by {err:.3e} > {MU_TOLERANCE:.3e}")
     return MassAspectResult(mu=mu, error_estimate=err)
 
 
@@ -546,20 +546,18 @@ def expansion_fit(samples) -> ExpansionFit:
                         error_estimate=a2_err)
 
 
-def conformal_area(inf: ConformalInfinity, p: RadialPotential,
-                   sub_map: SubstitutionMap, r: float) -> float:
+def conformal_area(inf: ConformalInfinity, sub_map: SubstitutionMap, r: float) -> float:
     """Area of the coordinate sphere in the compactified metric.
 
     |Sigma~| = |Sigma_hat| (r/rho)^2, which converges to the area of the
     conformal infinity as r grows.
     """
-    if inf.curvature_sign != p.k_hat:
+    if inf.curvature_sign != sub_map.potential.k_hat:
         raise DomainError("infinity and potential disagree on curvature sign")
     return inf.area * float(sub_map.area_factor(r))
 
 
-def conformal_mean_curvature_residual(p: RadialPotential,
-                                      sub_map: SubstitutionMap, r: float) -> float:
+def conformal_mean_curvature_residual(sub_map: SubstitutionMap, r: float) -> float:
     """Defect of H = s H~ + 2 nu~(s) between two independent evaluations.
 
     The left side comes from the radial profile; the right side is read off
@@ -569,6 +567,7 @@ def conformal_mean_curvature_residual(p: RadialPotential,
     of the map's area factor, not its slope, so the residual measures the
     map's error and the difference's.
     """
+    p = sub_map.potential
     p.require_inside(r)
     h_direct = mean_curvature_sphere(p, r)
     phi = p.phi(r)

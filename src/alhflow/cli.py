@@ -37,8 +37,8 @@ import numpy as np
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import (FOUR_PI, conformal_infinity, critical_mass, kottler_build,
-                       kottler_potential, perturbed_kottler_potential)
+from .geometry import (FOUR_PI, MASS_SLACK, conformal_infinity, critical_mass,
+                       kottler_build, kottler_potential)
 
 __all__ = ["main", "run_scenario", "run_sweep", "RunReport", "load_config"]
 
@@ -239,7 +239,7 @@ def _check_sweep(out):
 
 def _admissible_mass(cfg) -> None:
     crit = critical_mass(cfg["k_hat"])
-    if cfg["m"] < crit - 1e-15:
+    if cfg["m"] < crit - MASS_SLACK:
         raise ConfigError(f"mass {cfg['m']} below the admissible minimum {crit}")
 
 
@@ -302,7 +302,7 @@ def _check_penrose(cfg) -> None:
     for m in masses:
         if not _is_a(m, float):
             raise ConfigError("'masses' entries must be numbers")
-        if m < critical_mass(-1) - 1e-15:
+        if m < critical_mass(-1) - MASS_SLACK:
             raise ConfigError(f"mass {m} below the admissible minimum")
         _check_field("masses", _MASS, m)
     # a scan that ends before the minimizer fails minimizer_location
@@ -318,7 +318,7 @@ def _check_static_compare(cfg) -> None:
 
 
 def _potential_from(cfg):
-    return perturbed_kottler_potential(cfg["k_hat"], cfg["m"], cfg["eps"])
+    return kottler_potential(cfg["k_hat"], cfg["m"], cfg["eps"])
 
 
 def expand_sweep(cfg: dict) -> list[dict]:
@@ -382,7 +382,7 @@ def _run_kottler(cfg, out_dir, checks):
     if r_m > 0:
         radii = np.geomspace(r_m * 1.05, r_m * cfg["r_max_factor"], cfg["n_radii"])
     else:
-        radii = np.geomspace(0.5, 500.0, cfg["n_radii"])
+        radii = np.geomspace(0.5, 0.5 * cfg["r_max_factor"], cfg["n_radii"])
     curv = geometry.scalar_curvature(p, radii)
     res = geometry.static_residual(p, radii)
     m_h = geometry.hawking_mass_sphere(inf, p, radii)
@@ -427,7 +427,7 @@ def _run_flow(cfg, out_dir, checks):
 def _run_mass_aspect(cfg, out_dir, checks):
     p = cfg.potential
     sub_map = asymptotics.build_substitution(p, cfg["r_start"], cfg["r_end"])
-    result = asymptotics.mass_aspect_extract(p, sub_map)
+    result = asymptotics.mass_aspect_extract(sub_map)
     checks.add("extraction_converged", result.error_estimate)
     checks.add("mu_matches_mass", abs(result.mu - cfg["m"]))
 
@@ -476,8 +476,9 @@ def _run_static_compare(cfg, out_dir, checks):
         p, cfg["genus"], map_r_end=cfg["map_r_end"])
     for name, ok in report.verdicts.items():
         checks.add_bool(name, ok)
-    write_json(report.to_dict(), out_dir / "comparison.json")
-    return report.to_dict(), ["comparison.json"]
+    comparison = report.to_dict()
+    write_json(comparison, out_dir / "comparison.json")
+    return comparison, ["comparison.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,8 @@ _KINDS = {
     "kottler": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
         "n_radii": _Field(int, 2, _N_RADII_MAX, "n_radii must be an integer >= 2"),
-        # radii reach r_m r_max_factor, and r_m is at most about (2 _MASS_MAX)^(1/3)
+        # radii reach r_m r_max_factor (0.5 r_max_factor without a horizon),
+        # and r_m is at most about (2 _MASS_MAX)^(1/3)
         "r_max_factor": _Field(float, math.nextafter(1.0, 2.0),
                                _R_MAX / (2.0 * _MASS_MAX) ** (1.0 / 3.0),
                                "r_max_factor must exceed 1"),
@@ -545,7 +547,7 @@ _KINDS = {
         "minimizer_location": 1.0,  # in units of the grid spacing
     }, _check_penrose, _run_penrose),
     "static-compare": _Kind({
-        "m": _Field(float, critical_mass(-1) - 1e-15, 0.0, _STATIC_MASS, _STATIC_MASS),
+        "m": _Field(float, critical_mass(-1) - MASS_SLACK, 0.0, _STATIC_MASS, _STATIC_MASS),
         # the boundary area 4 pi (genus - 1) overflows from genus 1.4e307
         "genus": _Field(int, 2, 1e307, "static-compare requires integer genus >= 2"),
         # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs

@@ -28,7 +28,6 @@ __all__ = [
     "StaticResidual",
     "conformal_infinity",
     "kottler_potential",
-    "perturbed_kottler_potential",
     "largest_zero",
     "kottler_build",
     "critical_mass",
@@ -48,6 +47,9 @@ _TINY = float(np.finfo(float).tiny)
 
 #: Critical mass below which no k_hat = -1 horizon exists.
 CRITICAL_MASS_HYPERBOLIC = -1.0 / (3.0 * math.sqrt(3.0))
+#: Admissibility slack: masses up to this far below the critical mass are
+#: admissible, and their horizons are solved at the critical mass.
+MASS_SLACK = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,6 @@ class KottlerSpace:
     horizonless boundary members (m = 0 with k_hat in {0, +1}).
     """
 
-    k_hat: int
     horizon_radius: float
     surface_gravity: float
     potential: RadialPotential
@@ -214,10 +215,10 @@ def _largest_cubic_root(a: float, b: float) -> Optional[tuple[float, bool]]:
 
 
 def _horizon_root(k_hat: int, m: float) -> Optional[tuple[float, bool]]:
-    """(root, is_double) of r^3 + k_hat*r - 2m, or None.  Masses within the
-    1e-15 admissibility slack below the critical mass are solved at it."""
+    """(root, is_double) of r^3 + k_hat*r - 2m, or None.  Masses within
+    MASS_SLACK below the critical mass are solved at it."""
     lo = critical_mass(k_hat)
-    if lo - 1e-15 <= m < lo:
+    if lo - MASS_SLACK <= m < lo:
         m = lo
     return _largest_cubic_root(float(k_hat), 2.0 * m)
 
@@ -226,7 +227,7 @@ def largest_zero(k_hat: int, m: float) -> Optional[float]:
     """Largest positive zero of V(r) = sqrt(r^2 + k_hat - 2m/r), or None.
 
     Zeros of V coincide with positive roots of r^3 + k_hat*r - 2m; masses
-    up to 1e-15 below the critical one count as critical.
+    up to MASS_SLACK below the critical one count as critical.
     """
     found = _horizon_root(k_hat, m)
     return None if found is None else found[0]
@@ -246,13 +247,12 @@ def _check_k(k_hat: int) -> None:
 # potential families
 
 
-def kottler_potential(k_hat: int, m: float) -> RadialPotential:
-    """The eps = 0 member phi = r^2 + k_hat - 2m/r, from its horizon outward."""
-    return RadialPotential(k_hat, float(m), 0.0, largest_zero(k_hat, m) or 0.0)
+def kottler_potential(k_hat: int, m: float, eps: float = 0.0) -> RadialPotential:
+    """phi = r^2 + k_hat - 2m/r + eps/r^2 (scalar curvature -6 + 2 eps/r^4),
+    from its horizon outward; eps = 0 gives the Kottler family.
 
-
-def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPotential:
-    """phi = r^2 + k_hat - 2m/r + eps/r^2 (scalar curvature -6 + 2 eps/r^4)."""
+    DomainError for a mass more than MASS_SLACK below the critical one.
+    """
     _require_admissible(k_hat, m)
     p = RadialPotential(k_hat, float(m), float(eps), 0.0)
     start = horizon_radius(p)
@@ -260,9 +260,9 @@ def perturbed_kottler_potential(k_hat: int, m: float, eps: float) -> RadialPoten
 
 
 def _require_admissible(k_hat: int, m: float) -> None:
-    """DomainError for a mass more than 1e-15 below the critical one."""
+    """DomainError for a mass more than MASS_SLACK below the critical one."""
     lo = critical_mass(k_hat)
-    if m < lo - 1e-15:
+    if m < lo - MASS_SLACK:
         raise DomainError(
             f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
 
@@ -272,7 +272,7 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
 
     The surface gravity is (3 r_m^2 + k_hat) / (2 r_m) = phi'(r_m)/2; it is
     exactly 0 for the critical k_hat = -1 member (double root), which also
-    stands for the admissible masses up to 1e-15 below it.
+    stands for the admissible masses up to MASS_SLACK below it.
     """
     _require_admissible(k_hat, m)
     found = _horizon_root(k_hat, m)
@@ -282,9 +282,8 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     else:
         r_m, is_double = found
         kappa = 0.0 if is_double else (3.0 * r_m * r_m + k_hat) / (2.0 * r_m)
-    return KottlerSpace(
-        k_hat=k_hat, horizon_radius=r_m,
-        surface_gravity=kappa, potential=RadialPotential(k_hat, float(m), 0.0, r_m))
+    return KottlerSpace(horizon_radius=r_m, surface_gravity=kappa,
+                        potential=RadialPotential(k_hat, float(m), 0.0, r_m))
 
 
 def horizon_radius(p: RadialPotential) -> Optional[float]:

@@ -12,7 +12,7 @@ cubic of the reference radius).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,27 +176,17 @@ class ComparisonReport:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "sup_w_minus_w0": self.sup_w_minus_w0,
-            "boundary_curvature": self.boundary_curvature,
-            "reference_curvature": self.reference_curvature,
-            "mass_aspect": self.mass_aspect,
-            "reference_mass": self.reference_mass,
-            "area_radius": self.area_radius,
-            "reference_area_radius": self.reference_area_radius,
-            "cubic_residual": self.cubic_residual,
-            "verdicts": dict(self.verdicts),
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def compare_with_reference(p: RadialPotential, genus: int,
                            map_r_end: float = 1e6) -> ComparisonReport:
     """Build the full comparison report for a static radial data set.
 
-    The data must be static to STATIC_TOL, have a horizon, curvature sign -1
-    at infinity, genus >= 2, and surface gravity at most 1 (nonpositive
-    reference mass); otherwise the hypotheses are reported as not met.
+    The data must be static to STATIC_TOL, have a horizon (domain_start
+    > 0), curvature sign -1 at infinity, genus >= 2, and surface gravity
+    at most 1 (nonpositive reference mass); otherwise the hypotheses are
+    reported as not met.
     The verdicts allow the slack W_TOL, CURVATURE_TOL and MU_TOL, and the
     mass aspect is extracted from a map reaching at least map_r_end.
     """
@@ -205,8 +195,8 @@ def compare_with_reference(p: RadialPotential, genus: int,
     inf = conformal_infinity(genus)
     if inf.curvature_sign != p.k_hat:
         raise DomainError("genus must be at least 2")
-    r_h = geometry.horizon_radius(p)
-    if r_h is None or r_h <= 0.0:
+    r_h = p.domain_start
+    if r_h <= 0.0:
         raise DomainError("data has no horizon")
 
     res = geometry.static_residual(p, np.geomspace(r_h * 1.02, r_h * 50.0, 48))
@@ -239,7 +229,7 @@ def compare_with_reference(p: RadialPotential, genus: int,
     map_end = max(map_r_end, 2.0 * r_h * 1.001e3)
     map_start = max(2.0 * r_h, map_end / 2.0 ** asymptotics.MU_SAMPLES)
     sub_map = asymptotics.build_substitution(p, map_start, map_end)
-    mu = asymptotics.mass_aspect_extract(p, sub_map).mu
+    mu = asymptotics.mass_aspect_extract(sub_map).mu
 
     area = inf.area * r_h * r_h
     frak_r = math.sqrt(area / (4.0 * math.pi * (genus - 1)))

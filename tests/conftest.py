@@ -1,6 +1,6 @@
 import pytest
 
-from alhflow import build_substitution, kottler_potential, perturbed_kottler_potential
+from alhflow import build_substitution, kottler_potential
 
 _MAP_CACHE = {}
 
@@ -12,11 +12,8 @@ def submap():
     def get(k_hat, m, eps=0.0, r_start=2.0, r_end=1e6):
         key = (k_hat, m, eps, r_start, r_end)
         if key not in _MAP_CACHE:
-            if eps:
-                p = perturbed_kottler_potential(k_hat, m, eps)
-            else:
-                p = kottler_potential(k_hat, m)
-            _MAP_CACHE[key] = build_substitution(p, r_start, r_end)
+            _MAP_CACHE[key] = build_substitution(kottler_potential(k_hat, m, eps),
+                                                 r_start, r_end)
         return _MAP_CACHE[key]
 
     return get

@@ -17,8 +17,7 @@ from alhflow import (HypothesesNotMet, ReferencePotential, alpha_coefficient,
                      dyadic_profile_samples, expansion_fit, geroch_rate,
                      hawking_lower_bound, imcf_integrate, jump_bound_check,
                      kottler_build, kottler_potential, mass_aspect_extract,
-                     omega_ode_residual, penrose_rhs,
-                     perturbed_kottler_potential, potential_gradient_squared,
+                     omega_ode_residual, penrose_rhs, potential_gradient_squared,
                      scalar_curvature, static_residual)
 from alhflow.cli import run_scenario, run_sweep
 
@@ -83,7 +82,7 @@ def test_criterion_3_geroch_monotonicity():
     genus, m, r0, t_max = 2, -0.1, 2.0, 2.0
     inf = conformal_infinity(genus)
     for eps in (0.0, 0.05, 0.2):
-        p = perturbed_kottler_potential(-1, m, eps)
+        p = kottler_potential(-1, m, eps)
         traj = imcf_integrate(inf, p, r0, t_max)  # default 4096 steps
         if traj.max_violation > 1e-8:
             failures.append(f"eps={eps}: violation {traj.max_violation:.2e}")
@@ -100,7 +99,7 @@ def test_criterion_3_geroch_monotonicity():
         fd_dev = float(np.max(np.abs(fd - rate[1:-1])))
         if fd_dev > 10.0 * dt * dt * max(1.0, float(np.max(np.abs(mass)))):
             failures.append(f"eps={eps}: rate vs finite difference {fd_dev:.2e}")
-    p_bad = perturbed_kottler_potential(-1, m, -0.2)
+    p_bad = kottler_potential(-1, m, -0.2)
     traj_bad = imcf_integrate(inf, p_bad, r0, t_max)
     if traj_bad.monotone or traj_bad.max_violation <= 1e-8:
         failures.append("eps=-0.2: decrease not detected (test has no power)")
@@ -116,7 +115,7 @@ def test_criterion_4_mass_aspect_extraction():
         # not a power of two
         for r_end in (1e6, 3e6):
             sub_map = build_substitution(p, 2.0, r_end)
-            mu = mass_aspect_extract(p, sub_map).mu
+            mu = mass_aspect_extract(sub_map).mu
             if abs(mu - m) > 1e-4:
                 failures.append(f"m={m}, r_end={r_end:g}: |mu - m| = {abs(mu-m):.2e}")
     _report(4, "mass-aspect extraction on two partitions", failures)
@@ -215,12 +214,12 @@ def test_criterion_8_conformal_identities():
     profiles = [
         ("zero mass", kottler_potential(-1, 0.0)),
         ("positive mass", kottler_potential(-1, 0.5)),
-        ("perturbed", perturbed_kottler_potential(-1, 0.3, 0.11)),
+        ("perturbed", kottler_potential(-1, 0.3, 0.11)),
     ]
     for label, p in profiles:
         sub_map = build_substitution(p, 2.0, 2e4)
         for r in (10.0, 100.0):
-            res = conformal_mean_curvature_residual(p, sub_map, r)
+            res = conformal_mean_curvature_residual(sub_map, r)
             if res > 1e-6:
                 failures.append(f"{label}: residual {res:.2e} at r={r}")
     inf = conformal_infinity(2)
@@ -228,7 +227,7 @@ def test_criterion_8_conformal_identities():
     sub_map = build_substitution(p, 2.0, 2e4)
     traj = imcf_integrate(inf, p, 3.0, 7.0, steps=512)
     ts = traj.t
-    devs = np.array([abs(conformal_area(inf, p, sub_map, s.r) - inf.area)
+    devs = np.array([abs(conformal_area(inf, sub_map, s.r) - inf.area)
                      for s in traj.states])
     i1 = int(np.argmin(np.abs(ts - 1.0)))
     c_fit = devs[i1] * math.exp(0.5 * ts[i1])

@@ -14,8 +14,7 @@ import pytest
 from alhflow import (DomainError, build_substitution,
                      conformal_infinity, geroch_rate,
                      hawking_mass_sphere, horizon_radius, imcf_integrate,
-                     kottler_potential, mean_curvature_sphere,
-                     perturbed_kottler_potential, potential_gradient_squared,
+                     kottler_potential, mean_curvature_sphere, potential_gradient_squared,
                      ricci_components, scalar_curvature, static_residual,
                      write_trajectory_csv)
 from alhflow.flow import TRAJECTORY_COLUMNS
@@ -30,7 +29,7 @@ def _through_horizon():
 
 FAMILIES = {
     "kottler": (2, lambda: kottler_potential(-1, 0.3)),
-    "perturbed": (1, lambda: perturbed_kottler_potential(0, 0.4, 0.09)),
+    "perturbed": (1, lambda: kottler_potential(0, 0.4, 0.09)),
     "through-horizon": (2, _through_horizon),
 }
 
@@ -148,7 +147,7 @@ def test_require_inside_array():
 
 def test_trajectory_csv_matches_scalar_rendering(tmp_path, submap):
     inf = conformal_infinity(2)
-    p = perturbed_kottler_potential(-1, -0.1, 0.15)
+    p = kottler_potential(-1, -0.1, 0.15)
     sub_map = submap(-1, -0.1, eps=0.15, r_start=2.0, r_end=2e4)
     traj = imcf_integrate(inf, p, 2.0, 3.0, steps=64)
     path = tmp_path / "traj.csv"
@@ -165,7 +164,7 @@ def test_trajectory_csv_matches_scalar_rendering(tmp_path, submap):
 def test_long_trajectory_csv_matches_format(tmp_path, submap, k_hat, genus, m):
     # a flow-long benchmark member's table: 4,097 rows, nine blocks of the writer
     eps, r0 = 0.1, 4.0
-    p = perturbed_kottler_potential(k_hat, m, eps)
+    p = kottler_potential(k_hat, m, eps)
     sub_map = submap(k_hat, m, eps=eps, r_start=r0, r_end=1e4)
     traj = imcf_integrate(conformal_infinity(genus), p, r0, 2.0 * np.log(4e3 / r0),
                           steps=4096)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import alhflow
-from alhflow import build_substitution, cli, perturbed_kottler_potential
+from alhflow import build_substitution, cli, kottler_potential
 from alhflow.cli import (ConfigError, expand_sweep, load_config, main,
                          run_scenario, run_sweep, validate_config)
 from alhflow.errors import NumericalError
@@ -482,6 +483,17 @@ class TestRegistry:
             trees.append(_computed(tmp_path / name))
         assert trees[0] != trees[1]
 
+    @pytest.mark.parametrize("k_hat,genus", [(0, 1), (1, 0)])
+    def test_r_max_factor_reaches_horizonless_profiles(self, tmp_path, k_hat, genus):
+        # m = 0 with k_hat in {0, +1} has no horizon: radii run from 0.5 out
+        # to 0.5 r_max_factor
+        for factor in (10.0, 1e5):
+            cfg = dict(KOTTLER_CFG, k_hat=k_hat, genus=genus, r_max_factor=factor)
+            run_scenario(cfg, tmp_path / str(factor))
+            rows = (tmp_path / str(factor) / "profile.csv").read_text().splitlines()
+            assert [float(row.split(",")[0]) for row in (rows[1], rows[-1])] == \
+                [0.5, 0.5 * factor]
+
     @pytest.mark.parametrize("kind", [kind for kind, spec in cli._KINDS.items()
                                       if spec.run is not None])
     def test_each_kind_declares_the_tolerances_its_checks_read(self, tmp_path, kind):
@@ -553,7 +565,7 @@ class TestRegistry:
 
     def test_eps_bound_sits_below_the_quadrature_failure(self):
         # the failure the bound keeps out of a run, on the flow config's map
-        p = perturbed_kottler_potential(-1, -0.1, 2e56)
+        p = kottler_potential(-1, -0.1, 2e56)
         with pytest.raises(NumericalError, match="did not converge"):
             build_substitution(p, 2.0, 2.02e3)
 
@@ -633,3 +645,12 @@ def test_cold_start_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _COLD_START, src, str(tmp_path), *paths],
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-2:] == ["[]", "False"]
+
+
+def test_readme_configs_validate():
+    # the README's minimal configs: one per registered kind, each valid
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert sorted(cfg["kind"] for cfg in configs) == sorted(cli._KINDS)
+    for cfg in configs:
+        validate_config(cfg)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from alhflow import (DomainError, HypothesesNotMet, conformal_infinity, geroch_rate, hawking_lower_bound,
                      hawking_mass_from_integrals, imcf_integrate,
                      jump_bound_check, kottler_build, kottler_potential,
-                     penrose_rhs, perturbed_kottler_potential,
-                     write_trajectory_csv)
+                     penrose_rhs, write_trajectory_csv)
 from alhflow.cli import run_scenario
 from alhflow.flow import TRAJECTORY_COLUMNS
 
@@ -76,8 +75,8 @@ M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 @pytest.mark.parametrize("genus,p", [
     (2, kottler_potential(-1, M_CRIT)), (3, kottler_potential(-1, M_CRIT)),
     (5, kottler_potential(-1, M_CRIT)),
-    (2, perturbed_kottler_potential(-1, -0.1, 0.05)),
-    (2, perturbed_kottler_potential(-1, 0.5, 0.2))])
+    (2, kottler_potential(-1, -0.1, 0.05)),
+    (2, kottler_potential(-1, 0.5, 0.2))])
 def test_flow_from_the_horizon(genus, p):
     # phi touches 0 at the critical double root and reads <= 0 from
     # rounding just beyond it: the domain alone admits the start
@@ -110,7 +109,7 @@ class TestGerochRate:
     def test_perturbed_closed_form(self, genus):
         eps = 0.2
         inf = conformal_infinity(genus)
-        p = perturbed_kottler_potential(-1, -0.1, eps)
+        p = kottler_potential(-1, -0.1, eps)
         for r in (2.0, 5.0):
             assert geroch_rate(inf, p, r) == pytest.approx(
                 inf.c ** 1.5 * eps / (4 * r), rel=1e-10)
@@ -145,7 +144,7 @@ class TestGerochRate:
     def test_rate_equals_mass_derivative(self):
         # centered difference of m_H along the flow, O(dt^2)
         inf = conformal_infinity(2)
-        p = perturbed_kottler_potential(-1, -0.1, 0.15)
+        p = kottler_potential(-1, -0.1, 0.15)
         errs = []
         for steps in (128, 256):
             traj = imcf_integrate(inf, p, 2.0, 1.0, steps=steps)
@@ -176,7 +175,7 @@ class TestMonotonicity:
     def test_nondecreasing_when_curvature_bounded(self, m, eps, genus, r_shift):
         # scalar curvature -6 + 2 eps / r^4 >= -6 for eps >= 0
         inf = conformal_infinity(genus)
-        p = perturbed_kottler_potential(-1, m, eps)
+        p = kottler_potential(-1, m, eps)
         r0 = (p.domain_start or 1.0) + r_shift
         traj = imcf_integrate(inf, p, r0, 1.5, steps=256)
         assert traj.monotone
@@ -185,7 +184,7 @@ class TestMonotonicity:
     def test_counterexample_direction(self):
         # eps < 0 puts scalar curvature below -6 and the mass must drop
         inf = conformal_infinity(2)
-        p = perturbed_kottler_potential(-1, -0.1, -0.2)
+        p = kottler_potential(-1, -0.1, -0.2)
         traj = imcf_integrate(inf, p, 2.0, 2.0, steps=512)
         assert not traj.monotone
         assert traj.max_violation > 1e-4

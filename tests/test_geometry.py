@@ -8,8 +8,7 @@ from alhflow import (ConformalInfinity, DomainError, conformal_infinity,
                      critical_mass,
                      hawking_mass_from_integrals, hawking_mass_sphere,
                      horizon_radius, kottler_build, kottler_potential,
-                     largest_zero, mean_curvature_sphere,
-                     perturbed_kottler_potential, ricci_components,
+                     largest_zero, mean_curvature_sphere, ricci_components,
                      scalar_curvature, static_residual)
 from alhflow.cli import main
 
@@ -156,7 +155,7 @@ class TestScalarCurvature:
 
     def test_perturbed_shift(self):
         eps = 0.07
-        p = perturbed_kottler_potential(-1, 0.2, eps)
+        p = kottler_potential(-1, 0.2, eps)
         for r in (1.7, 3.0, 11.0):
             assert scalar_curvature(p, r) == pytest.approx(
                 -6.0 + 2 * eps / r ** 4, abs=1e-12)
@@ -348,7 +347,7 @@ class TestStaticResidual:
 
     def test_perturbation_detected(self):
         eps = 0.1
-        p = perturbed_kottler_potential(-1, 0.5, eps)
+        p = kottler_potential(-1, 0.5, eps)
         r = 2.0
         res = static_residual(p, r)
         assert res.ricci_residual == pytest.approx(eps / r ** 4, rel=1e-9)
@@ -368,7 +367,7 @@ def test_critical_data_values():
 
 class TestHorizonRadius:
     def test_perturbed_family(self):
-        p = perturbed_kottler_potential(-1, 0.5, 0.05)
+        p = kottler_potential(-1, 0.5, 0.05)
         r_h = horizon_radius(p)
         assert r_h is not None
         assert p.phi(r_h) == pytest.approx(0.0, abs=1e-10)

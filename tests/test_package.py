@@ -35,8 +35,16 @@ def _trees(paths):
     return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
+def _reads_self_as_dict(cls: ast.ClassDef) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "asdict" and len(node.args) == 1
+               and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+               for node in ast.walk(cls))
+
+
 def _reads():
-    """(names, attributes) that the package and the acceptance tests read."""
+    """(names, attributes) that the package and the acceptance tests read.
+    A class that calls asdict(self) reads every field it declares."""
     names, attributes = set(), set()
     for tree in _trees([*_package_sources(), ROOT / "tests" / "test_acceptance.py"]):
         for node in ast.walk(tree):
@@ -44,6 +52,9 @@ def _reads():
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _reads_self_as_dict(node):
+                attributes |= {stmt.target.id for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign)}
     return names, attributes
 
 

@@ -9,6 +9,7 @@ representing r.  A perturbed horizon, a root of the quartic
 Q(r) = r^4 + k r^2 - 2m r + eps, gets the same bound from Q's terms.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from alhflow import (DomainError, NumericalError, ReferencePotential,
                      critical_mass, geometry,
                      horizon_radius, kottler_build, kottler_potential,
-                     largest_zero, perturbed_kottler_potential)
+                     largest_zero)
 from alhflow.geometry import _largest_cubic_root
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
@@ -75,7 +76,7 @@ def quartic_tolerance(k_hat, m, eps, r):
 
 def assert_horizon_matches_mpmath(k_hat, m, eps):
     exact = exact_quartic(k_hat, m, eps)
-    r = perturbed_kottler_potential(k_hat, m, eps).domain_start
+    r = kottler_potential(k_hat, m, eps).domain_start
     assert abs(r - exact) <= quartic_tolerance(k_hat, m, eps, exact), (r, exact)
 
 
@@ -115,6 +116,23 @@ def test_no_root_below_critical():
     for k_hat in (0, 1):
         for m in (0.0, -1e-15, -0.5, -5.0):
             assert largest_zero(k_hat, m) is None
+
+
+def _bits(p):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(p)]
+
+
+@pytest.mark.parametrize("k_hat", [-1, 0, 1])
+def test_kottler_potential_is_the_potential_of_kottler_build(k_hat):
+    # every mass here is admissible, the first one within the slack
+    crit = critical_mass(k_hat)
+    for m in (crit - 1e-16, crit, crit + 1e-11, -0.0, 0.0, 1e-300, 0.5, 1e100):
+        built = kottler_build(k_hat, m).potential
+        assert _bits(kottler_potential(k_hat, m)) == _bits(built), m
+        p = kottler_potential(k_hat, m, 0.05)
+        assert p.domain_start == (horizon_radius(p) or 0.0), m
+    with pytest.raises(DomainError, match="inadmissible"):
+        kottler_potential(k_hat, crit - 1e-14)
 
 
 def test_kottler_build_solves_the_cubic_once(monkeypatch):
@@ -159,11 +177,11 @@ class TestNearTangentHorizon:
 
     def test_tangent_within_rounding_raises(self):
         with pytest.raises(NumericalError, match="horizon undecided"):
-            perturbed_kottler_potential(1, 3.0, 4.0 + 1e-13)
+            kottler_potential(1, 3.0, 4.0 + 1e-13)
 
     def test_dip_between_scan_points_finds_the_outer_root(self):
         # roots at 1 -+ 3.8e-4, either side of the last minimum of Q at 1
-        p = perturbed_kottler_potential(1, 3.0, 4.0 - 1e-6)
+        p = kottler_potential(1, 3.0, 4.0 - 1e-6)
         assert p.domain_start == pytest.approx(exact_quartic(1, 3.0, 4.0 - 1e-6), rel=1e-12)
         assert horizon_radius(p) == p.domain_start
 
@@ -171,17 +189,17 @@ class TestNearTangentHorizon:
                                                   (-1, 0.0, 0.25, math.sqrt(0.5))])
     def test_exact_tangent_is_a_double_root(self, k_hat, m, eps, root):
         # phi touches zero only within its rounding: located to sqrt(u)
-        p = perturbed_kottler_potential(k_hat, m, eps)
+        p = kottler_potential(k_hat, m, eps)
         assert p.domain_start == pytest.approx(root, rel=1e-7)
         assert horizon_radius(p) == p.domain_start
 
     def test_clear_of_zero_has_no_horizon(self):
-        p = perturbed_kottler_potential(1, 3.0, 4.0 + 1e-3)
+        p = kottler_potential(1, 3.0, 4.0 + 1e-3)
         assert p.domain_start == 0.0
         assert horizon_radius(p) is None
 
     def test_resolved_dip_finds_the_outer_root(self):
-        p = perturbed_kottler_potential(1, 3.0, 4.0 - 0.05)
+        p = kottler_potential(1, 3.0, 4.0 - 0.05)
         assert p.domain_start == pytest.approx(exact_quartic(1, 3.0, 4.0 - 0.05), rel=1e-13)
 
 
@@ -189,7 +207,7 @@ class TestNearTangentHorizon:
 def test_horizon_far_out_is_found(eps):
     # r^2 phi = r^4 - r^2 - r + eps has its root near |eps|^(1/4), far beyond
     # the last minimum of Q near r = 0.88
-    p = perturbed_kottler_potential(-1, 0.5, eps)
+    p = kottler_potential(-1, 0.5, eps)
     assert p.domain_start == pytest.approx(exact_quartic(-1, 0.5, eps), rel=1e-14)
     assert horizon_radius(p) == p.domain_start
 
@@ -206,7 +224,7 @@ class TestPerturbedHorizon:
 
     def test_positive_eps_without_a_critical_point(self):
         # Q = r^4 + eps > 0 has neither a critical point nor a root
-        p = perturbed_kottler_potential(0, 0.0, 3.19e-126)
+        p = kottler_potential(0, 0.0, 3.19e-126)
         assert p.domain_start == 0.0 and horizon_radius(p) is None
 
     def test_tiny_horizon_takes_hundreds_of_steps(self):
@@ -216,7 +234,7 @@ class TestPerturbedHorizon:
         with mpmath.workdps(50):
             e = mpmath.mpf(eps)
             exact = float(mpmath.sqrt(-2 * e / (1 + mpmath.sqrt(1 - 4 * e))))
-        r = perturbed_kottler_potential(1, 0.0, eps).domain_start
+        r = kottler_potential(1, 0.0, eps).domain_start
         assert abs(r - exact) <= quartic_tolerance(1, 0.0, eps, exact)
 
     def test_k_hat_zero_band_scales_like_c_squared(self):
@@ -226,15 +244,15 @@ class TestPerturbedHorizon:
     def test_subnormal_terms_raise(self):
         # Q = r^4 + eps with eps the least subnormal: no digits left in Q(r)
         with pytest.raises(NumericalError, match="underflow"):
-            perturbed_kottler_potential(0, 0.0, -5e-324)
+            kottler_potential(0, 0.0, -5e-324)
 
     def test_inadmissible_mass_raises(self):
         for k_hat in (-1, 0, 1):
             m = critical_mass(k_hat) - 1e-12
             with pytest.raises(DomainError, match=re.escape(f"mass {m} inadmissible")):
-                perturbed_kottler_potential(k_hat, m, 0.1)
+                kottler_potential(k_hat, m, 0.1)
         # the 1e-15 slack of kottler_build holds here too
-        perturbed_kottler_potential(-1, M_CRIT - 1e-15, 0.1)
+        kottler_potential(-1, M_CRIT - 1e-15, 0.1)
 
     def test_seeded_draws_match_mpmath(self):
         # every answer is the largest root, None exactly when there is none,
@@ -250,7 +268,7 @@ class TestPerturbedHorizon:
             case = (k_hat, m, eps)
             exact = exact_quartic(*case)
             try:
-                r = perturbed_kottler_potential(*case).domain_start
+                r = kottler_potential(*case).domain_start
             except NumericalError:
                 c = max(_positive_real([1, 0, mpmath.mpf(k_hat) / 2, -mpmath.mpf(m) / 2]))
                 with mpmath.workdps(60):

@@ -15,19 +15,12 @@ import pytest
 
 from alhflow import (DomainError, NumericalError, RadialPotential,
                      build_substitution, conformal_area, conformal_infinity,
-                     horizon_radius, kottler_potential,
-                     perturbed_kottler_potential)
+                     horizon_radius, kottler_potential)
 from alhflow.asymptotics import _GAUSS_W, _GAUSS_X, _panel_integrals
 from alhflow.cli import main
 from alhflow.geometry import CRITICAL_MASS_HYPERBOLIC
 
 M_CRIT = CRITICAL_MASS_HYPERBOLIC
-
-
-def _potential(k_hat, m, eps):
-    if eps:
-        return perturbed_kottler_potential(k_hat, m, eps)
-    return kottler_potential(k_hat, m)
 
 
 def _breaks(a, b):
@@ -67,7 +60,7 @@ def exact_map(k_hat, m, eps, radii):
 
 
 def _near_horizon(k_hat, m, eps):
-    r_h = horizon_radius(_potential(k_hat, m, eps))
+    r_h = horizon_radius(kottler_potential(k_hat, m, eps))
     return 1.0005 * r_h if r_h else 0.25
 
 
@@ -79,7 +72,7 @@ MAPS += [(-1, M_CRIT + 1e-9, 0.0, 0.9), (-1, M_CRIT + 1e-9, 0.0, 1.5),
 
 @pytest.mark.parametrize("k_hat,m,eps,r_start", MAPS)
 def test_deviation_matches_mpmath(k_hat, m, eps, r_start):
-    sub_map = build_substitution(_potential(k_hat, m, eps), r_start, 1e4 * r_start)
+    sub_map = build_substitution(kottler_potential(k_hat, m, eps), r_start, 1e4 * r_start)
     radii = np.geomspace(r_start, 1e4 * r_start, 769)[[0, 1, 96, 384, -1]]
     for r, (_, exact) in zip(radii, exact_map(k_hat, m, eps, radii)):
         assert abs(sub_map.deviation_scale(r) - float(exact)) <= 1e-13 * abs(float(exact))
@@ -100,7 +93,7 @@ def test_map_matches_mpmath_between_nodes(k_hat, m, eps, r_start):
     radii = np.concatenate((mids[[0, 1, 2, 5, 40, 400]],
                             r_start * (1.0 + np.array([1e-7, 1e-5, 1e-3])),
                             r_start * 10.0 ** rng.uniform(0.0, 4.0, 4)))
-    sub_map = build_substitution(_potential(k_hat, m, eps), r_start, r_end)
+    sub_map = build_substitution(kottler_potential(k_hat, m, eps), r_start, r_end)
     c, rho = sub_map.deviation_scale(radii), sub_map.rho(radii)
     for r, c_r, rho_r, (_, exact) in zip(radii, c, rho, exact_map(k_hat, m, eps, radii)):
         exact_rho = float(mpmath.mpf(r) - exact / mpmath.mpf(r) ** 2)
@@ -125,7 +118,7 @@ def test_cli_flow_rho_column_matches_mpmath(tmp_path):
 @pytest.mark.parametrize("k_hat,m,eps,r_start", [MAPS[0], MAPS[8], MAPS[-3]])
 def test_array_calls_equal_scalar_calls_bitwise(k_hat, m, eps, r_start):
     # a value depends on its radius alone, not on the others asked with it
-    sub_map = build_substitution(_potential(k_hat, m, eps), r_start, 1e4 * r_start)
+    sub_map = build_substitution(kottler_potential(k_hat, m, eps), r_start, 1e4 * r_start)
     rng = np.random.default_rng(3)
     radii = np.concatenate(([r_start, 1e4 * r_start],
                             r_start * 10.0 ** rng.uniform(0.0, 4.0, 200)))
@@ -171,7 +164,7 @@ def test_rho_reaching_zero_raises():
     r_start = _near_horizon(1, 0.5, 0.2)
     assert exact_map(1, 0.5, 0.2, [r_start])[0][0] < 0.0
     with pytest.raises(DomainError, match="rho reaches 0"):
-        build_substitution(_potential(1, 0.5, 0.2), r_start, 1e4 * r_start)
+        build_substitution(kottler_potential(1, 0.5, 0.2), r_start, 1e4 * r_start)
 
 
 def test_closed_between_probe_radii_raises():
@@ -191,7 +184,7 @@ def test_closed_between_probe_radii_raises():
 
 
 def test_k_hat_minus_one_needs_outer_radius_two():
-    p = perturbed_kottler_potential(-1, 0.0, 1.0)
+    p = kottler_potential(-1, 0.0, 1.0)
     with pytest.raises(DomainError, match="r_end >= 2"):
         build_substitution(p, 1e-3, 1.5)
 
@@ -218,7 +211,7 @@ def test_conformal_area_matches_mpmath():
     inf = conformal_infinity(2)
     (_, c), = exact_map(-1, 0.5, 0.0, [50.0])
     expected = inf.area * float((50 / (50 - c / 2500)) ** 2)
-    assert conformal_area(inf, p, sub_map, 50.0) == pytest.approx(expected, rel=1e-14)
+    assert conformal_area(inf, sub_map, 50.0) == pytest.approx(expected, rel=1e-14)
     assert sub_map.s(50.0) == pytest.approx(1.0 / sub_map.rho(50.0), rel=1e-12)
 
 
