@@ -30,11 +30,13 @@ fast path cannot prove (non-finite, out of range or near a tie) takes
 The kernel serves tables whose columns are all float arrays.  A table
 with any other column holds config values (ints, strings, bools or floats),
 a few rows of them, and bypasses the kernel: its rows are joined one by
-one, each cell format(v, ".17g") for floats and str(v) otherwise.
+one, each cell format(v, ".17g") for floats, a list or an object as JSON
+quoted as RFC 4180 quotes a field, and str(v) otherwise.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from typing import NamedTuple
 
@@ -268,6 +270,8 @@ def _float_cells(x: np.ndarray, separator: np.ndarray) -> np.ndarray:
 def _config_text(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
+    if isinstance(v, (list, dict)):  # its commas and quotes stay in one cell
+        return '"' + json.dumps(v).replace('"', '""') + '"'
     return str(v)
 
 
@@ -277,8 +281,8 @@ def csv_text(header, columns):
     A table has one of two shapes.  If every column is an array of a
     floating dtype, blocks of BLOCK_ROWS rows go through the kernel.  Any
     other table holds config values, a few rows of them, and is written row
-    by row: its cells read as format(v, ".17g") for floats and str(v)
-    otherwise.
+    by row: its cells read as format(v, ".17g") for floats, quoted JSON for
+    lists and objects, and str(v) otherwise.
     """
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):

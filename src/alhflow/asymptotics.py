@@ -47,6 +47,7 @@ __all__ = [
     "ExpansionFit",
     "MassAspectResult",
     "build_substitution",
+    "require_map_extent",
     "mass_aspect_extract",
     "expansion_fit",
     "conformal_area",
@@ -465,23 +466,31 @@ def build_substitution(p: RadialPotential, r_start: float, r_end: float) -> Subs
     cancellation.  The integral over [r_end, inf) is taken exactly through
     s = r_end / t.  For k_hat = -1 the reference is singular at s = 1, so
     below r = 2 the map integrates u = arccosh(rho) through
-    du/dr = 1/sqrt(phi), and r_end must be at least 2.  u <= 0 means rho
-    reaches 1, and rho <= 0 (k_hat = 1) that rho reaches 0: the map does
-    not exist there (DomainError).  r_start must lie in p's domain
-    (require_inside), beyond which phi > 0; a quadrature node where phi is
-    not positive still raises DomainError.
+    du/dr = 1/sqrt(phi).  u <= 0 means rho reaches 1, and rho <= 0
+    (k_hat = 1) that rho reaches 0: the map does not exist there
+    (DomainError).  The span must pass require_map_extent, and r_start must
+    lie in p's domain (require_inside), beyond which phi > 0; a quadrature
+    node where phi is not positive still raises DomainError.
 
     The quadrature is adaptive and exact at every radius (see
     SubstitutionMap).
     """
+    require_map_extent(p.k_hat, r_start, r_end)
+    p.require_inside(r_start)
+    return SubstitutionMap(p, r_start, r_end)
+
+
+def require_map_extent(k_hat: int, r_start: float, r_end: float) -> None:
+    """DomainError unless a map of curvature sign k_hat may span
+    [r_start, r_end]: 0 < r_start < r_end, three decades for reliable
+    asymptotics, and for k_hat = -1 an end at r >= ARCCOSH_BELOW."""
     if r_start <= 0.0 or r_end <= r_start:
         raise DomainError("need 0 < r_start < r_end")
     if r_end / r_start < 1e3 * (1.0 - 1e-12):
-        raise DomainError("need r_end / r_start >= 1e3 for reliable asymptotics")
-    p.require_inside(r_start)
-    if p.k_hat == -1 and r_end < ARCCOSH_BELOW:
-        raise DomainError(f"k_hat = -1 maps need r_end >= {ARCCOSH_BELOW}")
-    return SubstitutionMap(p, r_start, r_end)
+        raise DomainError("need r_end / r_start >= 1e3")
+    if k_hat == -1 and r_end < ARCCOSH_BELOW:
+        raise DomainError(f"k_hat = -1 maps need r_end >= {ARCCOSH_BELOW:g}, "
+                          f"and this one would end at r = {r_end:g}")
 
 
 def mass_aspect_extract(sub_map: SubstitutionMap) -> MassAspectResult:
@@ -552,8 +561,7 @@ def conformal_area(inf: ConformalInfinity, sub_map: SubstitutionMap, r: float) -
     |Sigma~| = |Sigma_hat| (r/rho)^2, which converges to the area of the
     conformal infinity as r grows.
     """
-    if inf.curvature_sign != sub_map.potential.k_hat:
-        raise DomainError("infinity and potential disagree on curvature sign")
+    inf.require_sign(sub_map.potential.k_hat)
     return inf.area * float(sub_map.area_factor(r))
 
 

@@ -9,10 +9,11 @@ optionally --tolerance (a global tolerance override).  A "tolerances" object
 in the config overrides individual tolerances, and may name only those its
 kind reads.
 
-Artifacts are deterministic: floats are canonicalized to 17 significant
-digits, JSON keys keep a fixed order, CSV columns are fixed, and wall time
-is printed to stdout but never written into an artifact.  Re-running an
-identical config reproduces every output byte for byte.
+Artifacts are deterministic: a CSV float has 17 significant digits, a JSON
+float is Python's shortest round-trip repr (1e-10, 0.0), JSON keys and CSV
+columns keep a fixed order, and wall time is printed to stdout but never
+written into an artifact.  Re-running an identical config reproduces every
+output byte for byte.
 
 Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
 2 the configuration failed validation.  A subcommand's scenario, or a sweep
@@ -37,8 +38,8 @@ import numpy as np
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import (FOUR_PI, MASS_SLACK, conformal_infinity, critical_mass,
-                       kottler_build, kottler_potential)
+from .geometry import (FOUR_PI, conformal_infinity, critical_mass, kottler_build,
+                       kottler_potential)
 
 __all__ = ["main", "run_scenario", "run_sweep", "RunReport", "load_config"]
 
@@ -179,13 +180,14 @@ class _Validated(dict):
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check keys, numeric fields and module preconditions; return the config
-    with its defaults, as a read-only dict that run_scenario and run_sweep
-    accept without validating it again."""
+    """Check keys, numeric fields and the preconditions of the library
+    functions the run calls (a DomainError of theirs is a ConfigError); return
+    the config with its defaults, as a read-only dict that run_scenario and
+    run_sweep accept without validating it again."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is unhashable
         raise ConfigError(f"unknown scenario kind {kind!r}; "
                           f"expected one of {sorted(_KINDS)}")
     spec = _KINDS[kind]
@@ -225,6 +227,8 @@ def _check_sweep(out):
         raise ConfigError("sweeps cannot nest")
     if not isinstance(out["vary"], dict) or not out["vary"]:
         raise ConfigError("'vary' must be a non-empty object of parameter lists")
+    if "kind" in out["vary"]:
+        raise ConfigError("'kind' cannot vary: every member has the base's kind")
     for key, values in out["vary"].items():
         if not isinstance(values, list):
             raise ConfigError(f"vary parameter '{key}' must map to a list")
@@ -237,18 +241,9 @@ def _check_sweep(out):
     return {"members": members}
 
 
-def _admissible_mass(cfg) -> None:
-    crit = critical_mass(cfg["k_hat"])
-    if cfg["m"] < crit - MASS_SLACK:
-        raise ConfigError(f"mass {cfg['m']} below the admissible minimum {crit}")
-
-
 def _check_kottler(cfg) -> None:
-    _admissible_mass(cfg)
-    sign = conformal_infinity(cfg["genus"]).curvature_sign
-    if sign != cfg["k_hat"]:
-        raise ConfigError(f"genus {cfg['genus']} has curvature sign {sign}, "
-                          f"config says {cfg['k_hat']}")
+    geometry.require_admissible(cfg["k_hat"], cfg["m"])
+    conformal_infinity(cfg["genus"]).require_sign(cfg["k_hat"])
 
 
 def _check_flow(cfg):
@@ -259,15 +254,13 @@ def _check_flow(cfg):
     map_end = _flow_map_end(cfg["r0"], cfg["r0"] * math.exp(0.5 * cfg["t_max"]))
     if map_end > _R_MAX:
         raise ConfigError(f"the flow's map would end past r = {_R_MAX:g}")
-    _check_map_end(cfg, map_end)
+    asymptotics.require_map_extent(cfg["k_hat"], cfg["r0"], map_end)
     potential = _potential_from(cfg)
     if potential.phi(cfg["r0"]) <= 0.0:
         raise ConfigError("flow scenarios need phi(r0) > 0 "
                           "(strictly outside the horizon)")
     # phi is positive again below an inner root, which domain_start excludes
-    if cfg["r0"] < potential.domain_start:
-        raise ConfigError(f"flow scenarios need r0 >= domain_start = "
-                          f"{potential.domain_start!r} (the horizon radius)")
+    potential.require_inside(cfg["r0"])
     return {"potential": potential}
 
 
@@ -276,19 +269,9 @@ def _flow_map_end(r0, r_final):
     return max(r_final * 8.0, r0 * 1.01e3)
 
 
-def _check_map_end(cfg, r_end) -> None:
-    if cfg["k_hat"] == -1 and r_end < asymptotics.ARCCOSH_BELOW:
-        raise ConfigError(f"k_hat = -1 maps need r_end >= {asymptotics.ARCCOSH_BELOW:g}, "
-                          f"and this one would end at r = {r_end:g}")
-
-
 def _check_mass_aspect(cfg):
-    _admissible_mass(cfg)
-    if not cfg["r_start"] < cfg["r_end"]:
-        raise ConfigError("need 0 < r_start < r_end")
-    if cfg["r_end"] / cfg["r_start"] < 1e3:
-        raise ConfigError("need r_end / r_start >= 1e3")
-    _check_map_end(cfg, cfg["r_end"])
+    geometry.require_admissible(cfg["k_hat"], cfg["m"])
+    asymptotics.require_map_extent(cfg["k_hat"], cfg["r_start"], cfg["r_end"])
     potential = _potential_from(cfg)
     if cfg["r_start"] < potential.domain_start or potential.phi(cfg["r_start"]) <= 0.0:
         raise ConfigError("r_start lies inside the horizon")
@@ -302,8 +285,7 @@ def _check_penrose(cfg) -> None:
     for m in masses:
         if not _is_a(m, float):
             raise ConfigError("'masses' entries must be numbers")
-        if m < critical_mass(-1) - MASS_SLACK:
-            raise ConfigError(f"mass {m} below the admissible minimum")
+        geometry.require_admissible(-1, m)
         _check_field("masses", _MASS, m)
     # a scan that ends before the minimizer fails minimizer_location
     _, minimizer = flow.hawking_lower_bound(cfg["genus"])
@@ -313,6 +295,7 @@ def _check_penrose(cfg) -> None:
 
 
 def _check_static_compare(cfg) -> None:
+    geometry.require_admissible(-1, cfg["m"])
     if cfg["m"] <= critical_mass(-1) + 1e-12:
         raise ConfigError("critical data has no surface-gravity reference")
 
@@ -490,7 +473,6 @@ _MASS = _Field(float, hi=_MASS_MAX)  # the admissible minimum depends on k_hat
 _GENUS = _Field(int, hi=_GENUS_MAX, message="genus must be an integer")
 _EPS = _Field(float, -_EPS_MAX, _EPS_MAX)
 _R0_T_MAX = "r0 and t_max must be positive"
-_STATIC_MASS = "static-compare requires critical mass <= m <= 0"
 
 _KINDS = {
     "kottler": _Kind({
@@ -547,7 +529,8 @@ _KINDS = {
         "minimizer_location": 1.0,  # in units of the grid spacing
     }, _check_penrose, _run_penrose),
     "static-compare": _Kind({
-        "m": _Field(float, critical_mass(-1) - MASS_SLACK, 0.0, _STATIC_MASS, _STATIC_MASS),
+        # the admissible minimum is _check_static_compare's
+        "m": _Field(float, hi=0.0, above="static-compare requires critical mass <= m <= 0"),
         # the boundary area 4 pi (genus - 1) overflows from genus 1.4e307
         "genus": _Field(int, 2, 1e307, "static-compare requires integer genus >= 2"),
         # at least 1.001e3 times the map start 2 r_h <= 2, as compare_with_reference needs
@@ -582,10 +565,14 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
 
 def _write_error(exc: Exception, out_dir) -> int:
     """Keep the type and message of the exception a run raised in
-    out_dir/error.json; returns the run's exit code."""
+    out_dir/error.json, else say on stderr why not; returns the exit code."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json({"type": type(exc).__name__, "message": str(exc)}, out_dir / "error.json")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json({"type": type(exc).__name__, "message": str(exc)},
+                   out_dir / "error.json")
+    except OSError as err:  # out_dir names a file, say
+        print(f"cannot write {out_dir / 'error.json'}: {err}", file=sys.stderr)
     return 2 if isinstance(exc, ConfigError) else 1
 
 
@@ -649,9 +636,9 @@ def main(argv=None) -> int:
             raise ConfigError("--tolerance must be a positive number")
         cfg = load_config(args.config)
         # before validation, whose horizon solve may raise NumericalError
-        if (isinstance(cfg, dict) and cfg.get("kind") in _KINDS
-                and cfg["kind"] != args.command):
-            raise ConfigError(f"config kind '{cfg['kind']}' does not match "
+        kind = cfg.get("kind") if isinstance(cfg, dict) else None
+        if isinstance(kind, str) and kind in _KINDS and kind != args.command:
+            raise ConfigError(f"config kind '{kind}' does not match "
                               f"subcommand '{args.command}'")
         cfg = validate_config(cfg)
     except ConfigError as exc:

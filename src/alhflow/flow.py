@@ -93,8 +93,7 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     r0 must lie in the potential's domain (require_inside): from the horizon
     onward, where phi > 0 beyond r0.
     """
-    if inf.curvature_sign != p.k_hat:
-        raise DomainError("infinity and potential disagree on curvature sign")
+    inf.require_sign(p.k_hat)
     if steps < 1:
         raise DomainError("need at least one step")
     if t_max <= 0.0:
@@ -135,8 +134,7 @@ def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
     -(c^(3/2)/4) r (q + r q'): forming R + 6 directly would cancel, with a
     rounding error growing like r^3.  r is a float or an array.
     """
-    if inf.curvature_sign != p.k_hat:
-        raise DomainError("infinity and potential disagree on curvature sign")
+    inf.require_sign(p.k_hat)
     p.require_inside(r)
     return -0.25 * inf.gamma * r * (p.tail(r) + r * p.dtail(r))
 
@@ -146,11 +144,9 @@ def penrose_rhs(genus: int, area: float) -> float:
 
     (1/gamma) sqrt(A/16pi) (1 - genus + A/4pi), gamma = max(1, genus-1)^(3/2).
     """
-    if genus < 0:
-        raise DomainError("genus must be nonnegative")
+    gamma = geometry.conformal_infinity(genus).gamma  # DomainError for genus < 0
     if area < 0.0:
         raise DomainError("area must be nonnegative")
-    gamma = geometry.conformal_infinity(genus).gamma
     return math.sqrt(area / SIXTEEN_PI) * (1.0 - genus + area / (4.0 * math.pi)) / gamma
 
 

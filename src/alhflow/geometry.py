@@ -31,6 +31,7 @@ __all__ = [
     "largest_zero",
     "kottler_build",
     "critical_mass",
+    "require_admissible",
     "horizon_radius",
     "scalar_curvature",
     "ricci_components",
@@ -74,6 +75,12 @@ class ConformalInfinity:
     @property
     def curvature_sign(self) -> int:
         return 1 if self.genus == 0 else 0 if self.genus == 1 else -1
+
+    def require_sign(self, k_hat) -> None:
+        """DomainError unless Gauss-Bonnet gives this genus the sign k_hat."""
+        if self.curvature_sign != k_hat:
+            raise DomainError(f"genus {self.genus} has curvature sign "
+                              f"{self.curvature_sign}, not k_hat = {k_hat}")
 
     @property
     def c(self) -> float:
@@ -253,18 +260,17 @@ def kottler_potential(k_hat: int, m: float, eps: float = 0.0) -> RadialPotential
 
     DomainError for a mass more than MASS_SLACK below the critical one.
     """
-    _require_admissible(k_hat, m)
+    require_admissible(k_hat, m)
     p = RadialPotential(k_hat, float(m), float(eps), 0.0)
     start = horizon_radius(p)
     return p if start is None else replace(p, domain_start=start)
 
 
-def _require_admissible(k_hat: int, m: float) -> None:
+def require_admissible(k_hat: int, m: float) -> None:
     """DomainError for a mass more than MASS_SLACK below the critical one."""
     lo = critical_mass(k_hat)
     if m < lo - MASS_SLACK:
-        raise DomainError(
-            f"mass {m} inadmissible for k_hat={k_hat}; require m >= {lo}")
+        raise DomainError(f"mass {m} below the admissible minimum {lo}")
 
 
 def kottler_build(k_hat: int, m: float) -> KottlerSpace:
@@ -274,7 +280,7 @@ def kottler_build(k_hat: int, m: float) -> KottlerSpace:
     exactly 0 for the critical k_hat = -1 member (double root), which also
     stands for the admissible masses up to MASS_SLACK below it.
     """
-    _require_admissible(k_hat, m)
+    require_admissible(k_hat, m)
     found = _horizon_root(k_hat, m)
     if found is None:
         # boundary members m = 0 with k_hat in {0, +1}: no horizon
@@ -414,9 +420,7 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
     evaluated through the potential tail as -(c^(3/2) r / 2) * tail(r),
     which stays exact at large radii.
     """
-    if inf.curvature_sign != p.k_hat:
-        raise DomainError(
-            f"infinity curvature {inf.curvature_sign} != potential k_hat {p.k_hat}")
+    inf.require_sign(p.k_hat)
     p.require_inside(r)
     _check_horizon(r, p.phi(r))
     return -inf.gamma * 0.5 * r * p.tail(r)

@@ -193,8 +193,7 @@ def compare_with_reference(p: RadialPotential, genus: int,
     if p.k_hat != -1:
         raise DomainError("comparison requires curvature sign -1 at infinity")
     inf = conformal_infinity(genus)
-    if inf.curvature_sign != p.k_hat:
-        raise DomainError("genus must be at least 2")
+    inf.require_sign(p.k_hat)  # genus >= 2
     r_h = p.domain_start
     if r_h <= 0.0:
         raise DomainError("data has no horizon")

@@ -87,6 +87,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nest"):
             validate_config(cfg)
 
+    def test_list_kind_rejected(self):
+        # a list is unhashable: it must read as an unknown kind, not a TypeError
+        for cfg in (dict(KOTTLER_CFG, kind=["kottler"]),
+                    dict(SWEEP_CFG, base=dict(PENROSE_CFG, kind=["penrose"]))):
+            with pytest.raises(ConfigError, match="unknown scenario kind"):
+                validate_config(cfg)
+
+    def test_kind_does_not_vary(self):
+        # a member keeps the base's kind, so sweeps cannot nest through vary
+        # and summary.csv has one kind column
+        nested = {"kind": "sweep", "base": {"kind": "kottler"},
+                  "vary": {"kind": ["sweep"], "base": [PENROSE_CFG],
+                           "vary": [{"genus": [2, 3]}]}}
+        for cfg in (nested, dict(SWEEP_CFG, vary={"kind": [["penrose"]]}),
+                    dict(SWEEP_CFG, vary={"kind": ["penrose"]})):
+            with pytest.raises(ConfigError) as info:
+                validate_config(cfg)
+            assert str(info.value) == "'kind' cannot vary: every member has the base's kind"
+
+    def test_map_ratio_is_the_library_rule(self, tmp_path):
+        # build_substitution accepts r_end / r_start down to 1e3 (1 - 1e-12)
+        assert run_scenario(dict(ASPECT_CFG, r_end=2e3 * (1.0 - 1e-13)), tmp_path).all_pass
+        with pytest.raises(ConfigError, match=re.escape("need r_end / r_start >= 1e3")):
+            validate_config(dict(ASPECT_CFG, r_end=2e3 * (1.0 - 1e-11)))
+
 
 class TestMain:
     def test_config_error_exit_2(self, tmp_path, capsys):
@@ -98,6 +123,23 @@ class TestMain:
     def test_kind_mismatch_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "k.json", KOTTLER_CFG)
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_list_kind_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "k.json", dict(KOTTLER_CFG, kind=["kottler"]))
+        assert main(["kottler", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: unknown scenario kind ['kottler']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["kottler", "sweep"])
+    def test_out_naming_a_file_exit_1(self, tmp_path, capsys, kind):
+        # the run can make neither its directory nor error.json there
+        cfg = write_cfg(tmp_path, "c.json", MINIMAL[kind])
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "run error: FileExistsError" in err
+        assert f"cannot write {out / 'error.json'}" in err
+        assert out.read_text() == "kept"
 
     def test_kottler_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "k.json", KOTTLER_CFG)
@@ -584,7 +626,7 @@ class TestRegistry:
         (dict(KOTTLER_CFG, m=-1),
          "mass -1 below the admissible minimum -0.19245008972987526"),
         (dict(KOTTLER_CFG, genus="x"), "genus must be an integer"),
-        (dict(KOTTLER_CFG, genus=1), "genus 1 has curvature sign 0, config says -1"),
+        (dict(KOTTLER_CFG, genus=1), "genus 1 has curvature sign 0, not k_hat = -1"),
         (dict(KOTTLER_CFG, n_radii=1), "n_radii must be an integer >= 2"),
         (dict(KOTTLER_CFG, r_max_factor=1), "r_max_factor must exceed 1"),
         (dict(PENROSE_CFG, tolerances={"equality": -1}),
@@ -601,7 +643,8 @@ class TestRegistry:
         (dict(PENROSE_CFG, genus=1), "penrose scenarios require integer genus >= 2"),
         (dict(PENROSE_CFG, masses=[]), "'masses' must be a non-empty list"),
         (dict(PENROSE_CFG, masses=["x"]), "'masses' entries must be numbers"),
-        (dict(PENROSE_CFG, masses=[-1]), "mass -1 below the admissible minimum"),
+        (dict(PENROSE_CFG, masses=[-1]),
+         "mass -1 below the admissible minimum -0.19245008972987526"),
         (dict(PENROSE_CFG, scan_points=9), "scan_points must be an integer >= 10"),
         (dict(STATIC_CFG, m=0.1), "static-compare requires critical mass <= m <= 0"),
         (dict(STATIC_CFG, genus=1), "static-compare requires integer genus >= 2"),
@@ -613,8 +656,7 @@ class TestRegistry:
          "k_hat = -1 maps need r_end >= 2, and this one would end at r = 0.5"),
         # phi(0.1) = 1.01 > 0 below the inner root of m = -0.1
         (dict(FLOW_CFG, r0=0.1, t_max=1.0, steps=64),
-         "flow scenarios need r0 >= domain_start = 0.8788850662499729 "
-         "(the horizon radius)"),
+         "r = 0.1 outside domain [0.8788850662499729, inf]"),
         (dict(KOTTLER_CFG, tolerances={"scalar_curvature": -1}),
          "tolerance 'scalar_curvature' must be a positive number"),
     ])

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import alhflow
@@ -25,6 +26,9 @@ _UNREAD_MEMBERS_KEPT = {
 
 #: Top-level modules the package may import besides the standard library.
 _THIRD_PARTY = {"numpy"}
+
+#: Module constants of a run-time rule, each with the one module that may read it.
+_RULE_OWNERS = {"MASS_SLACK": "geometry.py", "ARCCOSH_BELOW": "asymptotics.py"}
 
 
 def _package_sources():
@@ -58,12 +62,23 @@ def _reads():
     return names, attributes
 
 
+def _init_attributes(cls):
+    """Names that the class's own __init__ assigns as self.<name>."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return {node.attr for init in tree.body[0].body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def _public_members(cls):
-    """Public methods, properties and fields that the class itself defines."""
-    members = {name for name in vars(cls) if not name.startswith("_")}
+    """Public methods, properties and fields that the class itself defines,
+    and the public attributes its __init__ sets."""
+    members = set(vars(cls)) | _init_attributes(cls)
     if dataclasses.is_dataclass(cls):
         members |= {f.name for f in dataclasses.fields(cls)}
-    return members
+    return {name for name in members if not name.startswith("_")}
 
 
 def test_public_names_resolve_once():
@@ -90,6 +105,42 @@ def test_every_public_member_is_read():
               if member not in attributes}
     assert sorted(unread - _UNREAD_MEMBERS_KEPT) == []
     assert _UNREAD_MEMBERS_KEPT <= unread
+
+
+def _enclosing_functions(tree):
+    """The name of the innermost function around each node, by node id."""
+    owner = {}
+    for function in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(function, ast.FunctionDef):
+            owner.update((id(node), function.name) for node in ast.walk(function))
+    return owner
+
+
+def _reads_curvature_sign(node) -> bool:
+    return any(isinstance(side, ast.Attribute) and side.attr == "curvature_sign"
+               for side in (node.left, *node.comparators))
+
+
+def test_each_rule_has_one_owner():
+    # a rule's constant is read only where the rule is enforced, and the
+    # curvature sign is compared only by ConformalInfinity.require_sign
+    readers, comparers = set(), set()
+    for path, tree in zip(_package_sources(), _trees(_package_sources())):
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and _reads_curvature_sign(node):
+                comparers.add((path.name, owner.get(id(node))))
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = {node.attr}
+            else:
+                continue
+            readers |= {(name, path.name) for name in names & _RULE_OWNERS.keys()}
+    assert sorted(readers) == sorted(_RULE_OWNERS.items())
+    assert comparers == {("geometry.py", "require_sign")}
 
 
 def test_imports_numpy_alone():

@@ -131,7 +131,7 @@ def test_kottler_potential_is_the_potential_of_kottler_build(k_hat):
         assert _bits(kottler_potential(k_hat, m)) == _bits(built), m
         p = kottler_potential(k_hat, m, 0.05)
         assert p.domain_start == (horizon_radius(p) or 0.0), m
-    with pytest.raises(DomainError, match="inadmissible"):
+    with pytest.raises(DomainError, match="below the admissible minimum"):
         kottler_potential(k_hat, crit - 1e-14)
 
 
@@ -249,7 +249,7 @@ class TestPerturbedHorizon:
     def test_inadmissible_mass_raises(self):
         for k_hat in (-1, 0, 1):
             m = critical_mass(k_hat) - 1e-12
-            with pytest.raises(DomainError, match=re.escape(f"mass {m} inadmissible")):
+            with pytest.raises(DomainError, match=re.escape(f"mass {m} below the admissible minimum")):
                 kottler_potential(k_hat, m, 0.1)
         # the 1e-15 slack of kottler_build holds here too
         kottler_potential(-1, M_CRIT - 1e-15, 0.1)

@@ -1,5 +1,7 @@
 """The CSV writer against CPython's per-value "%.17g" rendering, byte for byte."""
 
+import csv
+import json
 import struct
 
 import numpy as np
@@ -126,14 +128,27 @@ def test_config_columns_keep_their_rendering(tmp_path):
 def test_sweep_summary_with_mixed_vary_values(tmp_path):
     cfg = {"kind": "sweep",
            "base": {"kind": "kottler", "k_hat": 1, "m": 0.25, "genus": 0, "n_radii": 4},
-           "vary": {"kind": ["kottler"], "k_hat": [1, 1.0], "m": [0.1, 1]}}
+           "vary": {"k_hat": [1, 1.0], "m": [0.1, 1]}}
     reports, code = run_sweep(cfg, tmp_path)
     assert code == 0
     k_hats = [1, 1, 1.0, 1.0]
-    rows = [(i, "kottler", "kottler", k, m, 0, True)
+    rows = [(i, "kottler", k, m, 0, True)
             for i, (k, m) in enumerate(zip(k_hats, [0.1, 1] * 2))]
-    header = ["member", "kind", "kind", "k_hat", "m", "exit_code", "all_pass"]
+    header = ["member", "kind", "k_hat", "m", "exit_code", "all_pass"]
     assert (tmp_path / "summary.csv").read_bytes() == reference_csv(header, rows)
+
+
+def test_sweep_summary_keeps_list_and_object_values_in_one_cell(tmp_path):
+    cfg = {"kind": "sweep", "base": {"kind": "penrose", "genus": 2, "masses": [0.0],
+                                     "scan_points": 64},
+           "vary": {"masses": [[0.0, 0.1], [0.2]], "tolerances": [{"equality": 1e-9}]}}
+    run_sweep(cfg, tmp_path)
+    with open(tmp_path / "summary.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["member", "kind", "masses", "tolerances", "exit_code", "all_pass"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert [(json.loads(row[2]), json.loads(row[3])) for row in rows[1:]] == [
+        ([0.0, 0.1], {"equality": 1e-9}), ([0.2], {"equality": 1e-9})]
 
 
 def test_artifact_cells_render_back(tmp_path):
