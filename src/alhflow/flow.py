@@ -37,9 +37,6 @@ __all__ = [
 
 SIXTEEN_PI = 16.0 * math.pi
 
-#: Violations below this relative size are attributed to discretization.
-MONOTONE_TOL = 1e-8
-
 TRAJECTORY_COLUMNS = ("t", "r", "rho", "area", "H", "hawking_mass",
                       "geroch_rate", "scalar_curvature")
 
@@ -70,7 +67,6 @@ class FlowTrajectory:
     hawking_mass: np.ndarray
     geroch_rate: np.ndarray
     scalar_curvature: np.ndarray
-    monotone: bool
     max_violation: float
 
     def __post_init__(self):
@@ -110,8 +106,6 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     # largest drawdown below the running maximum: total decrease, not the
     # per-step dip, so genuine violations are not diluted by small steps
     drawdown = np.maximum.accumulate(masses) - masses
-    max_violation = float(drawdown.max())
-    tol = MONOTONE_TOL * max(1.0, float(np.max(np.abs(masses))))
     return FlowTrajectory(
         t=t,
         r=radii,
@@ -120,8 +114,7 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
         hawking_mass=masses,
         geroch_rate=geroch_rate(inf, p, radii),
         scalar_curvature=geometry.scalar_curvature(p, radii),
-        monotone=max_violation <= tol,
-        max_violation=max_violation)
+        max_violation=float(drawdown.max()))
 
 
 def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
@@ -184,8 +177,7 @@ def jump_bound_check(area_before: float, area_after: float,
     Under these the mass inequality is a theorem, so the check doubles as a
     property test of the jump algebra.
     """
-    if genus < 0:
-        raise DomainError("genus must be nonnegative")
+    ConformalInfinity(genus)  # DomainError for genus < 0
     failures = []
     if area_after < area_before:
         failures.append("area decreases across the jump")

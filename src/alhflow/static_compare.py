@@ -4,15 +4,16 @@ For a static potential V with W = |grad V|^2, the reference Kottler space
 with the same surface gravity supplies a single-variable profile omega with
 W_0 = omega(V).  The machinery here evaluates omega and its derivatives in
 closed form, certifies the master ODE they satisfy, computes the zero-order
-comparison coefficient, and assembles the inequality report (W <= W_0,
-boundary curvature, mass aspect, horizon area radius, and the defining
-cubic of the reference radius).
+comparison coefficient, and assembles the numbers that the inequalities
+compare (W <= W_0, boundary curvature, mass aspect, horizon area radius,
+and the defining cubic of the reference radius).  It decides none of
+them: the static-compare scenario checks their margins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +37,6 @@ __all__ = [
 STATIC_TOL = 1e-8
 #: W - W0 is sampled at GRID_POINTS radii from the horizon to R_FACTOR_MAX r_h.
 GRID_POINTS, R_FACTOR_MAX = 256, 30.0
-#: Slack of the W <= W0, boundary-curvature and mass-aspect verdicts.
-W_TOL, CURVATURE_TOL, MU_TOL = 1e-9, 1e-8, 1e-3
 
 
 def kappa_to_mass(k_hat: int, kappa: float) -> float:
@@ -159,7 +158,7 @@ def boundary_gauss_curvature(ref: ReferencePotential) -> float:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Inequality report against the equal-surface-gravity reference."""
+    """The numbers compared with the equal-surface-gravity reference."""
 
     sup_w_minus_w0: float
     boundary_curvature: float
@@ -169,14 +168,6 @@ class ComparisonReport:
     area_radius: float
     reference_area_radius: float
     cubic_residual: float
-    verdicts: dict
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def compare_with_reference(p: RadialPotential, genus: int,
@@ -186,9 +177,8 @@ def compare_with_reference(p: RadialPotential, genus: int,
     The data must be static to STATIC_TOL, have a horizon (domain_start
     > 0), curvature sign -1 at infinity, genus >= 2, and surface gravity
     at most 1 (nonpositive reference mass); otherwise the hypotheses are
-    reported as not met.
-    The verdicts allow the slack W_TOL, CURVATURE_TOL and MU_TOL, and the
-    mass aspect is extracted from a map reaching at least map_r_end.
+    reported as not met.  The mass aspect is extracted from a map reaching
+    at least map_r_end.
     """
     if p.k_hat != -1:
         raise DomainError("comparison requires curvature sign -1 at infinity")
@@ -233,15 +223,6 @@ def compare_with_reference(p: RadialPotential, genus: int,
     area = inf.area * r_h * r_h
     frak_r = math.sqrt(area / (4.0 * math.pi * (genus - 1)))
     r0 = ref.horizon_radius
-    cubic_residual = abs(2.0 * m0 + r0 - r0 ** 3)
-
-    verdicts = {
-        "w_le_w0": bool(sup <= W_TOL),
-        "boundary_curvature_ge_reference": bool(boundary_curv >= reference_curv - CURVATURE_TOL),
-        "mass_aspect_le_reference": bool(mu <= m0 + MU_TOL),
-        "area_radius_ge_reference": bool(frak_r >= r0 - 1e-10),
-        "cubic_root": bool(cubic_residual <= 1e-10),
-    }
     return ComparisonReport(
         sup_w_minus_w0=float(sup),
         boundary_curvature=boundary_curv,
@@ -250,7 +231,6 @@ def compare_with_reference(p: RadialPotential, genus: int,
         reference_mass=m0,
         area_radius=frak_r,
         reference_area_radius=r0,
-        cubic_residual=cubic_residual,
-        verdicts=verdicts,
+        cubic_residual=abs(2.0 * m0 + r0 - r0 ** 3),
     )
 

@@ -115,10 +115,16 @@ class TestValidation:
 
 class TestMain:
     def test_config_error_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "bad.json", dict(KOTTLER_CFG, typo=1))
-        assert main(["kottler", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()  # a rejected config writes nothing
+        # an unknown key, a byte that is not UTF-8, and nesting past the
+        # JSON parser's recursion limit
+        for i, data in enumerate((json.dumps(dict(KOTTLER_CFG, typo=1)).encode(),
+                                  b"\xff", b"[" * 100_000)):
+            cfg = tmp_path / f"bad{i}.json"
+            cfg.write_bytes(data)
+            out = tmp_path / f"o{i}"
+            assert main(["kottler", "--config", str(cfg), "--out", str(out)]) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()  # a rejected config writes nothing
 
     def test_kind_mismatch_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "k.json", KOTTLER_CFG)
@@ -187,9 +193,37 @@ class TestMain:
                          "map_r_end": 1e5})
         out = tmp_path / "out"
         assert main(["static-compare", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["all_pass"] is True
+        assert [c["name"] for c in report["checks"]] == [
+            "w_le_w0", "boundary_curvature_ge_reference", "mass_aspect_le_reference",
+            "area_radius_ge_reference", "cubic_root"]
         comparison = json.loads((out / "comparison.json").read_text())
-        assert comparison["all_pass"] is True
+        assert comparison == report["result"]
         assert comparison["cubic_residual"] <= 1e-10
+
+    def test_static_compare_reads_the_tolerance_flag(self, tmp_path, capsys):
+        # its margins read rounding level, so a tolerance below it fails them
+        cfg = write_cfg(tmp_path, "sc.json", {"kind": "static-compare", "m": -0.1,
+                                              "genus": 2})
+        assert main(["static-compare", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--tolerance", "1e-300"]) == 1
+        assert re.search(r"\[FAIL\] w_le_w0: value=\S+ tol=1\.000e-300",
+                         capsys.readouterr().out)
+
+    def test_flow_drawdown_has_one_rule(self, tmp_path):
+        # a drawdown of 2.2e-8 on a Hawking mass of about 8: the check's
+        # absolute tolerance 1e-8 decides, and result keeps only the number
+        cfg = write_cfg(tmp_path, "f.json", {"kind": "flow", "k_hat": -1, "m": 1.5,
+                                             "genus": 4, "r0": 2.0, "t_max": 4.0,
+                                             "eps": -2e-8})
+        out = tmp_path / "out"
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["result"]) == ["final_radius", "max_violation"]
+        check = {c["name"]: c for c in report["checks"]}["hawking_monotone"]
+        assert check["value"] == report["result"]["max_violation"] > 1e-8
+        assert check["tolerance"] == 1e-8 and not check["passed"]
 
 
 class TestDeterminism:
@@ -387,6 +421,7 @@ _SECOND_VALUES = {
     "static-compare": {
         "m": ({}, {"m": -0.05}),
         "map_r_end": ({}, {"map_r_end": 2e4}),
+        "tolerances": ({}, {"tolerances": {"w_le_w0": 1e-10}}),
     },
     "sweep": {
         "base": ({}, {"base": dict(PENROSE_CFG, masses=[-0.1])}),
@@ -542,7 +577,7 @@ class TestRegistry:
         report = run_scenario(MINIMAL[kind], tmp_path)
         # penrose checks each mass as equality_m<i>, against one tolerance
         read = {"equality" if check["name"].startswith("equality_m") else check["name"]
-                for check in report.checks if check["tolerance"] > 0}
+                for check in report.checks}
         assert read == set(cli._KINDS[kind].tolerances)
 
     @pytest.mark.parametrize("key,value", [("parallel", False), ("tolerances", {})])

@@ -121,15 +121,27 @@ def _reads_curvature_sign(node) -> bool:
                for side in (node.left, *node.comparators))
 
 
+def _orders_genus_against_zero(node) -> bool:
+    sides = (node.left, *node.comparators)
+    return (any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            and any(isinstance(side, ast.Constant) and side.value == 0 for side in sides)
+            and any(isinstance(side, ast.Name) and side.id == "genus"
+                    or isinstance(side, ast.Attribute) and side.attr == "genus"
+                    for side in sides))
+
+
 def test_each_rule_has_one_owner():
-    # a rule's constant is read only where the rule is enforced, and the
-    # curvature sign is compared only by ConformalInfinity.require_sign
-    readers, comparers = set(), set()
+    # a rule's constant is read only where the rule is enforced, the
+    # curvature sign is compared only by ConformalInfinity.require_sign, and
+    # genus >= 0 is tested only by ConformalInfinity itself
+    readers, comparers, genus_testers = set(), set(), set()
     for path, tree in zip(_package_sources(), _trees(_package_sources())):
         owner = _enclosing_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare) and _reads_curvature_sign(node):
                 comparers.add((path.name, owner.get(id(node))))
+            if isinstance(node, ast.Compare) and _orders_genus_against_zero(node):
+                genus_testers.add((path.name, owner.get(id(node))))
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -141,6 +153,7 @@ def test_each_rule_has_one_owner():
             readers |= {(name, path.name) for name in names & _RULE_OWNERS.keys()}
     assert sorted(readers) == sorted(_RULE_OWNERS.items())
     assert comparers == {("geometry.py", "require_sign")}
+    assert genus_testers == {("geometry.py", "__post_init__")}
 
 
 def test_imports_numpy_alone():

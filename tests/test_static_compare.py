@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,24 @@ import pytest
 
 from alhflow import (DomainError, HypothesesNotMet, ReferencePotential,
                      alpha_coefficient, boundary_gauss_curvature,
-                     build_substitution, compare_with_reference, horizon_radius,
-                     kappa_to_mass, kottler_build, kottler_potential,
-                     mass_aspect_extract, omega_derivatives, omega_ode_residual,
-                     richardson, static_compare)
+                     build_substitution, compare_with_reference,
+                     conformal_infinity, horizon_radius, kappa_to_mass,
+                     kottler_build, kottler_potential, mass_aspect_extract,
+                     omega_derivatives, omega_ode_residual, richardson,
+                     static_compare)
+from alhflow.cli import run_scenario
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
+
+
+def compare_checks(out_dir, m, genus=2):
+    """The static-compare checks of Kottler data of mass m, by name."""
+    report = run_scenario({"kind": "static-compare", "m": m, "genus": genus}, out_dir)
+    return {check["name"]: check for check in report.checks}
+
+
+def failed(checks):
+    return {name: check["value"] for name, check in checks.items() if not check["passed"]}
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -188,20 +201,53 @@ class TestBoundaryCurvature:
         expect = -1.0 / ref.horizon_radius ** 2
         assert abs(boundary_gauss_curvature(ref) - expect) <= 1e-11
 
-    def test_reference_mass_off_by_1e6_fails_verdict(self, monkeypatch):
-        p = kottler_potential(-1, -0.1)
-        assert compare_with_reference(p, 2).verdicts["boundary_curvature_ge_reference"]
-        monkeypatch.setattr(static_compare, "kappa_to_mass",
-                            lambda k_hat, kappa: kappa_to_mass(k_hat, kappa) + 1e-6)
-        report = compare_with_reference(p, 2)
-        assert report.reference_mass == pytest.approx(-0.1 + 1e-6, abs=1e-12)
-        assert not report.verdicts["boundary_curvature_ge_reference"]
+
+def _shift_reference_mass(shift):
+    return (static_compare, "kappa_to_mass",
+            lambda k_hat, kappa: kappa_to_mass(k_hat, kappa) + shift)
+
+
+def _scale_omega(factor):
+    omega = ReferencePotential.omega
+    return ReferencePotential, "omega", lambda ref, v: factor * omega(ref, v)
+
+
+def _shift_reference_horizon(factor):
+    def build(k_hat, m):
+        space = kottler_build(k_hat, m)
+        return dataclasses.replace(space, horizon_radius=factor * space.horizon_radius)
+    return static_compare, "kottler_build", build
+
+
+#: Per check: a broken formula that moves its inequality the wrong way, and
+#: the genus it is run at.
+_BROKEN = {
+    # W0 low by 1e-6 of itself
+    "w_le_w0": (_scale_omega(1.0 - 1e-6), 2),
+    # the reference mass 1e-6 high puts its horizon outside the data's
+    "boundary_curvature_ge_reference": (_shift_reference_mass(1e-6), 2),
+    # the reference mass 2e-3 low, twice the tolerance below the mass aspect
+    "mass_aspect_le_reference": (_shift_reference_mass(-2e-3), 2),
+    # the boundary area normalized as genus 2's, 4 pi, instead of 8 pi
+    "area_radius_ge_reference": ((static_compare, "conformal_infinity",
+                                  lambda genus: conformal_infinity(genus - 1)), 3),
+    # a reference horizon one part in 1e9 off the root of its cubic
+    "cubic_root": (_shift_reference_horizon(1.0 + 1e-9), 2),
+}
 
 
 class TestCompare:
+    @pytest.mark.parametrize("name", list(_BROKEN))
+    def test_broken_formula_fails_its_check(self, tmp_path, monkeypatch, name):
+        (target, attribute, broken), genus = _BROKEN[name]
+        assert failed(compare_checks(tmp_path / "kept", -0.1, genus)) == {}
+        monkeypatch.setattr(target, attribute, broken)
+        check = compare_checks(tmp_path / "broken", -0.1, genus)[name]
+        assert check["value"] > check["tolerance"]
+        assert not check["passed"]
+
     def test_self_comparison_all_equalities(self):
         report = compare_with_reference(kottler_potential(-1, -0.1), 2)
-        assert report.all_pass
         assert report.sup_w_minus_w0 <= 1e-9
         assert abs(report.sup_w_minus_w0) <= 1e-9
         assert report.reference_mass == pytest.approx(-0.1, abs=1e-12)
@@ -212,9 +258,9 @@ class TestCompare:
         assert abs(report.boundary_curvature - report.reference_curvature) <= 1e-8
         assert report.reference_area_radius >= 1.0 / math.sqrt(3.0)
 
-    def test_zero_mass_genus_three(self):
+    def test_zero_mass_genus_three(self, tmp_path):
+        assert failed(compare_checks(tmp_path, 0.0, genus=3)) == {}
         report = compare_with_reference(kottler_potential(-1, 0.0), 3)
-        assert report.all_pass
         assert report.reference_mass == pytest.approx(0.0, abs=1e-12)
         assert report.reference_area_radius == pytest.approx(1.0, abs=1e-12)
         assert report.area_radius == pytest.approx(1.0, abs=1e-12)
@@ -240,9 +286,8 @@ class TestCompare:
             compare_with_reference(kottler_potential(-1, -0.1), 1)
 
     @pytest.mark.parametrize("delta", [1e-11, 1e-9, 1e-7, 1e-5, 1e-3])
-    def test_near_critical_data_pass(self, delta):
-        report = compare_with_reference(kottler_potential(-1, M_CRIT + delta), 2)
-        assert report.all_pass, report.verdicts
+    def test_near_critical_data_pass(self, tmp_path, delta):
+        assert failed(compare_checks(tmp_path, M_CRIT + delta)) == {}
 
     @pytest.mark.parametrize("genus", [2, 5])
     @pytest.mark.parametrize("map_r_end", [2002.0, 1e6, 1e50])
@@ -258,11 +303,12 @@ class TestCompare:
             assert mu == mass_aspect_extract(full).mu, delta
 
     def test_report_serialization(self):
+        # comparison.json is the report's numbers, with no verdict among them
         report = compare_with_reference(kottler_potential(-1, -0.1), 2)
-        d = report.to_dict()
-        assert d["all_pass"] is True
-        assert set(d["verdicts"]) == {
-            "w_le_w0", "boundary_curvature_ge_reference",
-            "mass_aspect_le_reference", "area_radius_ge_reference",
-            "cubic_root"}
+        d = dataclasses.asdict(report)
+        assert list(d) == [
+            "sup_w_minus_w0", "boundary_curvature", "reference_curvature",
+            "mass_aspect", "reference_mass", "area_radius",
+            "reference_area_radius", "cubic_residual"]
+        assert all(type(value) is float for value in d.values())
 
