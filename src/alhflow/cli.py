@@ -275,7 +275,8 @@ def _check_mass_aspect(cfg):
     geometry.require_admissible(cfg["k_hat"], cfg["m"])
     asymptotics.require_map_extent(cfg["k_hat"], cfg["r_start"], cfg["r_end"])
     potential = _potential_from(cfg)
-    if cfg["r_start"] < potential.domain_start or potential.phi(cfg["r_start"]) <= 0.0:
+    potential.require_inside(cfg["r_start"])
+    if potential.phi(cfg["r_start"]) <= 0.0:
         raise ConfigError("r_start lies inside the horizon")
     return {"potential": potential}
 

@@ -106,12 +106,12 @@ class RadialPotential:
     """The perturbed Kottler profile phi(r) = V(r)^2 = r^2 + k_hat - 2m/r + eps/r^2.
 
     Its scalar curvature is -6 + 2 eps/r^4; eps = 0 gives the Kottler
-    family.  `tail` evaluates phi(r) - r^2 - k_hat and `dtail` its
-    derivative, both in closed form, so that large-radius asymptotics are
-    free of catastrophic cancellation.  Every evaluator takes a float or an
-    array of radii.  The domain is [domain_start, inf), where domain_start
-    is the horizon, the largest zero of phi, or 0 without one: phi > 0
-    beyond it.
+    family.  `tail` evaluates phi(r) - r^2 - k_hat in closed form, so that
+    large-radius asymptotics are free of catastrophic cancellation.  The
+    Geroch rate needs no derivative of it: tail + r tail' = -eps/r^2 here.
+    Every evaluator takes a float or an array of radii.  The domain is
+    [domain_start, inf), where domain_start is the horizon, the largest
+    zero of phi, or 0 without one: phi > 0 beyond it.
     """
 
     k_hat: int
@@ -141,9 +141,6 @@ class RadialPotential:
 
     def tail(self, r):
         return self._plus_eps(-2.0 * self.m / r, 1.0, r, 2)
-
-    def dtail(self, r):
-        return self._plus_eps(2.0 * self.m / (r * r), -2.0, r, 3)
 
     def require_inside(self, r) -> None:
         """Accept radii r >= domain_start with r > 0.

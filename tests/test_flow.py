@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (DomainError, HypothesesNotMet, conformal_infinity, geroch_rate, hawking_lower_bound,
-                     hawking_mass_from_integrals, imcf_integrate,
+from alhflow import (DomainError, HypothesesNotMet, conformal_infinity, flow, geroch_rate,
+                     hawking_lower_bound, hawking_mass_from_integrals, imcf_integrate,
                      jump_bound_check, kottler_build, kottler_potential,
                      penrose_rhs, write_trajectory_csv)
 from alhflow.cli import run_scenario
@@ -91,19 +91,20 @@ def test_flow_from_the_horizon(genus, p):
     else:
         assert abs(traj.hawking_mass[0] - expected) <= gap + 4.0 * 2.0 ** -53 * abs(expected)
     assert traj.max_violation <= 1e-8
-    # as in test_long_flow_rate: rate = gamma eps / (4r), to the u |m| gamma
-    # rounding of the cancelled m terms
+    # as in test_long_flow_rate: rate = gamma eps / (4r) to rounding
     closed = inf.gamma * p.eps / (4.0 * traj.r)
-    tol = 1e-13 * closed + 8.0 * 2.0 ** -53 * inf.gamma * abs(p.m)
-    assert np.all(np.abs(traj.geroch_rate - closed) <= tol)
+    assert np.all(np.abs(traj.geroch_rate - closed) <= 2.0 ** -52 * closed)
 
 
 class TestGerochRate:
     def test_kottler_rate_vanishes(self):
+        # exactly +0.0, also for eps = -0.0: R + 6 = 0 on Kottler data
         inf = conformal_infinity(2)
-        p = kottler_potential(-1, 0.3)
-        for r in (1.5, 3.0, 10.0):
-            assert abs(geroch_rate(inf, p, r)) <= 1e-11
+        for eps in (0.0, -0.0):
+            p = kottler_potential(-1, 0.3, eps)
+            for r in (1.5, 3.0, 10.0, np.geomspace(1.5, 1e8, 17)):
+                rate = np.asarray(geroch_rate(inf, p, r))
+                assert not np.any(rate.view(np.uint64))
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_perturbed_closed_form(self, genus):
@@ -136,10 +137,8 @@ class TestGerochRate:
         assert r[-1] == pytest.approx(5e3, rel=1e-12)
         gamma = conformal_infinity(genus).c ** 1.5
         closed = gamma * eps / (4.0 * r)
-        # the tail's m terms cancel in q + r q', leaving a rounding of about
-        # u |m| gamma that does not grow with r
-        tol = 1e-13 * closed + 8.0 * 2.0 ** -53 * gamma * abs(m)
-        assert np.all(np.abs(rate - closed) <= tol)
+        # the closed form rounds twice, whatever m and r
+        assert np.all(np.abs(rate - closed) <= 2.0 ** -52 * closed)
 
     def test_rate_equals_mass_derivative(self):
         # centered difference of m_H along the flow, O(dt^2)
@@ -166,6 +165,20 @@ class TestGerochRate:
         report = run_scenario(cfg, tmp_path)
         checks = {c["name"]: c for c in report.checks}
         assert checks["rate_matches_difference"]["value"] <= 1e-12
+
+    @pytest.mark.parametrize("factor", [-1.0, 2.0])  # flipped sign, gamma eps/(2r)
+    def test_broken_rate_fails_the_difference_check(self, tmp_path, monkeypatch, factor):
+        # the check differences the Hawking mass, which comes through the
+        # tail, so it stays a witness that the closed-form rate cannot share
+        cfg = {"kind": "flow", "k_hat": -1, "genus": 2, "m": -0.1, "eps": 0.15,
+               "r0": 2.0, "t_max": 2.0, "steps": 256}
+        report = run_scenario(cfg, tmp_path / "right")
+        assert report.all_pass
+        rate = flow.geroch_rate
+        monkeypatch.setattr(flow, "geroch_rate", lambda *args: factor * rate(*args))
+        report = run_scenario(cfg, tmp_path / "broken")
+        check = {c["name"]: c for c in report.checks}["rate_matches_difference"]
+        assert check["value"] >= 1e6 * check["tolerance"]
 
 
 class TestMonotonicity:

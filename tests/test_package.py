@@ -121,20 +121,31 @@ def _reads_curvature_sign(node) -> bool:
                for side in (node.left, *node.comparators))
 
 
+def _orders(node) -> bool:
+    return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+
+
 def _orders_genus_against_zero(node) -> bool:
     sides = (node.left, *node.comparators)
-    return (any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+    return (_orders(node)
             and any(isinstance(side, ast.Constant) and side.value == 0 for side in sides)
             and any(isinstance(side, ast.Name) and side.id == "genus"
                     or isinstance(side, ast.Attribute) and side.attr == "genus"
                     for side in sides))
 
 
+def _orders_against_domain_start(node) -> bool:
+    return (_orders(node)
+            and any(isinstance(side, ast.Attribute) and side.attr == "domain_start"
+                    for side in (node.left, *node.comparators)))
+
+
 def test_each_rule_has_one_owner():
     # a rule's constant is read only where the rule is enforced, the
-    # curvature sign is compared only by ConformalInfinity.require_sign, and
-    # genus >= 0 is tested only by ConformalInfinity itself
-    readers, comparers, genus_testers = set(), set(), set()
+    # curvature sign is compared only by ConformalInfinity.require_sign,
+    # genus >= 0 is tested only by ConformalInfinity itself, and a radius is
+    # ordered against domain_start only by RadialPotential.require_inside
+    readers, comparers, genus_testers, domain_testers = set(), set(), set(), set()
     for path, tree in zip(_package_sources(), _trees(_package_sources())):
         owner = _enclosing_functions(tree)
         for node in ast.walk(tree):
@@ -142,6 +153,8 @@ def test_each_rule_has_one_owner():
                 comparers.add((path.name, owner.get(id(node))))
             if isinstance(node, ast.Compare) and _orders_genus_against_zero(node):
                 genus_testers.add((path.name, owner.get(id(node))))
+            if isinstance(node, ast.Compare) and _orders_against_domain_start(node):
+                domain_testers.add((path.name, owner.get(id(node))))
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -154,6 +167,7 @@ def test_each_rule_has_one_owner():
     assert sorted(readers) == sorted(_RULE_OWNERS.items())
     assert comparers == {("geometry.py", "require_sign")}
     assert genus_testers == {("geometry.py", "__post_init__")}
+    assert domain_testers == {("geometry.py", "require_inside")}
 
 
 def test_imports_numpy_alone():
