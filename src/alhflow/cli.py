@@ -38,8 +38,7 @@ import numpy as np
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import (FOUR_PI, conformal_infinity, critical_mass, kottler_build,
-                       kottler_potential)
+from .geometry import FOUR_PI, conformal_infinity, critical_mass, kottler_potential
 
 __all__ = ["main", "run_scenario", "run_sweep", "RunReport", "load_config"]
 
@@ -164,8 +163,8 @@ class _Validated(dict):
     """A config that passed validate_config, with its defaults filled in.
 
     It keeps what validation built, so running it builds nothing twice: the
-    potential of a flow or mass-aspect config, the validated members of a
-    sweep (a member whose validation raised NumericalError stays as given).
+    potential of a kottler, flow or mass-aspect config, the validated members
+    of a sweep (a member whose validation raised NumericalError stays as given).
     It is read-only, since a changed key would leave those stale.
     """
 
@@ -243,13 +242,19 @@ def _check_sweep(out):
     return {"members": members}
 
 
-def _check_kottler(cfg) -> None:
-    geometry.require_admissible(cfg["k_hat"], cfg["m"])
+def _check_kottler(cfg):
+    potential = kottler_potential(cfg["k_hat"], cfg["m"])
     conformal_infinity(cfg["genus"]).require_sign(cfg["k_hat"])
+    # the profile's radii reach r_h r_max_factor, 0.5 r_max_factor without a horizon
+    if (potential.domain_start or 0.5) * cfg["r_max_factor"] > _R_MAX:
+        raise ConfigError(f"r_max_factor {cfg['r_max_factor']!r} puts the profile's "
+                          f"last radius past r = {_R_MAX:g}")
+    return {"potential": potential}
 
 
 def _check_flow(cfg):
-    _check_kottler(cfg)
+    geometry.require_admissible(cfg["k_hat"], cfg["m"])
+    conformal_infinity(cfg["genus"]).require_sign(cfg["k_hat"])
     if cfg["steps"] < 4:  # rate_matches_difference differences five states
         raise ConfigError("flow scenarios need steps >= 4")
     # the flow reaches r0 e^(t_max/2), and the trajectory's map beyond it
@@ -353,14 +358,14 @@ class _Checks:
 
 
 def _run_kottler(cfg, out_dir, checks):
-    space = kottler_build(cfg["k_hat"], cfg["m"])
-    p = space.potential
+    p = cfg.potential
     inf = conformal_infinity(cfg["genus"])
-    r_m = space.horizon_radius
+    r_m = p.domain_start
+    kappa = geometry.surface_gravity(p)
     checks.add("horizon_relation",
                abs(2.0 * cfg["m"] - (r_m ** 3 + cfg["k_hat"] * r_m)))
-    kappa_res = abs(space.surface_gravity - 0.5 * p.dphi(r_m)) if r_m > 0 else 0.0
-    checks.add("surface_gravity", kappa_res)
+    # against phi'(r_h)/2, an independent value of the same quantity
+    checks.add("surface_gravity", abs(kappa - 0.5 * p.dphi(r_m)) if r_m > 0 else 0.0)
     if r_m > 0:
         radii = np.geomspace(r_m * 1.05, r_m * cfg["r_max_factor"], cfg["n_radii"])
     else:
@@ -377,8 +382,7 @@ def _run_kottler(cfg, out_dir, checks):
                "laplace_residual", "ricci_residual"),
               (radii, p.phi(radii), curv, m_h,
                res.laplace_residual, res.ricci_residual), out_dir / "profile.csv")
-    return {"horizon_radius": r_m, "surface_gravity": space.surface_gravity}, \
-        ["profile.csv"]
+    return {"horizon_radius": r_m, "surface_gravity": kappa}, ["profile.csv"]
 
 
 def _run_flow(cfg, out_dir, checks):
@@ -432,10 +436,10 @@ def _run_penrose(cfg, out_dir, checks):
     inf = conformal_infinity(genus)
     rows = []
     for i, m in enumerate(cfg["masses"]):
-        space = kottler_build(-1, m)
-        area = inf.area * space.horizon_radius ** 2
+        r_h = kottler_potential(-1, m).domain_start
+        area = inf.area * r_h ** 2
         rhs = flow.penrose_rhs(genus, area)
-        rows.append((space.horizon_radius, area, rhs, abs(rhs - m)))
+        rows.append((r_h, area, rhs, abs(rhs - m)))
         checks.add(f"equality_m{i}", abs(rhs - m), tol_name="equality")
     bound, minimizer = flow.hawking_lower_bound(genus)
     grid = np.linspace(0.0, cfg["scan_area_max"], cfg["scan_points"])
@@ -483,11 +487,9 @@ _KINDS = {
     "kottler": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
         "n_radii": _Field(int, 2, _N_RADII_MAX, "n_radii must be an integer >= 2"),
-        # radii reach r_m r_max_factor (0.5 r_max_factor without a horizon),
-        # and r_m is at most about (2 _MASS_MAX)^(1/3)
+        # _check_kottler caps it from the horizon radius
         "r_max_factor": _Field(float, math.nextafter(1.0, 2.0),
-                               _R_MAX / (2.0 * _MASS_MAX) ** (1.0 / 3.0),
-                               "r_max_factor must exceed 1"),
+                               message="r_max_factor must exceed 1"),
         "genus": _GENUS,
     }, {"n_radii": 20, "r_max_factor": 1e3}, {
         "horizon_relation": 1e-12, "surface_gravity": 1e-12,

@@ -24,15 +24,13 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "ConformalInfinity",
     "RadialPotential",
-    "KottlerSpace",
     "StaticResidual",
     "conformal_infinity",
     "kottler_potential",
-    "largest_zero",
-    "kottler_build",
     "critical_mass",
     "require_admissible",
     "horizon_radius",
+    "surface_gravity",
     "scalar_curvature",
     "ricci_components",
     "mean_curvature_sphere",
@@ -155,19 +153,6 @@ class RadialPotential:
 
 
 @dataclass(frozen=True)
-class KottlerSpace:
-    """An exact Kottler solution together with its horizon data.
-
-    `horizon_radius` is 0 and `surface_gravity` is stored as 0 for the
-    horizonless boundary members (m = 0 with k_hat in {0, +1}).
-    """
-
-    horizon_radius: float
-    surface_gravity: float
-    potential: RadialPotential
-
-
-@dataclass(frozen=True)
 class StaticResidual:
     """Residuals of the static vacuum system at a radius or an array of radii."""
 
@@ -227,16 +212,6 @@ def _horizon_root(k_hat: int, m: float) -> Optional[tuple[float, bool]]:
     return _largest_cubic_root(float(k_hat), 2.0 * m)
 
 
-def largest_zero(k_hat: int, m: float) -> Optional[float]:
-    """Largest positive zero of V(r) = sqrt(r^2 + k_hat - 2m/r), or None.
-
-    Zeros of V coincide with positive roots of r^3 + k_hat*r - 2m; masses
-    up to MASS_SLACK below the critical one count as critical.
-    """
-    found = _horizon_root(k_hat, m)
-    return None if found is None else found[0]
-
-
 def critical_mass(k_hat: int) -> float:
     _check_k(k_hat)
     return CRITICAL_MASS_HYPERBOLIC if k_hat == -1 else 0.0
@@ -270,27 +245,10 @@ def require_admissible(k_hat: int, m: float) -> None:
         raise DomainError(f"mass {m} below the admissible minimum {lo}")
 
 
-def kottler_build(k_hat: int, m: float) -> KottlerSpace:
-    """Kottler space of the given mass, with horizon radius and surface gravity.
-
-    The surface gravity is (3 r_m^2 + k_hat) / (2 r_m) = phi'(r_m)/2; it is
-    exactly 0 for the critical k_hat = -1 member (double root), which also
-    stands for the admissible masses up to MASS_SLACK below it.
-    """
-    require_admissible(k_hat, m)
-    found = _horizon_root(k_hat, m)
-    if found is None:
-        # boundary members m = 0 with k_hat in {0, +1}: no horizon
-        r_m, kappa = 0.0, 0.0
-    else:
-        r_m, is_double = found
-        kappa = 0.0 if is_double else (3.0 * r_m * r_m + k_hat) / (2.0 * r_m)
-    return KottlerSpace(horizon_radius=r_m, surface_gravity=kappa,
-                        potential=RadialPotential(k_hat, float(m), 0.0, r_m))
-
-
 def horizon_radius(p: RadialPotential) -> Optional[float]:
-    """Largest zero of phi, or None: for eps = 0 the Kottler cubic's root.
+    """Largest zero of phi, or None: for eps = 0 the largest root of the
+    Kottler cubic r^3 + k_hat r - 2m, solved at the critical mass for masses
+    up to MASS_SLACK below it.
 
     A perturbed phi = r^2 + k_hat - 2m/r + eps/r^2 vanishes where
     Q = r^2 phi = r^4 + k r^2 - 2m r + eps does.  Q's last critical point c
@@ -311,7 +269,8 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
     [0, c], Q is least at an end, eps or Q(c).
     """
     if p.eps == 0.0:
-        return largest_zero(p.k_hat, p.m)
+        found = _horizon_root(p.k_hat, p.m)
+        return None if found is None else found[0]
     k, m, eps = float(p.k_hat), p.m, p.eps
 
     def quartic(r):
@@ -344,6 +303,21 @@ def horizon_radius(p: RadialPotential) -> Optional[float]:
             return r
         r = lower
     raise NumericalError(f"horizon Newton steps did not settle at r = {r}")
+
+
+def surface_gravity(p: RadialPotential) -> float:
+    """Surface gravity (3 r_h^2 + k_hat) / (2 r_h) = phi'(r_h)/2 of a Kottler
+    horizon r_h.  Exactly 0 where the horizon is the critical double root
+    (masses up to MASS_SLACK below the critical one included), and 0 without
+    a horizon.  DomainError for eps != 0, which has no such closed form.
+    """
+    if p.eps != 0.0:
+        raise DomainError(f"surface_gravity needs Kottler data (eps = 0), got eps = {p.eps}")
+    found = _horizon_root(p.k_hat, p.m)
+    if found is None or found[1]:
+        return 0.0
+    r = found[0]
+    return (3.0 * r * r + p.k_hat) / (2.0 * r)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import asymptotics, geometry
 from .errors import DomainError, HypothesesNotMet, NumericalError
 from .geometry import (RadialPotential, _largest_cubic_root, conformal_infinity,
-                       kottler_build)
+                       kottler_potential)
 
 __all__ = [
     "ReferencePotential",
@@ -64,13 +64,13 @@ class ReferencePotential:
     of r^2 + k_hat - 2 m0/r = V^2."""
 
     def __init__(self, k_hat: int, m0: float):
-        space = kottler_build(k_hat, m0)
-        if space.horizon_radius <= 0.0:
+        p = kottler_potential(k_hat, m0)
+        self.horizon_radius = p.domain_start
+        if self.horizon_radius <= 0.0:
             raise DomainError("reference requires a positive horizon radius")
         self.k_hat = k_hat
-        self.m0 = float(m0)
-        self.kappa = space.surface_gravity
-        self.horizon_radius = space.horizon_radius
+        self.m0 = p.m
+        self.kappa = geometry.surface_gravity(p)
 
     def _radius(self, v: float) -> float:
         if v < 0.0:

@@ -16,9 +16,9 @@ from alhflow import (HypothesesNotMet, ReferencePotential, alpha_coefficient,
                      conformal_mean_curvature_residual,
                      dyadic_profile_samples, expansion_fit, geroch_rate,
                      hawking_lower_bound, imcf_integrate, jump_bound_check,
-                     kottler_build, kottler_potential, mass_aspect_extract,
+                     kottler_potential, mass_aspect_extract,
                      omega_ode_residual, penrose_rhs, potential_gradient_squared,
-                     scalar_curvature, static_residual)
+                     scalar_curvature, static_residual, surface_gravity)
 from alhflow.cli import run_scenario, run_sweep
 
 FOUR_PI = 4.0 * math.pi
@@ -37,14 +37,13 @@ def test_criterion_1_kottler_exactness():
     failures = []
     cases = [(-1, 0.0), (-1, -0.1), (-1, M_CRIT + 1e-3), (0, 0.5), (1, 1.0)]
     for k_hat, m in cases:
-        space = kottler_build(k_hat, m)
-        p = space.potential
-        r_m = space.horizon_radius
+        p = kottler_potential(k_hat, m)
+        r_m = p.domain_start
         rel = abs(2 * m - (r_m ** 3 + k_hat * r_m))
         if rel > 1e-12:
             failures.append(f"(k={k_hat}, m={m}): horizon relation off by {rel:.2e}")
         if r_m > 0:
-            kap = abs(space.surface_gravity - (3 * r_m ** 2 + k_hat) / (2 * r_m))
+            kap = abs(surface_gravity(p) - (3 * r_m ** 2 + k_hat) / (2 * r_m))
             if kap > 1e-12:
                 failures.append(f"(k={k_hat}, m={m}): surface gravity off by {kap:.2e}")
         for r in np.geomspace(max(r_m, 0.2) * 1.02, max(r_m, 0.2) * 1e3, 20):
@@ -63,14 +62,14 @@ def test_criterion_2_equality_case():
     for genus in (2, 3):
         inf = conformal_infinity(genus)
         for m in (-0.15, -0.1, 0.0):
-            space = kottler_build(-1, m)
-            traj = imcf_integrate(inf, space.potential, space.horizon_radius, 3.0)
+            p = kottler_potential(-1, m)
+            traj = imcf_integrate(inf, p, p.domain_start, 3.0)
             mass = traj.hawking_mass
             target = inf.c ** 1.5 * m
             dev = float(np.max(np.abs(mass - target)))
             if dev > 1e-6:
                 failures.append(f"(genus={genus}, m={m}): flow mass deviates {dev:.2e}")
-            area = inf.area * space.horizon_radius ** 2
+            area = inf.area * p.domain_start ** 2
             eq = abs(penrose_rhs(genus, area) - m)
             if eq > 1e-10:
                 failures.append(f"(genus={genus}, m={m}): equality off by {eq:.2e}")

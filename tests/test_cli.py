@@ -348,12 +348,13 @@ class TestBuildOnce:
                             lambda p: calls.append(p) or horizon_radius(p))
         flow_sweep = {"kind": "sweep", "base": dict(FLOW_CFG, eps=0.1),
                       "vary": {"m": [-0.1, 0.2]}}
-        for i, cfg in enumerate((self.SWEEP, flow_sweep)):
+        kottler_sweep = {"kind": "sweep", "base": KOTTLER_CFG, "vary": {"m": [-0.1, 0.2]}}
+        for i, cfg in enumerate((self.SWEEP, flow_sweep, kottler_sweep)):
             calls.clear()
             path = write_cfg(tmp_path, f"sweep{i}.json", cfg)
             out = str(tmp_path / f"o{i}")
             assert main(["sweep", "--config", path, "--out", out]) == 0
-            assert len(calls) == 2  # one perturbed potential per member
+            assert len(calls) == 2  # one potential per member
 
     def test_mass_aspect_solves_profile_radii_once(self, tmp_path, monkeypatch):
         from alhflow.asymptotics import SubstitutionMap
@@ -490,6 +491,8 @@ class TestRegistry:
         dict(FLOW_CFG, t_max=1500.0),
         dict(KOTTLER_CFG, m=1e300),
         dict(KOTTLER_CFG, r_max_factor=1e300),
+        # radii would reach r_h r_max_factor = 1.05e100
+        dict(KOTTLER_CFG, m=-0.1, r_max_factor=1.2e100),
         dict(KOTTLER_CFG, genus=10**206),
         # the trajectory's map would end past 1e100
         dict(FLOW_CFG, t_max=500.0),
@@ -613,6 +616,8 @@ class TestRegistry:
         dict(KOTTLER_CFG, m=2e3),
         dict(KOTTLER_CFG, genus=10**5, k_hat=-1),
         dict(KOTTLER_CFG, r_max_factor=1e60),
+        # radii to r_h 1e90 = 8.8e89: the cap reads the horizon, not the largest mass
+        dict(KOTTLER_CFG, m=-0.1, r_max_factor=1e90),
         dict(FLOW_CFG, t_max=400.0),
         dict(PENROSE_CFG, masses=[2e3], genus=10**5, scan_area_max=1e6),
         dict(STATIC_CFG, genus=10**300),
@@ -620,6 +625,17 @@ class TestRegistry:
     ])
     def test_values_below_the_overflows_validate(self, cfg):
         validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg,code", [
+        (dict(KOTTLER_CFG, m=-0.1, r_max_factor=1e90), 0),
+        (dict(KOTTLER_CFG, m=-0.1, r_max_factor=1.2e100), 2),
+        # without a horizon the radii reach 0.5 r_max_factor
+        (dict(KOTTLER_CFG, k_hat=0, genus=1, r_max_factor=2e100), 0),
+        (dict(KOTTLER_CFG, k_hat=0, genus=1, r_max_factor=2.5e100), 2),
+    ])
+    def test_r_max_factor_capped_from_the_horizon(self, tmp_path, cfg, code):
+        path = write_cfg(tmp_path, "k.json", cfg)
+        assert main(["kottler", "--config", path, "--out", str(tmp_path / "o")]) == code
 
     @pytest.mark.parametrize("cfg", [
         dict(FLOW_CFG, eps=cli._EPS_MAX),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from alhflow import (DomainError, HypothesesNotMet, conformal_infinity, flow, geroch_rate,
                      hawking_lower_bound, hawking_mass_from_integrals, imcf_integrate,
-                     jump_bound_check, kottler_build, kottler_potential,
+                     jump_bound_check, kottler_potential,
                      penrose_rhs, write_trajectory_csv)
 from alhflow.cli import run_scenario
 from alhflow.flow import TRAJECTORY_COLUMNS
@@ -32,9 +32,8 @@ class TestIntegrate:
 
     def test_equality_case_constant_mass(self):
         inf = conformal_infinity(2)
-        space = kottler_build(-1, -0.1)
-        traj = imcf_integrate(inf, space.potential, space.horizon_radius, 4.0,
-                              steps=512)
+        p = kottler_potential(-1, -0.1)
+        traj = imcf_integrate(inf, p, p.domain_start, 4.0, steps=512)
         mass = traj.hawking_mass
         assert np.max(np.abs(mass + 0.1)) <= 1e-8
         assert traj.max_violation <= 1e-8
@@ -213,8 +212,7 @@ class TestPenroseRhs:
     def test_equality_on_reference_family(self, genus):
         inf = conformal_infinity(genus)
         for m in np.linspace(-0.15, 0.8, 12):
-            space = kottler_build(-1, m)
-            area = inf.area * space.horizon_radius ** 2
+            area = inf.area * kottler_potential(-1, m).domain_start ** 2
             assert penrose_rhs(genus, area) == pytest.approx(m, abs=1e-10)
 
     def test_invalid_inputs(self):

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from alhflow import (ConformalInfinity, DomainError, conformal_infinity,
-                     critical_mass,
+from alhflow import (ConformalInfinity, DomainError, RadialPotential,
+                     conformal_infinity, critical_mass,
                      hawking_mass_from_integrals, hawking_mass_sphere,
-                     horizon_radius, kottler_build, kottler_potential,
-                     largest_zero, mean_curvature_sphere, ricci_components,
-                     scalar_curvature, static_residual)
+                     horizon_radius, kottler_potential, mean_curvature_sphere,
+                     ricci_components, scalar_curvature, static_residual,
+                     surface_gravity)
 from alhflow.cli import main
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
@@ -51,6 +51,11 @@ class TestConformalInfinity:
             ConformalInfinity(-1)
 
 
+def largest_zero(k_hat, m):
+    """The largest zero of V = sqrt(r^2 + k_hat - 2m/r), or None, for any mass."""
+    return horizon_radius(RadialPotential(k_hat, float(m), 0.0, 0.0))
+
+
 class TestLargestZero:
     def test_unit_mass_zero(self):
         assert largest_zero(-1, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -84,32 +89,34 @@ class TestLargestZero:
 
 
 class TestKottlerBuild:
+    """The Kottler space of a mass: kottler_potential, its horizon
+    domain_start and its surface_gravity."""
+
     def test_zero_mass(self):
-        s = kottler_build(-1, 0.0)
-        assert s.horizon_radius == pytest.approx(1.0, abs=1e-14)
-        assert s.surface_gravity == pytest.approx(1.0, abs=1e-13)
+        p = kottler_potential(-1, 0.0)
+        assert p.domain_start == pytest.approx(1.0, abs=1e-14)
+        assert surface_gravity(p) == pytest.approx(1.0, abs=1e-13)
 
     def test_critical(self):
-        s = kottler_build(-1, M_CRIT)
-        assert s.horizon_radius == pytest.approx(1 / math.sqrt(3.0), abs=1e-12)
-        assert s.surface_gravity == 0.0
+        p = kottler_potential(-1, M_CRIT)
+        assert p.domain_start == pytest.approx(1 / math.sqrt(3.0), abs=1e-12)
+        assert surface_gravity(p) == 0.0
 
     def test_flat_infinity(self):
-        s = kottler_build(0, 0.5)
-        assert s.horizon_radius == pytest.approx(1.0, abs=1e-13)
-        assert s.surface_gravity == pytest.approx(1.5, abs=1e-13)
+        p = kottler_potential(0, 0.5)
+        assert p.domain_start == pytest.approx(1.0, abs=1e-13)
+        assert surface_gravity(p) == pytest.approx(1.5, abs=1e-13)
 
     def test_inadmissible_mass_names_interval(self):
         with pytest.raises(DomainError, match="-0.19245"):
-            kottler_build(-1, -0.5)
+            kottler_potential(-1, -0.5)
 
     @pytest.mark.parametrize("k_hat,m", [(-1, -0.15), (-1, 0.7), (0, 0.2), (1, 2.0)])
     def test_mass_round_trip(self, k_hat, m):
-        s = kottler_build(k_hat, m)
-        r = s.horizon_radius
+        p = kottler_potential(k_hat, m)
+        r = p.domain_start
         assert (r ** 3 + k_hat * r) / 2.0 == pytest.approx(m, abs=1e-12)
-        assert s.surface_gravity == pytest.approx(
-            0.5 * s.potential.dphi(r), rel=1e-12)
+        assert surface_gravity(p) == pytest.approx(0.5 * p.dphi(r), rel=1e-12)
 
     def test_admissible_interval(self):
         assert critical_mass(-1) == pytest.approx(M_CRIT)
@@ -305,12 +312,12 @@ class TestHawkingMass:
     @pytest.mark.parametrize("genus,m", [(2, -0.15), (2, 0.0), (3, 0.5), (4, -0.1)])
     def test_constant_in_radius(self, genus, m):
         inf = conformal_infinity(genus)
-        s = kottler_build(-1, m)
+        p = kottler_potential(-1, m)
         target = inf.c ** 1.5 * m
-        for r in np.geomspace(max(s.horizon_radius, 0.4), 1e5, 25):
-            if r < s.horizon_radius:
+        for r in np.geomspace(max(p.domain_start, 0.4), 1e5, 25):
+            if r < p.domain_start:
                 continue
-            assert hawking_mass_sphere(inf, s.potential, r) == pytest.approx(
+            assert hawking_mass_sphere(inf, p, r) == pytest.approx(
                 target, abs=1e-10)
 
     def test_matches_surface_integral_assembly(self):

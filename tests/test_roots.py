@@ -7,6 +7,8 @@ p' dr + (p''/2) dr^2 = beta is 2 beta / (p' + sqrt(p'^2 + 2 p'' beta)):
 beta/p' at a simple root, sqrt(2 beta/p'') at a double one.  Add u r for
 representing r.  A perturbed horizon, a root of the quartic
 Q(r) = r^4 + k r^2 - 2m r + eps, gets the same bound from Q's terms.
+The surface gravity kappa = (3 r^2 + k) / (2 r) inherits the root's bound
+through d kappa / dr = 3/2 - k / (2 r^2).
 """
 
 import dataclasses
@@ -20,22 +22,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (DomainError, NumericalError, ReferencePotential,
-                     critical_mass, geometry,
-                     horizon_radius, kottler_build, kottler_potential,
-                     largest_zero)
-from alhflow.geometry import _largest_cubic_root
+from alhflow import (DomainError, NumericalError, RadialPotential, ReferencePotential,
+                     critical_mass, geometry, horizon_radius, kottler_potential,
+                     surface_gravity)
+from alhflow.cli import run_scenario
+from alhflow.geometry import MASS_SLACK, _largest_cubic_root
 
 M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 U = 2.0 ** -53
 
 
-def exact_root(k_hat, m):
+def exact_root_mp(k_hat, m):
+    """The largest real root of r^3 + k r - 2m to 50 digits."""
     with mpmath.workdps(50):
         roots = mpmath.polyroots([1, 0, k_hat, -2 * mpmath.mpf(m)],
                                  maxsteps=200, extraprec=100)
-        return float(max(mpmath.re(z) for z in roots
-                         if abs(mpmath.im(z)) <= mpmath.mpf(10) ** -30))
+        return max(mpmath.re(z) for z in roots
+                   if abs(mpmath.im(z)) <= mpmath.mpf(10) ** -30)
+
+
+def exact_root(k_hat, m):
+    return float(exact_root_mp(k_hat, m))
+
+
+def cubic_root(k_hat, m):
+    """The Kottler horizon solve for any mass, admissible or not."""
+    return horizon_radius(RadialPotential(k_hat, float(m), 0.0, 0.0))
 
 
 def tolerance(k_hat, m, r):
@@ -47,11 +59,11 @@ def tolerance(k_hat, m, r):
 def assert_matches_mpmath(k_hat, m):
     exact = exact_root(k_hat, m)
     tol = tolerance(k_hat, m, exact)
-    r = largest_zero(k_hat, m)
+    p = kottler_potential(k_hat, m)
+    r = p.domain_start
     assert abs(r - exact) <= tol, (k_hat, m, r, exact, tol)
-    space = kottler_build(k_hat, m)
-    assert space.horizon_radius == r
-    assert space.surface_gravity > 0.0
+    assert horizon_radius(p) == r
+    assert surface_gravity(p) > 0.0
 
 
 def _positive_real(coefficients):
@@ -98,24 +110,20 @@ def test_critical_mass_is_the_exact_double_root():
     with mpmath.workdps(30):
         assert abs(mpmath.mpf(third) - 1 / mpmath.sqrt(3)) <= 0.5 * math.ulp(third)
     assert _largest_cubic_root(-1.0, 2.0 * M_CRIT) == (third, True)
-    assert largest_zero(-1, M_CRIT) == third
     # masses within the 1e-15 admissibility slack below it are the critical member
     for m in (M_CRIT, M_CRIT - 1e-16, M_CRIT - 1e-15):
-        assert largest_zero(-1, m) == third
-        space = kottler_build(-1, m)
-        assert space.horizon_radius == third
-        assert space.surface_gravity == 0.0
-        assert space.potential.domain_start == third
-        assert horizon_radius(space.potential) == third
-        assert kottler_potential(-1, m).domain_start == third
+        p = kottler_potential(-1, m)
+        assert p.domain_start == third
+        assert horizon_radius(p) == third
+        assert surface_gravity(p) == 0.0
 
 
 def test_no_root_below_critical():
     for delta in np.logspace(-14, 0, 15):
-        assert largest_zero(-1, M_CRIT - delta) is None
+        assert cubic_root(-1, M_CRIT - delta) is None
     for k_hat in (0, 1):
         for m in (0.0, -1e-15, -0.5, -5.0):
-            assert largest_zero(k_hat, m) is None
+            assert cubic_root(k_hat, m) is None
 
 
 def _bits(p):
@@ -123,27 +131,76 @@ def _bits(p):
 
 
 @pytest.mark.parametrize("k_hat", [-1, 0, 1])
-def test_kottler_potential_is_the_potential_of_kottler_build(k_hat):
+def test_kottler_potential_starts_at_the_horizon_root(k_hat):
     # every mass here is admissible, the first one within the slack
     crit = critical_mass(k_hat)
     for m in (crit - 1e-16, crit, crit + 1e-11, -0.0, 0.0, 1e-300, 0.5, 1e100):
-        built = kottler_build(k_hat, m).potential
-        assert _bits(kottler_potential(k_hat, m)) == _bits(built), m
+        found = geometry._horizon_root(k_hat, m)
+        start = 0.0 if found is None else found[0]
+        expect = RadialPotential(k_hat, float(m), 0.0, start)
+        assert _bits(kottler_potential(k_hat, m)) == _bits(expect), m
         p = kottler_potential(k_hat, m, 0.05)
         assert p.domain_start == (horizon_radius(p) or 0.0), m
     with pytest.raises(DomainError, match="below the admissible minimum"):
         kottler_potential(k_hat, crit - 1e-14)
 
 
-def test_kottler_build_solves_the_cubic_once(monkeypatch):
+def test_kottler_potential_solves_the_cubic_once(monkeypatch):
     calls = []
     solve = geometry._largest_cubic_root
     monkeypatch.setattr(geometry, "_largest_cubic_root",
                         lambda a, b: calls.append((a, b)) or solve(a, b))
     for k_hat, m in ((-1, -0.1), (-1, M_CRIT), (0, 0.5), (1, 0.0)):
         calls.clear()
-        kottler_build(k_hat, m)
+        kottler_potential(k_hat, m)
         assert len(calls) == 1
+
+
+def test_surface_gravity_is_pinned():
+    # +0.0 on the critical double root, within the slack below it too
+    for m in (M_CRIT, M_CRIT - 0.5 * MASS_SLACK):
+        kappa = surface_gravity(kottler_potential(-1, m))
+        assert kappa == 0.0 and math.copysign(1.0, kappa) == 1.0
+    for k_hat in (0, 1):  # no horizon
+        assert surface_gravity(kottler_potential(k_hat, 0.0)) == 0.0
+    with pytest.raises(DomainError, match="eps"):
+        surface_gravity(kottler_potential(-1, 0.1, 0.05))
+
+
+#: kappa's own rounding, in units of u (3 r^2 + |k|) / (2 r): 2.29 measured at
+#: worst over 503 masses (k = 0, m = 1.58e-7), budgeted as 3
+KAPPA_ROUNDING = 3.0
+
+
+@pytest.mark.parametrize("k_hat", [-1, 0, 1])
+def test_surface_gravity_against_mpmath(k_hat):
+    # near m_crit, kappa ~ sqrt(m - m_crit) is small and the root's error,
+    # times d kappa / dr, sets the budget
+    if k_hat == -1:
+        masses = M_CRIT + np.logspace(-15, 1, 49)
+    else:
+        masses = np.concatenate([np.logspace(-12, 1, 27), np.linspace(0.05, 10.0, 15)])
+    for m in map(float, masses):
+        kappa = surface_gravity(kottler_potential(k_hat, m))
+        with mpmath.workdps(50):
+            r = exact_root_mp(k_hat, m)
+            error = float(abs(kappa - (3 * r * r + k_hat) / (2 * r)))
+        r = float(r)
+        slope = abs(1.5 - k_hat / (2.0 * r * r))
+        scale = (3.0 * r * r + abs(k_hat)) / (2.0 * r)
+        budget = slope * tolerance(k_hat, m, r) + KAPPA_ROUNDING * U * scale
+        assert error <= budget, (k_hat, m, error, budget)
+
+
+def test_surface_gravity_check_catches_a_wrong_formula(tmp_path, monkeypatch):
+    def flipped(p):
+        r = p.domain_start
+        return (3.0 * r * r - p.k_hat) / (2.0 * r)
+
+    monkeypatch.setattr(geometry, "surface_gravity", flipped)
+    report = run_scenario({"kind": "kottler", "k_hat": -1, "m": 0.1, "genus": 2}, tmp_path)
+    check, = (c for c in report.checks if c["name"] == "surface_gravity")
+    assert check["value"] >= 1e6 * check["tolerance"]
 
 
 _reference = st.one_of(
@@ -251,7 +308,7 @@ class TestPerturbedHorizon:
             m = critical_mass(k_hat) - 1e-12
             with pytest.raises(DomainError, match=re.escape(f"mass {m} below the admissible minimum")):
                 kottler_potential(k_hat, m, 0.1)
-        # the 1e-15 slack of kottler_build holds here too
+        # the 1e-15 admissibility slack holds here too
         kottler_potential(-1, M_CRIT - 1e-15, 0.1)
 
     def test_seeded_draws_match_mpmath(self):
