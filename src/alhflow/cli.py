@@ -2,12 +2,12 @@
 
 The registry `_KINDS` is the one list of scenario kinds and their fields:
 each entry declares a kind's config keys with the type, range and default
-of each, the check that spans keys, and the runner (none for sweep, which
-runs the scenarios it expands).  There is one subcommand per registered
-kind.  Each takes --config (a JSON file), --out (output directory) and
-optionally --tolerance (a global tolerance override).  A "tolerances" object
-in the config overrides individual tolerances, and may name only those its
-kind reads.
+of each, the check that spans keys, the runner (none for sweep, which runs
+the scenarios it expands) and the one data file the kind writes.  There is
+one subcommand per registered kind.  Each takes --config (a JSON file), --out
+(output directory) and optionally --tolerance (a global tolerance override).
+A "tolerances" object in the config overrides individual tolerances, and may
+name only those its kind reads.
 
 Artifacts are deterministic: a CSV float has 17 significant digits, a JSON
 float is Python's shortest round-trip repr (1e-10, 0.0), JSON keys and CSV
@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
 2 the configuration failed validation.  A subcommand's scenario, or a sweep
 member, that raises after validation, or whose validation raises
 NumericalError (a horizon solve that fails), leaves error.json, with the
-exception's type and message, in its output directory.
+exception's type and message, in its output directory.  A run into an
+existing directory first removes the outcome files an earlier run left there:
+report.json, error.json and each kind's data file.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +42,7 @@ from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
 from .geometry import FOUR_PI, conformal_infinity, critical_mass, kottler_potential
 
-__all__ = ["main", "run_scenario", "run_sweep", "RunReport", "load_config"]
+__all__ = ["main", "run_scenario", "run_sweep", "load_config"]
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +122,15 @@ class _Kind(NamedTuple):
     "tolerances" may override these and name no other.  `check`, run after
     every field passed, tests what spans fields and returns what _Validated
     keeps, as keyword arguments, or None.  `run` is None for sweep (see
-    run_sweep)."""
+    run_sweep); else it writes `artifact` at the path it is given and
+    returns the report's result.  A sweep's artifact is its summary."""
 
     fields: dict
     defaults: dict
     tolerances: dict
     check: Callable
     run: Callable
+    artifact: str
 
 
 def _is_a(value, type_) -> bool:
@@ -233,6 +237,8 @@ def _check_sweep(out):
     for key, values in out["vary"].items():
         if not isinstance(values, list):
             raise ConfigError(f"vary parameter '{key}' must map to a list")
+        if not values:  # a sweep of no members would validate nothing
+            raise ConfigError(f"vary parameter '{key}' must map to a non-empty list")
     members = []
     for member in expand_sweep(out):
         try:
@@ -324,23 +330,6 @@ def expand_sweep(cfg: dict) -> list[dict]:
 # scenario execution
 
 
-@dataclass(frozen=True)
-class RunReport:
-    scenario: dict
-    checks: list
-    outputs: list
-    wall_time_s: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def artifact_dict(self) -> dict:
-        # wall time deliberately excluded: artifacts must be reproducible
-        return {"scenario": self.scenario, "checks": self.checks,
-                "outputs": self.outputs, "all_pass": self.all_pass}
-
-
 class _Checks:
     """The checks of one run.  A tolerance is the config's, else the
     --tolerance override, else the kind's default."""
@@ -357,7 +346,7 @@ class _Checks:
                            "tolerance": tol, "passed": bool(value <= tol)})
 
 
-def _run_kottler(cfg, out_dir, checks):
+def _run_kottler(cfg, path, checks):
     p = cfg.potential
     inf = conformal_infinity(cfg["genus"])
     r_m = p.domain_start
@@ -381,11 +370,11 @@ def _run_kottler(cfg, out_dir, checks):
     write_csv(("r", "phi", "scalar_curvature", "hawking_mass",
                "laplace_residual", "ricci_residual"),
               (radii, p.phi(radii), curv, m_h,
-               res.laplace_residual, res.ricci_residual), out_dir / "profile.csv")
-    return {"horizon_radius": r_m, "surface_gravity": kappa}, ["profile.csv"]
+               res.laplace_residual, res.ricci_residual), path)
+    return {"horizon_radius": r_m, "surface_gravity": kappa}
 
 
-def _run_flow(cfg, out_dir, checks):
+def _run_flow(cfg, path, checks):
     p = cfg.potential
     inf = conformal_infinity(cfg["genus"])
     traj = flow.imcf_integrate(inf, p, cfg["r0"], cfg["t_max"], cfg["steps"])
@@ -404,12 +393,11 @@ def _run_flow(cfg, out_dir, checks):
     checks.add("rate_matches_difference", float(np.max(np.abs(fd - rate[2:-2]))))
 
     sub_map = asymptotics.build_substitution(p, cfg["r0"], _flow_map_end(cfg["r0"], r[-1]))
-    flow.write_trajectory_csv(traj, p, sub_map, out_dir / "trajectory.csv")
-    return {"final_radius": float(r[-1]),
-            "max_violation": traj.max_violation}, ["trajectory.csv"]
+    flow.write_trajectory_csv(traj, p, sub_map, path)
+    return {"final_radius": float(r[-1]), "max_violation": traj.max_violation}
 
 
-def _run_mass_aspect(cfg, out_dir, checks):
+def _run_mass_aspect(cfg, path, checks):
     p = cfg.potential
     sub_map = asymptotics.build_substitution(p, cfg["r_start"], cfg["r_end"])
     result = asymptotics.mass_aspect_extract(sub_map)
@@ -426,12 +414,11 @@ def _run_mass_aspect(cfg, out_dir, checks):
         fits.append({"quantity": quantity, "a0": fit.a0, "a1": fit.a1,
                      "a2": fit.a2, "error_estimate": fit.error_estimate})
         checks.add(f"{quantity}_coefficient", abs(fit.a2 - target))
-    write_json(fits, out_dir / "expansions.json")
-    return {"mu": result.mu, "error_estimate": result.error_estimate,
-            "expansions": fits}, ["expansions.json"]
+    write_json(fits, path)
+    return {"mu": result.mu, "error_estimate": result.error_estimate, "expansions": fits}
 
 
-def _run_penrose(cfg, out_dir, checks):
+def _run_penrose(cfg, path, checks):
     genus = cfg["genus"]
     inf = conformal_infinity(genus)
     rows = []
@@ -450,12 +437,12 @@ def _run_penrose(cfg, out_dir, checks):
                float(abs(grid[int(np.argmin(vals))] - minimizer) / spacing))
     # the masses are config values: an int mass reads as an int
     write_csv(("m", "horizon_radius", "boundary_area", "bound_rhs", "residual"),
-              (cfg["masses"], *np.array(rows, dtype=float).T), out_dir / "equality.csv")
+              (cfg["masses"], *np.array(rows, dtype=float).T), path)
     return {"lower_bound": bound, "minimizer_area": minimizer,
-            "scan_min": float(vals.min())}, ["equality.csv"]
+            "scan_min": float(vals.min())}
 
 
-def _run_static_compare(cfg, out_dir, checks):
+def _run_static_compare(cfg, path, checks):
     p = kottler_potential(-1, cfg["m"])
     report = static_compare.compare_with_reference(
         p, cfg["genus"], map_r_end=cfg["map_r_end"])
@@ -469,8 +456,8 @@ def _run_static_compare(cfg, out_dir, checks):
                report.reference_area_radius - report.area_radius)
     checks.add("cubic_root", report.cubic_residual)
     comparison = asdict(report)
-    write_json(comparison, out_dir / "comparison.json")
-    return comparison, ["comparison.json"]
+    write_json(comparison, path)
+    return comparison
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +482,7 @@ _KINDS = {
         "horizon_relation": 1e-12, "surface_gravity": 1e-12,
         "scalar_curvature": 1e-10, "static_residual": 1e-9,
         "hawking_mass_constant": 1e-10,
-    }, _check_kottler, _run_kottler),
+    }, _check_kottler, _run_kottler, "profile.csv"),
     "flow": _Kind({
         "k_hat": _K_HAT, "m": _MASS, "genus": _GENUS,
         "r0": _Field(float, _POSITIVE, message=_R0_T_MAX),
@@ -506,7 +493,7 @@ _KINDS = {
     }, {"eps": 0.0, "steps": 4096}, {
         "area_law": 1e-8, "final_radius": 1e-8, "hawking_monotone": 1e-8,
         "rate_matches_difference": 1e-8,
-    }, _check_flow, _run_flow),
+    }, _check_flow, _run_flow, "trajectory.csv"),
     "mass-aspect": _Kind({
         "k_hat": _K_HAT, "m": _MASS,
         # changes no result (the map's quadrature is adaptive), but stays a
@@ -523,7 +510,7 @@ _KINDS = {
     }, {"eps": 0.0, "nodes_per_decade": 192}, {
         "extraction_converged": 1e-4, "mu_matches_mass": 1e-4,
         "gradient_squared_coefficient": 1e-3, "potential_squared_coefficient": 1e-3,
-    }, _check_mass_aspect, _run_mass_aspect),
+    }, _check_mass_aspect, _run_mass_aspect, "expansions.json"),
     "penrose": _Kind({
         "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),
         "masses": None,
@@ -534,7 +521,7 @@ _KINDS = {
     }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi}, {
         "equality": 1e-10, "scan_above_bound": 1e-9,
         "minimizer_location": 1.0,  # in units of the grid spacing
-    }, _check_penrose, _run_penrose),
+    }, _check_penrose, _run_penrose, "equality.csv"),
     "static-compare": _Kind({
         # the admissible minimum is _check_static_compare's
         "m": _Field(float, hi=0.0, above="static-compare requires critical mass <= m <= 0"),
@@ -546,29 +533,42 @@ _KINDS = {
         "w_le_w0": 1e-9, "boundary_curvature_ge_reference": 1e-8,
         "mass_aspect_le_reference": 1e-3, "area_radius_ge_reference": 1e-10,
         "cubic_root": 1e-10,
-    }, _check_static_compare, _run_static_compare),
-    "sweep": _Kind(dict.fromkeys(("base", "vary")), {}, {}, _check_sweep, None),
+    }, _check_static_compare, _run_static_compare, "comparison.json"),
+    "sweep": _Kind(dict.fromkeys(("base", "vary")), {}, {}, _check_sweep, None,
+                   "summary.csv"),
 }
 
 
-def run_scenario(cfg: dict, out_dir, tolerance=None) -> RunReport:
-    """Validate, execute and persist one scenario; returns the report."""
+def _clean_dir(out_dir) -> Path:
+    """Make out_dir, or remove from it the outcome files an earlier run left:
+    report.json, error.json and each kind's artifact.  Other files stay."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True)
+    except FileExistsError:
+        if not out_dir.is_dir():  # out_dir names a file
+            raise
+        for name in ("report.json", "error.json", *(k.artifact for k in _KINDS.values())):
+            (out_dir / name).unlink(missing_ok=True)
+    return out_dir
+
+
+def run_scenario(cfg: dict, out_dir, tolerance=None) -> dict:
+    """Validate, execute and persist one scenario; returns the report that
+    out_dir/report.json holds.  Wall time stays out of it, so that a rerun
+    reproduces its bytes."""
     if not isinstance(cfg, _Validated):
         cfg = validate_config(cfg)
     spec = _KINDS[cfg["kind"]]
     if spec.run is None:
         raise ConfigError("use run_sweep for sweep configs")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
+    out_dir = _clean_dir(out_dir)
     checks = _Checks(spec.tolerances, cfg["tolerances"], tolerance)
-    payload, outputs = spec.run(cfg, out_dir, checks)
-    report = RunReport(scenario=cfg, checks=checks.items,
-                       outputs=outputs + ["report.json"],
-                       wall_time_s=time.perf_counter() - started)
-    artifact = report.artifact_dict()
-    artifact["result"] = payload
-    write_json(artifact, out_dir / "report.json")
+    result = spec.run(cfg, out_dir / spec.artifact, checks)
+    report = {"scenario": cfg, "checks": checks.items,
+              "outputs": [spec.artifact, "report.json"],
+              "all_pass": all(c["passed"] for c in checks.items), "result": result}
+    write_json(report, out_dir / "report.json")
     return report
 
 
@@ -577,9 +577,8 @@ def _write_error(exc: Exception, out_dir) -> int:
     out_dir/error.json, else say on stderr why not; returns the exit code."""
     out_dir = Path(out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_json({"type": type(exc).__name__, "message": str(exc)},
-                   out_dir / "error.json")
+                   _clean_dir(out_dir) / "error.json")
     except OSError as err:  # out_dir names a file, say
         print(f"cannot write {out_dir / 'error.json'}: {err}", file=sys.stderr)
     return 2 if isinstance(exc, ConfigError) else 1
@@ -595,11 +594,11 @@ def _failed_run(exc: Exception, out_dir) -> int:
 
 
 def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
-    """Run every member scenario; results merge in input order."""
+    """Run every member scenario; returns the members' reports in input
+    order, None for a member that raised, and the largest exit code."""
     if not isinstance(cfg, _Validated):
         cfg = validate_config(cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _clean_dir(out_dir)
     members = cfg.members
     vary_keys = list(cfg["vary"])
 
@@ -608,18 +607,16 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
         member_dir = out_dir / f"member_{i:03d}"
         try:
             report = run_scenario(member, member_dir, tolerance)
-            results.append((report, 0 if report.all_pass else 1))
+            results.append((report, 0 if report["all_pass"] else 1))
         except Exception as exc:  # a failed member keeps its reason
             results.append((None, _write_error(exc, member_dir)))
 
     columns = [range(len(members)), [member["kind"] for member in members]]
     columns += [[member.get(k) for member in members] for k in vary_keys]
-    columns += [[code for _, code in results],
-                [bool(report.all_pass) if report else False for report, _ in results]]
+    columns += [[code for _, code in results], [code == 0 for _, code in results]]
     write_csv(["member", "kind", *vary_keys, "exit_code", "all_pass"],
-              columns, out_dir / "summary.csv")
-    exit_code = max((code for _, code in results), default=0)
-    return [rep for rep, _ in results], exit_code
+              columns, out_dir / _KINDS["sweep"].artifact)
+    return [report for report, _ in results], max(code for _, code in results)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +653,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:  # a horizon solve failed: the config's run error
         return _failed_run(exc, args.out)
 
+    started = time.perf_counter()
     try:
         if _KINDS[cfg["kind"]].run is None:  # a sweep
-            started = time.perf_counter()
             reports, code = run_sweep(cfg, args.out, args.tolerance)
             print(f"sweep: {len(reports)} members, exit {code}, "
                   f"{time.perf_counter() - started:.2f}s wall time")
@@ -667,13 +664,14 @@ def main(argv=None) -> int:
     except Exception as exc:  # the run failed after validation: keep its reason
         return _failed_run(exc, args.out)
 
-    for check in report.checks:
+    for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"  [{status}] {check['name']}: value={check['value']:.3e} "
               f"tol={check['tolerance']:.3e}")
-    print(f"{cfg['kind']}: {'all checks passed' if report.all_pass else 'CHECKS FAILED'} "
-          f"({report.wall_time_s:.2f}s wall time)")
-    return 0 if report.all_pass else 1
+    passed = report["all_pass"]
+    print(f"{cfg['kind']}: {'all checks passed' if passed else 'CHECKS FAILED'} "
+          f"({time.perf_counter() - started:.2f}s wall time)")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

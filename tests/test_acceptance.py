@@ -198,7 +198,7 @@ def test_criterion_7_comparison_chain(tmp_path):
     for genus, m in ((2, -0.1), (3, 0.0)):
         out = tmp_path / f"genus{genus}"
         run = run_scenario({"kind": "static-compare", "m": m, "genus": genus}, out)
-        failed = {c["name"]: c["value"] for c in run.checks if not c["passed"]}
+        failed = {c["name"]: c["value"] for c in run["checks"] if not c["passed"]}
         if failed:
             failures.append(f"self comparison checks failed at (genus={genus}, "
                             f"m={m}): {failed}")

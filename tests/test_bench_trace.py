@@ -59,7 +59,7 @@ def test_traced_root_layer_sees_every_horizon_solve(tmp_path, layers, monkeypatc
     ]
     with layers.make_tracer() as tracer:
         for i, cfg in enumerate(configs):
-            assert cli.run_scenario(cfg, tmp_path / str(i)).all_pass
+            assert cli.run_scenario(cfg, tmp_path / str(i))["all_pass"]
     metrics = layers.snapshot(tracer)
     # one solve per kottler member and per penrose mass, two per
     # static-compare member (its data and its reference)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -35,6 +36,9 @@ PENROSE_CFG = {"kind": "penrose", "genus": 2, "masses": [-0.1, 0.0],
                "scan_points": 64}
 STATIC_CFG = {"kind": "static-compare", "m": -0.1, "genus": 2, "map_r_end": 1e4}
 SWEEP_CFG = {"kind": "sweep", "base": PENROSE_CFG, "vary": {"genus": [2, 3]}}
+#: a sweep of no members, whose base alone would fail validation
+EMPTY_VARY_CFG = {"kind": "sweep", "base": {"kind": "kottler", "k_hat": -1, "m": -5.0,
+                                            "genus": 2, "bogus": 1}, "vary": {"m": []}}
 #: one small config that passes every check, for each registered kind
 MINIMAL = {cfg["kind"]: cfg for cfg in
            (KOTTLER_CFG, FLOW_CFG, ASPECT_CFG, PENROSE_CFG, STATIC_CFG, SWEEP_CFG)}
@@ -106,9 +110,19 @@ class TestValidation:
                 validate_config(cfg)
             assert str(info.value) == "'kind' cannot vary: every member has the base's kind"
 
+    def test_empty_vary_list_rejected(self, tmp_path, capsys):
+        message = "vary parameter 'm' must map to a non-empty list"
+        with pytest.raises(ConfigError) as info:
+            validate_config(EMPTY_VARY_CFG)
+        assert str(info.value) == message
+        path = write_cfg(tmp_path, "sweep.json", EMPTY_VARY_CFG)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_map_ratio_is_the_library_rule(self, tmp_path):
         # build_substitution accepts r_end / r_start down to 1e3 (1 - 1e-12)
-        assert run_scenario(dict(ASPECT_CFG, r_end=2e3 * (1.0 - 1e-13)), tmp_path).all_pass
+        assert run_scenario(dict(ASPECT_CFG, r_end=2e3 * (1.0 - 1e-13)), tmp_path)["all_pass"]
         with pytest.raises(ConfigError, match=re.escape("need r_end / r_start >= 1e3")):
             validate_config(dict(ASPECT_CFG, r_end=2e3 * (1.0 - 1e-11)))
 
@@ -244,15 +258,48 @@ class TestDeterminism:
         assert rows[0] == "member,kind,genus,exit_code,all_pass"
         assert [r.split(",")[2] for r in rows[1:]] == ["4", "2", "3"]
 
-    def test_empty_sweep(self, tmp_path):
-        cfg = {"kind": "sweep",
-               "base": {"kind": "penrose", "genus": 2, "masses": [0.0]},
-               "vary": {"genus": []}}
-        reports, code = run_sweep(cfg, tmp_path / "o")
-        assert reports == []
-        assert code == 0
-        assert (tmp_path / "o" / "summary.csv").read_text().strip() == \
-            "member,kind,genus,exit_code,all_pass"
+
+#: a flow whose substitution map fails after validation (NumericalError)
+RAISING_FLOW_CFG = {"kind": "flow", "k_hat": 0, "m": 5.93, "genus": 1, "r0": 2.0,
+                    "t_max": 2.0, "steps": 16, "eps": 1e40}
+
+
+class TestRerun:
+    """A run into an existing directory leaves nothing of an earlier run's outcome."""
+
+    def test_raising_run_after_a_passing_one(self, tmp_path):
+        out = tmp_path / "o"
+        for cfg, code in ((FLOW_CFG, 0), (RAISING_FLOW_CFG, 1)):
+            assert main(["flow", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    def test_passing_run_after_a_raising_one(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        for cfg, code in ((RAISING_FLOW_CFG, 1), (FLOW_CFG, 0)):
+            assert main(["flow", "--config", write_cfg(tmp_path, "c.json", cfg),
+                         "--out", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["notes.txt", "report.json", "trajectory.csv"]
+
+    def test_other_kind_into_the_same_directory(self, tmp_path):
+        run_scenario(KOTTLER_CFG, tmp_path)
+        run_scenario(PENROSE_CFG, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["equality.csv", "report.json"]
+
+    def test_sweep_rerun_whose_member_now_fails(self, tmp_path):
+        # a member directory past the new sweep's last member stays as it was
+        passing = dict(RAISING_FLOW_CFG, m=0.5, eps=0.0)
+        run_sweep({"kind": "sweep", "base": passing, "vary": {"steps": [16, 32]}}, tmp_path)
+        reports, code = run_sweep({"kind": "sweep", "base": RAISING_FLOW_CFG,
+                                   "vary": {"steps": [16]}}, tmp_path)
+        assert code == 1 and reports == [None]
+        assert sorted(p.name for p in (tmp_path / "member_000").iterdir()) == ["error.json"]
+        assert sorted(p.name for p in (tmp_path / "member_001").iterdir()) == \
+            ["report.json", "trajectory.csv"]
+        assert (tmp_path / "summary.csv").read_text().count("\n") == 2
 
 
 def test_failed_sweep_member_keeps_its_reason(tmp_path, monkeypatch):
@@ -580,8 +627,17 @@ class TestRegistry:
         report = run_scenario(MINIMAL[kind], tmp_path)
         # penrose checks each mass as equality_m<i>, against one tolerance
         read = {"equality" if check["name"].startswith("equality_m") else check["name"]
-                for check in report.checks}
+                for check in report["checks"]}
         assert read == set(cli._KINDS[kind].tolerances)
+
+    @pytest.mark.parametrize("kind", [kind for kind, spec in cli._KINDS.items()
+                                      if spec.run is not None])
+    def test_each_kind_writes_its_artifact_and_one_report(self, tmp_path, kind):
+        report = run_scenario(MINIMAL[kind], tmp_path)
+        artifact = cli._KINDS[kind].artifact
+        assert {p.name for p in tmp_path.iterdir()} == {artifact, "report.json"}
+        assert report["outputs"] == [artifact, "report.json"]
+        assert report == json.loads((tmp_path / "report.json").read_text())
 
     @pytest.mark.parametrize("key,value", [("parallel", False), ("tolerances", {})])
     def test_sweep_rejects_keys_no_member_reads(self, key, value):
@@ -665,7 +721,7 @@ class TestRegistry:
     def test_scan_may_end_at_the_minimizer(self, tmp_path):
         cfg = {"kind": "penrose", "genus": 32, "masses": [0.0],
                "scan_area_max": 4.0 * math.pi * 31 / 3.0}
-        assert run_scenario(cfg, tmp_path).all_pass
+        assert run_scenario(cfg, tmp_path)["all_pass"]
 
     @pytest.mark.parametrize("cfg,message", [
         ({"kind": "warp"}, "unknown scenario kind 'warp'; expected one of "
@@ -738,6 +794,17 @@ def test_cold_start_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _COLD_START, src, str(tmp_path), *paths],
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-2:] == ["[]", "False"]
+
+
+def test_module_entry_point(tmp_path):
+    # the documented `python -m alhflow.cli`, in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(alhflow.__file__).resolve().parents[1]))
+    for kind, cfg, code in (("kottler", KOTTLER_CFG, 0), ("sweep", EMPTY_VARY_CFG, 2)):
+        path = write_cfg(tmp_path, f"{kind}.json", cfg)
+        out = subprocess.run([sys.executable, "-m", "alhflow.cli", kind, "--config", path,
+                              "--out", str(tmp_path / kind)], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == code, out.stderr
 
 
 def test_readme_configs_validate():

@@ -129,7 +129,7 @@ class TestGerochRate:
         cfg = {"kind": "flow", "k_hat": k_hat, "genus": genus, "m": m,
                "eps": eps, "r0": r0, "t_max": 2.0 * math.log(5e3 / r0)}
         report = run_scenario(cfg, tmp_path)
-        checks = {c["name"]: c for c in report.checks}
+        checks = {c["name"]: c for c in report["checks"]}
         assert checks["rate_matches_difference"]["passed"]
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         r, rate = data[:, 1], data[:, 6]
@@ -162,7 +162,7 @@ class TestGerochRate:
         cfg = {"kind": "flow", "k_hat": -1, "genus": 2, "m": -0.1, "eps": 0.15,
                "r0": r0, "t_max": 2.0 * math.log(5e3 / r0), "steps": 4096}
         report = run_scenario(cfg, tmp_path)
-        checks = {c["name"]: c for c in report.checks}
+        checks = {c["name"]: c for c in report["checks"]}
         assert checks["rate_matches_difference"]["value"] <= 1e-12
 
     @pytest.mark.parametrize("factor", [-1.0, 2.0])  # flipped sign, gamma eps/(2r)
@@ -172,11 +172,11 @@ class TestGerochRate:
         cfg = {"kind": "flow", "k_hat": -1, "genus": 2, "m": -0.1, "eps": 0.15,
                "r0": 2.0, "t_max": 2.0, "steps": 256}
         report = run_scenario(cfg, tmp_path / "right")
-        assert report.all_pass
+        assert report["all_pass"]
         rate = flow.geroch_rate
         monkeypatch.setattr(flow, "geroch_rate", lambda *args: factor * rate(*args))
         report = run_scenario(cfg, tmp_path / "broken")
-        check = {c["name"]: c for c in report.checks}["rate_matches_difference"]
+        check = {c["name"]: c for c in report["checks"]}["rate_matches_difference"]
         assert check["value"] >= 1e6 * check["tolerance"]
 
 

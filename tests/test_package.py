@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import alhflow
+from alhflow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,6 +169,21 @@ def test_each_rule_has_one_owner():
     assert comparers == {("geometry.py", "require_sign")}
     assert genus_testers == {("geometry.py", "__post_init__")}
     assert domain_testers == {("geometry.py", "require_inside")}
+
+
+def test_each_artifact_is_named_once():
+    # a kind's data file is spelled only in its registry entry: the runner
+    # writes at the path it is given, and the report lists what the entry names
+    artifacts = [spec.artifact for spec in cli._KINDS.values()]
+    spelled = []
+    for path, tree in zip(_package_sources(), _trees(_package_sources())):
+        registry = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                    and any(isinstance(target, ast.Name) and target.id == "_KINDS"
+                            for target in assign.targets)
+                    for node in ast.walk(assign.value)}
+        spelled += [(path.name, node.value, id(node) in registry) for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in artifacts]
+    assert sorted(spelled) == sorted(("cli.py", name, True) for name in artifacts)
 
 
 def test_imports_numpy_alone():

@@ -199,7 +199,7 @@ def test_surface_gravity_check_catches_a_wrong_formula(tmp_path, monkeypatch):
 
     monkeypatch.setattr(geometry, "surface_gravity", flipped)
     report = run_scenario({"kind": "kottler", "k_hat": -1, "m": 0.1, "genus": 2}, tmp_path)
-    check, = (c for c in report.checks if c["name"] == "surface_gravity")
+    check, = (c for c in report["checks"] if c["name"] == "surface_gravity")
     assert check["value"] >= 1e6 * check["tolerance"]
 
 

@@ -19,7 +19,7 @@ M_CRIT = -1.0 / (3.0 * math.sqrt(3.0))
 def compare_checks(out_dir, m, genus=2):
     """The static-compare checks of Kottler data of mass m, by name."""
     report = run_scenario({"kind": "static-compare", "m": m, "genus": genus}, out_dir)
-    return {check["name"]: check for check in report.checks}
+    return {check["name"]: check for check in report["checks"]}
 
 
 def failed(checks):
