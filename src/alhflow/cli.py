@@ -21,12 +21,14 @@ member, that raises after validation, or whose validation raises
 NumericalError (a horizon solve that fails), leaves error.json, with the
 exception's type and message, in its output directory.  A run into an
 existing directory first removes the outcome files an earlier run left there:
-report.json, error.json and each kind's data file.
+report.json, error.json and each kind's data file, and for a sweep those of
+the member directories past its last member, which go once empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -79,7 +81,8 @@ def write_csv(header, columns, path: Path) -> None:
 _MASS_MAX = 1e100
 #: (genus - 1)^(3/2), in the Hawking mass and Penrose bound, overflows from 3.2e205.
 _GENUS_MAX = 1e200
-#: d2phi cubes r (overflow from 5.6e102); build_substitution overflows past 1.5e101.
+#: The last radius of a kottler profile or a flow: the profile's d2phi cubes r
+#: (overflow from 5.6e102), the flow's area squares it (from 3.8e153 at genus 2).
 _R_MAX = 1e100
 #: The c^3/r^6 term of SubstitutionMap.mu_at overflows from about r = 2.4e51.
 _MU_R_MAX = 1e50
@@ -90,8 +93,8 @@ _EPS_MAX = 1e56
 # Caps on the int fields that size arrays, so that one member's peak RSS grows
 # by under 1 GiB.  Growth per element is the ru_maxrss growth of one run in a
 # fresh process from 2^14 to 2^16 elements, extrapolated linearly.
-#: A flow keeps about 148 B a step (its columns, the rho column, the CSV rows):
-#: 5e6 steps take 0.74 GB.
+#: A flow keeps about 136 B a step (its columns and the CSV rows): 5e6 steps
+#: take 0.68 GB.
 _STEPS_MAX = 5_000_000
 #: A kottler profile keeps about 152 B a radius: 5e6 radii take 0.76 GB.
 _N_RADII_MAX = 5_000_000
@@ -263,23 +266,12 @@ def _check_flow(cfg):
     conformal_infinity(cfg["genus"]).require_sign(cfg["k_hat"])
     if cfg["steps"] < 4:  # rate_matches_difference differences five states
         raise ConfigError("flow scenarios need steps >= 4")
-    # the flow reaches r0 e^(t_max/2), and the trajectory's map beyond it
-    map_end = _flow_map_end(cfg["r0"], cfg["r0"] * math.exp(0.5 * cfg["t_max"]))
-    if map_end > _R_MAX:
-        raise ConfigError(f"the flow's map would end past r = {_R_MAX:g}")
-    asymptotics.require_map_extent(cfg["k_hat"], cfg["r0"], map_end)
+    if cfg["r0"] * math.exp(0.5 * cfg["t_max"]) > _R_MAX:
+        raise ConfigError(f"the flow's last radius r0 e^(t_max/2) lies past r = {_R_MAX:g}")
     potential = _potential_from(cfg)
-    if potential.phi(cfg["r0"]) <= 0.0:
-        raise ConfigError("flow scenarios need phi(r0) > 0 "
-                          "(strictly outside the horizon)")
-    # phi is positive again below an inner root, which domain_start excludes
+    # from the horizon on, where phi's sign is noise, not below an inner root
     potential.require_inside(cfg["r0"])
     return {"potential": potential}
-
-
-def _flow_map_end(r0, r_final):
-    """The outer radius of a trajectory's substitution map."""
-    return max(r_final * 8.0, r0 * 1.01e3)
 
 
 def _check_mass_aspect(cfg):
@@ -392,8 +384,7 @@ def _run_flow(cfg, path, checks):
     fd = (8.0 * (mass[3:-1] - mass[1:-3]) - (mass[4:] - mass[:-4])) / (12.0 * dt)
     checks.add("rate_matches_difference", float(np.max(np.abs(fd - rate[2:-2]))))
 
-    sub_map = asymptotics.build_substitution(p, cfg["r0"], _flow_map_end(cfg["r0"], r[-1]))
-    flow.write_trajectory_csv(traj, p, sub_map, path)
+    flow.write_trajectory_csv(traj, path=path)
     return {"final_radius": float(r[-1]), "max_violation": traj.max_violation}
 
 
@@ -539,17 +530,25 @@ _KINDS = {
 }
 
 
-def _clean_dir(out_dir) -> Path:
+def _clean_dir(out_dir, members=None) -> Path:
     """Make out_dir, or remove from it the outcome files an earlier run left:
-    report.json, error.json and each kind's artifact.  Other files stay."""
+    report.json, error.json and each kind's artifact, and for a sweep of
+    `members` members those of each member_* directory past its last, which
+    goes once empty.  Other files stay."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True)
     except FileExistsError:
         if not out_dir.is_dir():  # out_dir names a file
             raise
-        for name in ("report.json", "error.json", *(k.artifact for k in _KINDS.values())):
-            (out_dir / name).unlink(missing_ok=True)
+        stale = [d for d in (out_dir.glob("member_*") if members else ()) if d.is_dir()
+                 and d.name[7:].isdigit() and int(d.name[7:]) >= members]
+        for directory in (out_dir, *stale):
+            for name in ("report.json", "error.json", *(k.artifact for k in _KINDS.values())):
+                (directory / name).unlink(missing_ok=True)
+        for directory in stale:
+            with contextlib.suppress(OSError):  # it holds other files
+                directory.rmdir()
     return out_dir
 
 
@@ -598,8 +597,8 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
     order, None for a member that raised, and the largest exit code."""
     if not isinstance(cfg, _Validated):
         cfg = validate_config(cfg)
-    out_dir = _clean_dir(out_dir)
     members = cfg.members
+    out_dir = _clean_dir(out_dir, len(members))
     vary_keys = list(cfg["vary"])
 
     results = []

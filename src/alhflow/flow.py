@@ -38,8 +38,8 @@ __all__ = [
 
 SIXTEEN_PI = 16.0 * math.pi
 
-TRAJECTORY_COLUMNS = ("t", "r", "rho", "area", "H", "hawking_mass",
-                      "geroch_rate", "scalar_curvature")
+TRAJECTORY_COLUMNS = ("t", "r", "area", "H", "hawking_mass", "geroch_rate",
+                      "scalar_curvature")
 
 
 class FlowState(NamedTuple):
@@ -59,7 +59,7 @@ _COLUMNS = FlowState._fields
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """The sampled flow, stored as read-only columns named as FlowState's fields."""
+    """The sampled flow, as read-only finite columns named as FlowState's fields."""
 
     t: np.ndarray
     r: np.ndarray
@@ -72,7 +72,11 @@ class FlowTrajectory:
 
     def __post_init__(self):
         for name in _COLUMNS:
-            getattr(self, name).setflags(write=False)
+            values = getattr(self, name)
+            values.setflags(write=False)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:  # overflow, as of the area and Hawking mass at a large genus
+                raise FlowError(f"{name} is not finite at r = {float(self.r[bad[0]])!r}")
 
     @cached_property
     def states(self) -> tuple[FlowState, ...]:
@@ -88,7 +92,7 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     The coordinate speed is r/2 on every warped product, so the flow is
     r(t) = r0 e^(t/2) exactly; `steps` sets only the sampling density.
     r0 must lie in the potential's domain (require_inside): from the horizon
-    onward, where phi > 0 beyond r0.
+    onward, where phi > 0 beyond r0.  A column that overflows raises FlowError.
     """
     inf.require_sign(p.k_hat)
     if steps < 1:
@@ -103,19 +107,20 @@ def imcf_integrate(inf: ConformalInfinity, p: RadialPotential, r0: float,
     t = np.arange(steps + 1) * dt
     radii = r0 * np.exp(0.5 * t)
 
-    masses = geometry.hawking_mass_sphere(inf, p, radii)
-    # largest drawdown below the running maximum: total decrease, not the
-    # per-step dip, so genuine violations are not diluted by small steps
-    drawdown = np.maximum.accumulate(masses) - masses
-    return FlowTrajectory(
-        t=t,
-        r=radii,
-        area=inf.area * radii * radii,
-        mean_curvature=geometry.mean_curvature_sphere(p, radii),
-        hawking_mass=masses,
-        geroch_rate=geroch_rate(inf, p, radii),
-        scalar_curvature=geometry.scalar_curvature(p, radii),
-        max_violation=float(drawdown.max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # FlowTrajectory raises on overflow
+        masses = geometry.hawking_mass_sphere(inf, p, radii)
+        # largest drawdown below the running maximum: total decrease, not the
+        # per-step dip, so genuine violations are not diluted by small steps
+        drawdown = np.maximum.accumulate(masses) - masses
+        return FlowTrajectory(
+            t=t,
+            r=radii,
+            area=inf.area * radii * radii,
+            mean_curvature=geometry.mean_curvature_sphere(p, radii),
+            hawking_mass=masses,
+            geroch_rate=geroch_rate(inf, p, radii),
+            scalar_curvature=geometry.scalar_curvature(p, radii),
+            max_violation=float(drawdown.max()))
 
 
 def geroch_rate(inf: ConformalInfinity, p: RadialPotential, r):
@@ -201,15 +206,9 @@ def jump_bound_check(area_before: float, area_after: float,
     return m_after >= m_before - 1e-12 * max(1.0, abs(m_before))
 
 
-def write_trajectory_csv(traj: FlowTrajectory, p: RadialPotential, sub_map,
-                         path) -> None:
-    """Write the fixed-column trajectory table with 17 significant digits.
-
-    The columns come from the trajectory itself, so `p` (the potential it
-    was computed on) is not evaluated again.
-    """
-    columns = (traj.t, traj.r, sub_map.rho(traj.r), traj.area,
-               traj.mean_curvature, traj.hawking_mass, traj.geroch_rate,
-               traj.scalar_curvature)
+def write_trajectory_csv(traj: FlowTrajectory, path) -> None:
+    """Write the trajectory's columns as a table with 17 significant digits."""
+    columns = (traj.t, traj.r, traj.area, traj.mean_curvature, traj.hawking_mass,
+               traj.geroch_rate, traj.scalar_curvature)
     with open(path, "wb") as f:
         f.writelines(csv_text(TRAJECTORY_COLUMNS, columns))

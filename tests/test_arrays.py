@@ -145,32 +145,30 @@ def test_require_inside_array():
         assert str(array_err.value) == str(scalar_err.value)
 
 
-def test_trajectory_csv_matches_scalar_rendering(tmp_path, submap):
+def test_trajectory_csv_matches_scalar_rendering(tmp_path):
     inf = conformal_infinity(2)
     p = kottler_potential(-1, -0.1, 0.15)
-    sub_map = submap(-1, -0.1, eps=0.15, r_start=2.0, r_end=2e4)
     traj = imcf_integrate(inf, p, 2.0, 3.0, steps=64)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, p, sub_map, path)
+    write_trajectory_csv(traj, path)
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for s in traj.states:
-        row = (s.t, s.r, sub_map.rho(s.r), s.area, s.mean_curvature,
-               s.hawking_mass, s.geroch_rate, scalar_curvature(p, s.r))
+        row = (s.t, s.r, s.area, s.mean_curvature, s.hawking_mass, s.geroch_rate,
+               scalar_curvature(p, s.r))
         lines.append(",".join(format(v, ".17g") for v in row))
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("k_hat, genus, m", [(1, 0, 0.7), (0, 1, 0.4), (-1, 3, 0.2)])
-def test_long_trajectory_csv_matches_format(tmp_path, submap, k_hat, genus, m):
+def test_long_trajectory_csv_matches_format(tmp_path, k_hat, genus, m):
     # a flow-long benchmark member's table: 4,097 rows, nine blocks of the writer
     eps, r0 = 0.1, 4.0
     p = kottler_potential(k_hat, m, eps)
-    sub_map = submap(k_hat, m, eps=eps, r_start=r0, r_end=1e4)
     traj = imcf_integrate(conformal_infinity(genus), p, r0, 2.0 * np.log(4e3 / r0),
                           steps=4096)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, p, sub_map, path)
-    columns = (traj.t, traj.r, sub_map.rho(traj.r), traj.area, traj.mean_curvature,
+    write_trajectory_csv(traj, path)
+    columns = (traj.t, traj.r, traj.area, traj.mean_curvature,
                traj.hawking_mass, traj.geroch_rate, traj.scalar_curvature)
     lines = path.read_text().split("\n")
     assert lines[0] == ",".join(TRAJECTORY_COLUMNS)

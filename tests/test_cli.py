@@ -13,7 +13,7 @@ from alhflow import build_substitution, cli, kottler_potential
 from alhflow.cli import (ConfigError, expand_sweep, load_config, main,
                          run_scenario, run_sweep, validate_config)
 from alhflow.errors import NumericalError
-from alhflow.flow import TRAJECTORY_COLUMNS
+from alhflow.flow import TRAJECTORY_COLUMNS, penrose_rhs
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -66,7 +66,7 @@ class TestValidation:
             validate_config(dict(KOTTLER_CFG, genus=0))
 
     def test_flow_inside_horizon_rejected(self):
-        with pytest.raises(ConfigError, match="phi"):
+        with pytest.raises(ConfigError, match="outside domain"):
             validate_config(dict(FLOW_CFG, r0=0.5))
 
     def test_unknown_tolerance_rejected(self):
@@ -180,7 +180,8 @@ class TestMain:
         assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().strip().split("\n")
         assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
-        masses = [float(line.split(",")[5]) for line in lines[1:]]
+        column = TRAJECTORY_COLUMNS.index("hawking_mass")
+        masses = [float(line.split(",")[column]) for line in lines[1:]]
         assert max(abs(m + 0.1) for m in masses) <= 1e-10
 
     def test_failing_check_exit_1(self, tmp_path, capsys):
@@ -240,6 +241,33 @@ class TestMain:
         assert check["tolerance"] == 1e-8 and not check["passed"]
 
 
+@pytest.mark.parametrize("m,eps", [(-0.1, 0.0), (-0.1, 0.05), (0.5, 0.2)])
+def test_flow_from_the_horizon(tmp_path, m, eps):
+    # phi(r_h) rounds to 0, -2.8e-17 and -5.0e-16: the domain alone admits
+    # the start, and the Hawking mass starts at the Penrose bound
+    r_h = kottler_potential(-1, m, eps).domain_start
+    path = write_cfg(tmp_path, "f.json", dict(FLOW_CFG, m=m, eps=eps, r0=r_h))
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    row = (tmp_path / "o" / "trajectory.csv").read_text().split("\n")[1].split(",")
+    mass = float(row[TRAJECTORY_COLUMNS.index("hawking_mass")])
+    bound = penrose_rhs(2, 4.0 * math.pi * r_h ** 2)
+    assert abs(mass - bound) <= 7e-16 * abs(bound)
+
+
+def test_overflowing_flow_is_a_run_error(tmp_path):
+    # at genus 1e198, gamma r overflows from r = 1e40 on, where the Hawking
+    # mass multiplies it by tail(r) = 0: no NaN reaches a file
+    cfg = {"kind": "flow", "k_hat": -1, "m": 0.0, "genus": 10**198, "r0": 1e40,
+           "t_max": 2.0, "steps": 16}
+    out = tmp_path / "o"
+    assert main(["flow", "--config", write_cfg(tmp_path, "f.json", cfg),
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text()) == {
+        "type": "FlowError", "message": "hawking_mass is not finite at r = 1e+40"}
+    for path in out.rglob("*"):
+        assert not re.search("NaN|Infinity", path.read_text()), path
+
+
 class TestDeterminism:
     def test_repeated_run_byte_identical(self, tmp_path):
         cfg = validate_config(dict(KOTTLER_CFG, m=-0.1))
@@ -259,9 +287,10 @@ class TestDeterminism:
         assert [r.split(",")[2] for r in rows[1:]] == ["4", "2", "3"]
 
 
-#: a flow whose substitution map fails after validation (NumericalError)
-RAISING_FLOW_CFG = {"kind": "flow", "k_hat": 0, "m": 5.93, "genus": 1, "r0": 2.0,
-                    "t_max": 2.0, "steps": 16, "eps": 1e40}
+#: a mass-aspect config whose substitution map fails after validation
+#: (NumericalError "rho/r failed to reach 1")
+RAISING_CFG = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5, "r_start": 2.0,
+               "r_end": 2e3, "eps": 1e10}
 
 
 class TestRerun:
@@ -269,8 +298,8 @@ class TestRerun:
 
     def test_raising_run_after_a_passing_one(self, tmp_path):
         out = tmp_path / "o"
-        for cfg, code in ((FLOW_CFG, 0), (RAISING_FLOW_CFG, 1)):
-            assert main(["flow", "--config", write_cfg(tmp_path, "c.json", cfg),
+        for cfg, code in ((ASPECT_CFG, 0), (RAISING_CFG, 1)):
+            assert main(["mass-aspect", "--config", write_cfg(tmp_path, "c.json", cfg),
                          "--out", str(out)]) == code
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
@@ -278,11 +307,11 @@ class TestRerun:
         out = tmp_path / "o"
         out.mkdir()
         (out / "notes.txt").write_text("kept")
-        for cfg, code in ((RAISING_FLOW_CFG, 1), (FLOW_CFG, 0)):
-            assert main(["flow", "--config", write_cfg(tmp_path, "c.json", cfg),
+        for cfg, code in ((RAISING_CFG, 1), (ASPECT_CFG, 0)):
+            assert main(["mass-aspect", "--config", write_cfg(tmp_path, "c.json", cfg),
                          "--out", str(out)]) == code
         assert sorted(p.name for p in out.iterdir()) == \
-            ["notes.txt", "report.json", "trajectory.csv"]
+            ["expansions.json", "notes.txt", "report.json"]
 
     def test_other_kind_into_the_same_directory(self, tmp_path):
         run_scenario(KOTTLER_CFG, tmp_path)
@@ -290,16 +319,32 @@ class TestRerun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["equality.csv", "report.json"]
 
     def test_sweep_rerun_whose_member_now_fails(self, tmp_path):
-        # a member directory past the new sweep's last member stays as it was
-        passing = dict(RAISING_FLOW_CFG, m=0.5, eps=0.0)
-        run_sweep({"kind": "sweep", "base": passing, "vary": {"steps": [16, 32]}}, tmp_path)
-        reports, code = run_sweep({"kind": "sweep", "base": RAISING_FLOW_CFG,
-                                   "vary": {"steps": [16]}}, tmp_path)
+        # a member directory past the new sweep's last member goes
+        passing = dict(RAISING_CFG, eps=0.0)
+        run_sweep({"kind": "sweep", "base": passing, "vary": {"r_end": [2e3, 4e3]}},
+                  tmp_path)
+        reports, code = run_sweep({"kind": "sweep", "base": RAISING_CFG,
+                                   "vary": {"r_end": [2e3]}}, tmp_path)
         assert code == 1 and reports == [None]
         assert sorted(p.name for p in (tmp_path / "member_000").iterdir()) == ["error.json"]
-        assert sorted(p.name for p in (tmp_path / "member_001").iterdir()) == \
-            ["report.json", "trajectory.csv"]
+        assert not (tmp_path / "member_001").exists()
         assert (tmp_path / "summary.csv").read_text().count("\n") == 2
+
+    def test_shorter_sweep_rerun_keeps_other_files(self, tmp_path):
+        # each stale member loses its outcome files; one that holds other
+        # files stays with them, and a directory that merely looks like a
+        # member's is not touched
+        run_sweep({"kind": "sweep", "base": PENROSE_CFG, "vary": {"genus": [2, 3, 4]}},
+                  tmp_path)
+        (tmp_path / "member_002" / "notes.txt").write_text("kept")
+        (tmp_path / "member_extra").mkdir()
+        (tmp_path / "member_extra" / "report.json").write_text("kept")
+        _, code = run_sweep(SWEEP_CFG, tmp_path)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "member_000", "member_001", "member_002", "member_extra", "summary.csv"]
+        assert [p.name for p in (tmp_path / "member_002").iterdir()] == ["notes.txt"]
+        assert (tmp_path / "member_extra" / "report.json").read_text() == "kept"
 
 
 def test_failed_sweep_member_keeps_its_reason(tmp_path, monkeypatch):
@@ -490,8 +535,7 @@ _NO_ARTIFACT = {
 }
 
 
-#: phi = r^2 - 1 + 1/r^2 has no zero; the flow's map ends at 1.01e3 r0 = 1.01
-FLOW_SHORT_MAP_CFG = dict(FLOW_CFG, m=0.0, eps=1.0, r0=0.001, t_max=1.0, steps=64)
+#: phi = r^2 - 1 + 1/r^2 has no zero; the map ends below r = 2
 ASPECT_SHORT_MAP_CFG = dict(ASPECT_CFG, m=0.0, eps=1.0, r_start=1e-4, r_end=0.5)
 
 
@@ -541,9 +585,9 @@ class TestRegistry:
         # radii would reach r_h r_max_factor = 1.05e100
         dict(KOTTLER_CFG, m=-0.1, r_max_factor=1.2e100),
         dict(KOTTLER_CFG, genus=10**206),
-        # the trajectory's map would end past 1e100
+        # the flow's last radius r0 e^(t_max/2) would lie past 1e100
         dict(FLOW_CFG, t_max=500.0),
-        dict(FLOW_CFG, r0=1e98),
+        dict(FLOW_CFG, r0=5e99),
         dict(KOTTLER_CFG, genus=-1),
         dict(FLOW_CFG, steps=3),
         # past the declared range of eps
@@ -577,8 +621,9 @@ class TestRegistry:
         # starts below the inner root 0.2296 of m = -0.1, where phi > 0 again
         dict(FLOW_CFG, r0=0.1, t_max=1.0, steps=64),
         dict(ASPECT_CFG, m=-0.1, r_start=0.1, r_end=200.0),
-        # k_hat = -1 maps that would end below r = 2
-        FLOW_SHORT_MAP_CFG,
+        # the flow's last radius 5e99 e = 1.4e100 would lie past 1e100
+        dict(FLOW_CFG, r0=5e99),
+        # a k_hat = -1 map that would end below r = 2
         ASPECT_SHORT_MAP_CFG,
         # phi(0.3) > 0, but 0.3 lies inside the horizon 0.5777, which sits
         # beyond a near-critical minimum of r^2 phi
@@ -675,6 +720,8 @@ class TestRegistry:
         # radii to r_h 1e90 = 8.8e89: the cap reads the horizon, not the largest mass
         dict(KOTTLER_CFG, m=-0.1, r_max_factor=1e90),
         dict(FLOW_CFG, t_max=400.0),
+        # the last radius 3e99 e = 8.2e99
+        dict(FLOW_CFG, r0=3e99),
         dict(PENROSE_CFG, masses=[2e3], genus=10**5, scan_area_max=1e6),
         dict(STATIC_CFG, genus=10**300),
         dict(ASPECT_CFG, r_start=32.0, r_end=3.2e4),
@@ -740,8 +787,7 @@ class TestRegistry:
          "tolerance 'equality' must be a positive number"),
         (dict(FLOW_CFG, r0=-1), "r0 and t_max must be positive"),
         (dict(FLOW_CFG, steps=0), "steps must be a positive integer"),
-        (dict(FLOW_CFG, r0=0.5),
-         "flow scenarios need phi(r0) > 0 (strictly outside the horizon)"),
+        (dict(FLOW_CFG, r0=0.5), "r = 0.5 outside domain [0.8788850662499729, inf]"),
         (dict(ASPECT_CFG, nodes_per_decade=8),
          "nodes_per_decade must be an integer >= 16"),
         (dict(ASPECT_CFG, r_start=-1), "need 0 < r_start < r_end"),
@@ -757,8 +803,8 @@ class TestRegistry:
         (dict(STATIC_CFG, genus=1), "static-compare requires integer genus >= 2"),
         (dict(STATIC_CFG, m=-1.0 / (3.0 * math.sqrt(3.0))),
          "critical data has no surface-gravity reference"),
-        (FLOW_SHORT_MAP_CFG,
-         "k_hat = -1 maps need r_end >= 2, and this one would end at r = 1.01"),
+        (dict(FLOW_CFG, r0=5e99),
+         "the flow's last radius r0 e^(t_max/2) lies past r = 1e+100"),
         (ASPECT_SHORT_MAP_CFG,
          "k_hat = -1 maps need r_end >= 2, and this one would end at r = 0.5"),
         # phi(0.1) = 1.01 > 0 below the inner root of m = -0.1

@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhflow import (DomainError, HypothesesNotMet, conformal_infinity, flow, geroch_rate,
-                     hawking_lower_bound, hawking_mass_from_integrals, imcf_integrate,
-                     jump_bound_check, kottler_potential,
+from alhflow import (DomainError, FlowError, HypothesesNotMet, conformal_infinity, flow,
+                     geroch_rate, hawking_lower_bound, hawking_mass_from_integrals,
+                     imcf_integrate, jump_bound_check, kottler_potential,
                      penrose_rhs, write_trajectory_csv)
 from alhflow.cli import run_scenario
 from alhflow.flow import TRAJECTORY_COLUMNS
@@ -95,6 +96,18 @@ def test_flow_from_the_horizon(genus, p):
     assert np.all(np.abs(traj.geroch_rate - closed) <= 2.0 ** -52 * closed)
 
 
+@pytest.mark.parametrize("genus,r0,message", [
+    # 4 pi c r^2 overflows from r = 3.8e153 at genus 2 (the first radius
+    # past it is named), and far sooner at a large genus
+    (2, 3.7e153, "area is not finite at r = 3.9386294979960796e+153"),
+    (10**150, 1e100, "area is not finite at r = 1e+100"),
+])
+def test_overflowing_column_raises(genus, r0, message):
+    p = kottler_potential(-1, 0.0)
+    with pytest.raises(FlowError, match=re.escape(message)):
+        imcf_integrate(conformal_infinity(genus), p, r0, 2.0, steps=16)
+
+
 class TestGerochRate:
     def test_kottler_rate_vanishes(self):
         # exactly +0.0, also for eps = -0.0: R + 6 = 0 on Kottler data
@@ -132,7 +145,7 @@ class TestGerochRate:
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["rate_matches_difference"]["passed"]
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
-        r, rate = data[:, 1], data[:, 6]
+        r, rate = data[:, 1], data[:, TRAJECTORY_COLUMNS.index("geroch_rate")]
         assert r[-1] == pytest.approx(5e3, rel=1e-12)
         gamma = conformal_infinity(genus).c ** 1.5
         closed = gamma * eps / (4.0 * r)
@@ -304,17 +317,16 @@ class TestJumpBound:
                 continue  # generator overshoot; skip, never fail
 
 
-def test_trajectory_csv_contract(tmp_path, submap):
+def test_trajectory_csv_contract(tmp_path):
     inf = conformal_infinity(2)
     p = kottler_potential(-1, -0.1)
-    sub_map = submap(-1, -0.1, r_start=2.0, r_end=2e4)
     traj = imcf_integrate(inf, p, 2.0, 1.0, steps=8)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, p, sub_map, path)
+    write_trajectory_csv(traj, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(TRAJECTORY_COLUMNS)
     assert len(lines) == 10
     row = [float(v) for v in lines[1].split(",")]
     assert row[0] == 0.0 and row[1] == 2.0
-    assert row[5] == pytest.approx(-0.1, abs=1e-14)  # hawking_mass column
-    assert row[7] == pytest.approx(-6.0, abs=1e-12)  # scalar_curvature column
+    assert row[4] == pytest.approx(-0.1, abs=1e-14)  # hawking_mass column
+    assert row[6] == pytest.approx(-6.0, abs=1e-12)  # scalar_curvature column

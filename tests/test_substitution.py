@@ -101,7 +101,8 @@ def test_map_matches_mpmath_between_nodes(k_hat, m, eps, r_start):
         assert abs(rho_r - exact_rho) <= 1e-13 * exact_rho
 
 
-def test_cli_flow_rho_column_matches_mpmath(tmp_path):
+def test_map_matches_mpmath_at_cli_flow_radii(tmp_path):
+    # rho along a flow from near the horizon, on a map from its start
     r0 = _near_horizon(-1, 0.5, 0.0)
     cfg = {"kind": "flow", "k_hat": -1, "genus": 2, "m": 0.5, "r0": r0,
            "t_max": 2.0, "steps": 16}
@@ -109,7 +110,8 @@ def test_cli_flow_rho_column_matches_mpmath(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["flow", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     rows = (tmp_path / "o" / "trajectory.csv").read_text().split("\n")[1:-1]
-    r, rho = np.array([[float(v) for v in row.split(",")[1:3]] for row in rows]).T
+    r = np.array([float(row.split(",")[1]) for row in rows])
+    rho = build_substitution(kottler_potential(-1, 0.5), r0, 1.01e3 * r0).rho(r)
     for r_i, rho_i, (_, exact) in zip(r, rho, exact_map(-1, 0.5, 0.0, r)):
         exact_rho = float(mpmath.mpf(r_i) - exact / mpmath.mpf(r_i) ** 2)
         assert abs(rho_i - exact_rho) <= 1e-13 * exact_rho
