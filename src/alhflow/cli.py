@@ -19,10 +19,12 @@ Exit codes: 0 success, 1 a check failed or the run hit a numerical error,
 2 the configuration failed validation.  A subcommand's scenario, or a sweep
 member, that raises after validation, or whose validation raises
 NumericalError (a horizon solve that fails), leaves error.json, with the
-exception's type and message, in its output directory.  A run into an
-existing directory first removes the outcome files an earlier run left there:
-report.json, error.json and each kind's data file, and for a sweep those of
-the member directories past its last member, which go once empty.
+exception's type and message, in its output directory.  So does a check
+whose value is not finite: no artifact holds a NaN or an infinity.  A run
+into an existing directory first removes the outcome files an earlier run
+left there: report.json, error.json and each kind's data file, and for a
+sweep those of the member directories past its last member, which go once
+empty.
 """
 
 from __future__ import annotations
@@ -51,17 +53,9 @@ __all__ = ["main", "run_scenario", "run_sweep", "load_config"]
 # deterministic serialization
 
 
-def _plain(obj):
-    """A numpy scalar as the Python number it holds: json writes np.float64,
-    a float subclass, as a float already, but not np.bool_ or np.int64."""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def write_json(obj, path: Path) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(json.dumps(obj, indent=2, default=_plain) + "\n")
+        f.write(json.dumps(obj, indent=2) + "\n")
 
 
 def write_csv(header, columns, path: Path) -> None:
@@ -278,9 +272,8 @@ def _check_mass_aspect(cfg):
     geometry.require_admissible(cfg["k_hat"], cfg["m"])
     asymptotics.require_map_extent(cfg["k_hat"], cfg["r_start"], cfg["r_end"])
     potential = _potential_from(cfg)
+    # from the horizon on, as for the flow: require_inside owns the domain
     potential.require_inside(cfg["r_start"])
-    if potential.phi(cfg["r_start"]) <= 0.0:
-        raise ConfigError("r_start lies inside the horizon")
     return {"potential": potential}
 
 
@@ -333,9 +326,13 @@ class _Checks:
         self.items = []
 
     def add(self, name, value, tol_name=None):
-        tol = self._tols[tol_name or name]
-        self.items.append({"name": name, "value": float(value),
-                           "tolerance": tol, "passed": bool(value <= tol)})
+        """Record a check; NumericalError for a value that is not finite,
+        which no artifact may hold (checks run before the data file)."""
+        value, tol = float(value), self._tols[tol_name or name]
+        if not math.isfinite(value):
+            raise NumericalError(f"check {name} is not finite: {value}")
+        self.items.append({"name": name, "value": value,
+                           "tolerance": tol, "passed": value <= tol})
 
 
 def _run_kottler(cfg, path, checks):
@@ -571,25 +568,24 @@ def run_scenario(cfg: dict, out_dir, tolerance=None) -> dict:
     return report
 
 
-def _write_error(exc: Exception, out_dir) -> int:
+def _write_error(exc: Exception, out_dir) -> None:
     """Keep the type and message of the exception a run raised in
-    out_dir/error.json, else say on stderr why not; returns the exit code."""
+    out_dir/error.json, else say on stderr why not.  A run raises no
+    ConfigError: validation came first, and a sweep member whose validation
+    raised NumericalError raises it again."""
     out_dir = Path(out_dir)
     try:
         write_json({"type": type(exc).__name__, "message": str(exc)},
                    _clean_dir(out_dir) / "error.json")
     except OSError as err:  # out_dir names a file, say
         print(f"cannot write {out_dir / 'error.json'}: {err}", file=sys.stderr)
-    return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _failed_run(exc: Exception, out_dir) -> int:
     """Print the reason a run failed, keep it in error.json; the exit code."""
-    if isinstance(exc, ConfigError):
-        print(f"config error: {exc}", file=sys.stderr)
-    else:
-        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return _write_error(exc, out_dir)
+    print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    _write_error(exc, out_dir)
+    return 1
 
 
 def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
@@ -608,7 +604,8 @@ def run_sweep(cfg: dict, out_dir, tolerance=None) -> tuple[list, int]:
             report = run_scenario(member, member_dir, tolerance)
             results.append((report, 0 if report["all_pass"] else 1))
         except Exception as exc:  # a failed member keeps its reason
-            results.append((None, _write_error(exc, member_dir)))
+            _write_error(exc, member_dir)
+            results.append((None, 1))
 
     columns = [range(len(members)), [member["kind"] for member in members]]
     columns += [[member.get(k) for member in members] for k in vary_keys]

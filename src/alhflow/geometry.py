@@ -14,7 +14,7 @@ cosmological constant -3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -108,14 +108,18 @@ class RadialPotential:
     large-radius asymptotics are free of catastrophic cancellation.  The
     Geroch rate needs no derivative of it: tail + r tail' = -eps/r^2 here.
     Every evaluator takes a float or an array of radii.  The domain is
-    [domain_start, inf), where domain_start is the horizon, the largest
-    zero of phi, or 0 without one: phi > 0 beyond it.
+    [domain_start, inf), where domain_start is derived, not given: the
+    horizon, the largest zero of phi, or 0 without one, so phi > 0 beyond it.
     """
 
     k_hat: int
     m: float
     eps: float
-    domain_start: float
+    domain_start: float = field(init=False)
+
+    def __post_init__(self):
+        # through the module global, which the traced root layer counts
+        object.__setattr__(self, "domain_start", horizon_radius(self) or 0.0)
 
     def _plus_eps(self, kottler, a: float, r, n: int):
         """The Kottler closed form plus a eps / r^n, r^n formed left to right.
@@ -233,9 +237,7 @@ def kottler_potential(k_hat: int, m: float, eps: float = 0.0) -> RadialPotential
     DomainError for a mass more than MASS_SLACK below the critical one.
     """
     require_admissible(k_hat, m)
-    p = RadialPotential(k_hat, float(m), float(eps), 0.0)
-    start = horizon_radius(p)
-    return p if start is None else replace(p, domain_start=start)
+    return RadialPotential(k_hat, float(m), float(eps))
 
 
 def require_admissible(k_hat: int, m: float) -> None:
@@ -337,13 +339,6 @@ def _raise_where(r, bad, message: str, **fields) -> None:
         raise DomainError(message.format(r=float(at), **fields))
 
 
-def _check_horizon(r, phi) -> None:
-    """DomainError where phi is negative beyond the rounding noise
-    -1e-12 max(1, r^2) tolerated at the horizon root."""
-    _raise_where(r, phi < -1e-12 * np.maximum(1.0, r * r),
-                 "phi({r}) < 0: inside the horizon")
-
-
 def scalar_curvature(p: RadialPotential, r):
     """Scalar curvature R = -2 phi'/r + 2 (k_hat - phi)/r^2."""
     p.require_inside(r)
@@ -367,8 +362,7 @@ def mean_curvature_sphere(p: RadialPotential, r):
     """Outward mean curvature H = 2 sqrt(phi)/r of the sphere {r} x Sigma_hat."""
     p.require_inside(r)
     phi = p.phi(r)
-    _check_horizon(r, phi)
-    # negative phi that passes the horizon check is rounding noise at the root
+    # the domain starts at the horizon: a negative phi is rounding noise at the root
     return 2.0 * np.sqrt(np.where(phi < 0.0, 0.0, phi)) / r
 
 
@@ -393,7 +387,6 @@ def hawking_mass_sphere(inf: ConformalInfinity, p: RadialPotential, r):
     """
     inf.require_sign(p.k_hat)
     p.require_inside(r)
-    _check_horizon(r, p.phi(r))
     return -inf.gamma * 0.5 * r * p.tail(r)
 
 

@@ -254,6 +254,34 @@ def test_flow_from_the_horizon(tmp_path, m, eps):
     assert abs(mass - bound) <= 7e-16 * abs(bound)
 
 
+@pytest.mark.parametrize("k_hat,m,eps", [
+    (-1, 3.0, 0.0), (0, 0.5, 0.0), (1, 1.0, 0.0), (-1, 0.5, 0.2), (-1, 0.5, 0.0)])
+def test_mass_aspect_from_the_horizon(tmp_path, k_hat, m, eps):
+    # phi(r_h) rounds to 0, 0, 0, -5.0e-16 and +2.2e-16: the domain alone
+    # admits the start, and mu is the mass
+    r_h = kottler_potential(k_hat, m, eps).domain_start
+    cfg = dict(ASPECT_CFG, k_hat=k_hat, m=m, eps=eps, r_start=r_h,
+               r_end=2e3 * max(r_h, 2.0))
+    out = tmp_path / "o"
+    assert main(["mass-aspect", "--config", write_cfg(tmp_path, "a.json", cfg),
+                 "--out", str(out)]) == 0
+    mu = json.loads((out / "report.json").read_text())["result"]["mu"]
+    assert abs(mu - m) <= 1.8e-13
+
+
+def test_mass_aspect_from_a_horizon_the_map_cannot_leave(tmp_path):
+    # the domain admits r_h, but rho reaches 1 above it: a run error
+    r_h = kottler_potential(-1, -0.1, 0.05).domain_start
+    cfg = dict(ASPECT_CFG, m=-0.1, eps=0.05, r_start=r_h, r_end=4e3)
+    out = tmp_path / "o"
+    assert main(["mass-aspect", "--config", write_cfg(tmp_path, "a.json", cfg),
+                 "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["type"] == "DomainError"
+    assert "rho reaches 1 above r_start" in error["message"]
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+
+
 def test_overflowing_flow_is_a_run_error(tmp_path):
     # at genus 1e198, gamma r overflows from r = 1e40 on, where the Hawking
     # mass multiplies it by tail(r) = 0: no NaN reaches a file
@@ -266,6 +294,19 @@ def test_overflowing_flow_is_a_run_error(tmp_path):
         "type": "FlowError", "message": "hawking_mass is not finite at r = 1e+40"}
     for path in out.rglob("*"):
         assert not re.search("NaN|Infinity", path.read_text()), path
+
+
+def test_non_finite_check_is_a_run_error(tmp_path):
+    # at genus 1e198, gamma r / 2 overflows from r = 3.6e11 on, before the
+    # Hawking mass meets tail(r): the check, not the profile, says so
+    cfg = {"kind": "kottler", "k_hat": -1, "m": 5.0, "genus": 10**198,
+           "r_max_factor": 1e40}
+    out = tmp_path / "o"
+    assert main(["kottler", "--config", write_cfg(tmp_path, "k.json", cfg),
+                 "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text()) == {
+        "type": "NumericalError", "message": "check hawking_mass_constant is not finite: inf"}
+    assert [path.name for path in out.iterdir()] == ["error.json"]
 
 
 class TestDeterminism:
@@ -634,6 +675,8 @@ class TestRegistry:
         dict(FLOW_CFG, tolerances={"equality": 1e-30}),
         dict(KOTTLER_CFG, tolerances={"area_law": 1.0}),
         dict(STATIC_CFG, tolerances={"equality": 1e-300}),
+        # below the horizon 2.0 of m = 3: the domain alone rejects it
+        dict(ASPECT_CFG, m=3, r_start=1.9),
     ])
     def test_closed_validation_gaps_exit_2(self, tmp_path, capsys, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)
@@ -792,7 +835,8 @@ class TestRegistry:
          "nodes_per_decade must be an integer >= 16"),
         (dict(ASPECT_CFG, r_start=-1), "need 0 < r_start < r_end"),
         (dict(ASPECT_CFG, r_start=3), "need r_end / r_start >= 1e3"),
-        (dict(ASPECT_CFG, m=3), "r_start lies inside the horizon"),
+        # the horizon of m = 3 is 2.0: the domain alone rejects r_start below it
+        (dict(ASPECT_CFG, m=3, r_start=1.9), "r = 1.9 outside domain [2.0, inf]"),
         (dict(PENROSE_CFG, genus=1), "penrose scenarios require integer genus >= 2"),
         (dict(PENROSE_CFG, masses=[]), "'masses' must be a non-empty list"),
         (dict(PENROSE_CFG, masses=["x"]), "'masses' entries must be numbers"),

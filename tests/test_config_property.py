@@ -5,7 +5,8 @@ kind, sweeps included: each drawn config runs through `main`.  A config that
 validation rejects exits 2; every other one writes report.json or leaves
 error.json naming a DomainError or NumericalError (HypothesesNotMet,
 FlowError and ExtractionError are subclasses).  No other exception may
-escape, and no run may end without either file.
+escape, no run may end without either file, and no file written may hold a
+NaN or infinite number.
 
 Each key has a strategy of its own in `_DRAWS`, so a key added to the
 registry fails here until it gets one.  Half the masses lie from 1e-15 to
@@ -124,3 +125,18 @@ def test_validated_configs_run_or_keep_a_typed_error(kind, data):
             if not (run / "report.json").is_file():
                 error = json.loads((run / "error.json").read_text())
                 assert error["type"] in TYPED, error
+        for written in out.rglob("*"):
+            if written.is_file():
+                assert not _non_finite(written), written
+
+
+def _non_finite(path) -> bool:
+    """Whether a written file holds a NaN or infinite number: a bare JSON
+    NaN or Infinity, or a CSV cell nan or inf (a message's words are text)."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        found = []
+        json.loads(text, parse_constant=found.append)
+        return bool(found)
+    return any(cell.lstrip("+-") in ("nan", "inf", "NaN", "Infinity")
+               for line in text.splitlines() for cell in line.split(","))

@@ -53,7 +53,7 @@ class TestConformalInfinity:
 
 def largest_zero(k_hat, m):
     """The largest zero of V = sqrt(r^2 + k_hat - 2m/r), or None, for any mass."""
-    return horizon_radius(RadialPotential(k_hat, float(m), 0.0, 0.0))
+    return horizon_radius(RadialPotential(k_hat, float(m), 0.0))
 
 
 class TestLargestZero:

@@ -141,12 +141,19 @@ def _orders_against_domain_start(node) -> bool:
                     for side in (node.left, *node.comparators)))
 
 
+def _compares_phi_call(node) -> bool:
+    return any(isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+               and side.func.attr == "phi" for side in (node.left, *node.comparators))
+
+
 def test_each_rule_has_one_owner():
     # a rule's constant is read only where the rule is enforced, the
     # curvature sign is compared only by ConformalInfinity.require_sign,
-    # genus >= 0 is tested only by ConformalInfinity itself, and a radius is
-    # ordered against domain_start only by RadialPotential.require_inside
+    # genus >= 0 is tested only by ConformalInfinity itself, a radius is
+    # ordered against domain_start only by RadialPotential.require_inside,
+    # and the CLI restates no domain rule by testing the sign of phi
     readers, comparers, genus_testers, domain_testers = set(), set(), set(), set()
+    phi_testers = set()
     for path, tree in zip(_package_sources(), _trees(_package_sources())):
         owner = _enclosing_functions(tree)
         for node in ast.walk(tree):
@@ -156,6 +163,8 @@ def test_each_rule_has_one_owner():
                 genus_testers.add((path.name, owner.get(id(node))))
             if isinstance(node, ast.Compare) and _orders_against_domain_start(node):
                 domain_testers.add((path.name, owner.get(id(node))))
+            if isinstance(node, ast.Compare) and _compares_phi_call(node):
+                phi_testers.add((path.name, owner.get(id(node))))
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -169,6 +178,7 @@ def test_each_rule_has_one_owner():
     assert comparers == {("geometry.py", "require_sign")}
     assert genus_testers == {("geometry.py", "__post_init__")}
     assert domain_testers == {("geometry.py", "require_inside")}
+    assert sorted(t for t in phi_testers if t[0] == "cli.py") == []
 
 
 def test_each_artifact_is_named_once():

@@ -47,7 +47,7 @@ def exact_root(k_hat, m):
 
 def cubic_root(k_hat, m):
     """The Kottler horizon solve for any mass, admissible or not."""
-    return horizon_radius(RadialPotential(k_hat, float(m), 0.0, 0.0))
+    return horizon_radius(RadialPotential(k_hat, float(m), 0.0))
 
 
 def tolerance(k_hat, m, r):
@@ -137,8 +137,9 @@ def test_kottler_potential_starts_at_the_horizon_root(k_hat):
     for m in (crit - 1e-16, crit, crit + 1e-11, -0.0, 0.0, 1e-300, 0.5, 1e100):
         found = geometry._horizon_root(k_hat, m)
         start = 0.0 if found is None else found[0]
-        expect = RadialPotential(k_hat, float(m), 0.0, start)
+        expect = RadialPotential(k_hat, float(m), 0.0)
         assert _bits(kottler_potential(k_hat, m)) == _bits(expect), m
+        assert expect.domain_start.hex() == start.hex(), m
         p = kottler_potential(k_hat, m, 0.05)
         assert p.domain_start == (horizon_radius(p) or 0.0), m
     with pytest.raises(DomainError, match="below the admissible minimum"):
@@ -201,6 +202,42 @@ def test_surface_gravity_check_catches_a_wrong_formula(tmp_path, monkeypatch):
     report = run_scenario({"kind": "kottler", "k_hat": -1, "m": 0.1, "genus": 2}, tmp_path)
     check, = (c for c in report["checks"] if c["name"] == "surface_gravity")
     assert check["value"] >= 1e6 * check["tolerance"]
+
+
+@st.composite
+def _admissible(draw):
+    k_hat = draw(st.sampled_from((-1, 0, 1)))
+    crit = critical_mass(k_hat)
+    m = draw(st.one_of(
+        st.floats(crit, 10.0),
+        # near-critical, within the slack below the critical mass included
+        st.floats(-15.0, -1.0).map(lambda e: crit + 10.0 ** e),
+        st.floats(-MASS_SLACK, 0.0).map(lambda d: crit + d)))
+    magnitude = st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)
+    eps = draw(st.one_of(st.just(0.0), magnitude, magnitude.map(lambda e: -e)))
+    return k_hat, m, eps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_admissible())
+def test_domain_start_is_derived(params):
+    try:
+        p = kottler_potential(*params)
+    except NumericalError:  # phi touches zero or misses it: no potential
+        return
+    assert p.domain_start == (horizon_radius(p) or 0.0)
+    r = p.domain_start
+    if r > 0.0:  # at most the rounding noise of the root below zero
+        assert p.phi(r) >= -1e-12 * max(1.0, r * r), params
+    else:
+        assert np.all(p.phi(np.geomspace(1e-3, 1e3, 61)) > 0.0), params
+    with pytest.raises(ValueError, match="domain_start"):
+        dataclasses.replace(p, domain_start=2.0 * r + 1.0)
+    with pytest.raises(TypeError):
+        RadialPotential(*params, r)
+    # a replaced parameter derives its own domain again
+    assert dataclasses.replace(p, eps=0.0).domain_start == (
+        horizon_radius(RadialPotential(p.k_hat, p.m, 0.0)) or 0.0)
 
 
 _reference = st.one_of(

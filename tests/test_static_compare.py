@@ -213,10 +213,12 @@ def _scale_omega(factor):
 
 
 def _shift_reference_horizon(factor):
-    def build(k_hat, m):
-        p = kottler_potential(k_hat, m)
-        return dataclasses.replace(p, domain_start=factor * p.domain_start)
-    return static_compare, "kottler_potential", build
+    init = ReferencePotential.__init__
+
+    def build(ref, k_hat, m0):
+        init(ref, k_hat, m0)
+        ref.horizon_radius *= factor
+    return ReferencePotential, "__init__", build
 
 
 #: Per check: a broken formula that moves its inequality the wrong way, and
@@ -274,10 +276,23 @@ class TestCompare:
         with pytest.raises(HypothesesNotMet, match="hypotheses not met"):
             compare_with_reference(kottler_potential(-1, 0.5), 2)
 
+    @pytest.mark.parametrize("m", [4e-13, 5e-324])
+    def test_any_positive_mass_is_outside_the_hypotheses(self, m):
+        # surface gravity 1 + 8e-13 at m = 4e-13: no slack above kappa = 1
+        with pytest.raises(HypothesesNotMet, match=f"mass {m} > 0"):
+            compare_with_reference(kottler_potential(-1, m), 2)
+
     def test_non_static_rejected_with_residual(self):
         p = kottler_potential(-1, -0.1, 0.1)
         with pytest.raises(DomainError, match="not static"):
             compare_with_reference(p, 2)
+
+    @pytest.mark.parametrize("eps", [1e-9, -1e-300])
+    def test_any_eps_is_not_static(self, eps):
+        # the static residuals stay below 2e-9 at eps = 1e-9: a sampled
+        # residual cannot tell these data from static ones
+        with pytest.raises(DomainError, match=f"not static: eps = {eps}"):
+            compare_with_reference(kottler_potential(-1, -0.1, eps), 2)
 
     def test_wrong_topology_rejected(self):
         with pytest.raises(DomainError):

@@ -179,7 +179,7 @@ def test_closed_between_probe_radii_raises():
         def phi(self, s):
             return s * s + self.tail(s)
 
-    p = Dip(k_hat=0, m=0.0, eps=0.0, domain_start=0.0)
+    p = Dip(k_hat=0, m=0.0, eps=0.0)
     assert np.all(p.phi(np.geomspace(1.0, 2e3, 65)) > 0.0)
     with pytest.raises(DomainError, match="at a quadrature node"):
         build_substitution(p, 1.0, 2e3)
@@ -225,6 +225,6 @@ def test_non_finite_deviation_raises():
         def phi(self, s):
             return s * s
 
-    p = Broken(k_hat=0, m=0.0, eps=0.0, domain_start=0.0)
+    p = Broken(k_hat=0, m=0.0, eps=0.0)
     with pytest.raises(NumericalError, match="not finite"):
         build_substitution(p, 1.0, 1e3)
