@@ -1,4 +1,4 @@
-"""Compactification coordinate, mass-aspect extraction, expansion fits.
+"""Compactification coordinate, mass-aspect and expansion extraction.
 
 The hyperbolic-model radial coordinate rho solves
 
@@ -16,8 +16,8 @@ quadrature's tolerance (see SubstitutionMap); nothing is interpolated.  It
 returns the scaled deviation c = r^2 (r - rho), which tends to a finite
 limit (m/3 on Kottler profiles) and is recovered from the integral in
 cancellation-free form; computing r^2 - rho^2 directly would lose it at
-large radii.  rho, s = 1/rho, the mass aspect and the compactified area
-factor follow from c the same way.
+large radii.  rho, s = 1/rho, the compactified area factor, the mass
+aspect and the expansion coefficients follow from c the same way.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .geometry import ConformalInfinity, RadialPotential, mean_curvature_sphere
 # now reads 0; drop both together.
 solve_ivp = None
 
-#: The largest outer rho and the sample count of dyadic_profile_samples.
-PROFILE_RHO_MAX, PROFILE_COUNT = 4096.0, 8
-#: mass_aspect_extract reads mu at the radii r_end / 2^k with k < MU_SAMPLES,
-#: and raises ExtractionError when its last two extrapolation levels differ
-#: by more than MU_TOLERANCE.
+#: mass_aspect_extract and expansion_extract read the map at the radii
+#: r_end / 2^k with k < MU_SAMPLES, and raise ExtractionError when the last
+#: two extrapolation levels of mu differ by more than MU_TOLERANCE.
 MU_SAMPLES, MU_TOLERANCE = 10, 1e-3
 
 __all__ = [
@@ -49,10 +47,9 @@ __all__ = [
     "build_substitution",
     "require_map_extent",
     "mass_aspect_extract",
-    "expansion_fit",
+    "expansion_extract",
     "conformal_area",
     "conformal_mean_curvature_residual",
-    "dyadic_profile_samples",
     "richardson",
 ]
 
@@ -79,10 +76,9 @@ def richardson(values, first_order: int = 1, levels: int = 3) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class ExpansionFit:
-    """Coefficients of value = a0 rho^2 + a1 + a2 / rho."""
+    """The coefficient a2 of value = rho^2 + a1 + a2 / rho, where rho^2 + a1
+    is the hyperbolic model's value (see expansion_extract)."""
 
-    a0: float
-    a1: float
     a2: float
     error_estimate: float
 
@@ -111,8 +107,7 @@ class SubstitutionMap:
 
     c = r^2 (r - rho), rho, s = 1/rho, the mass aspect and the area factor
     follow from D without cancellation; the slope is the defining equation's
-    sqrt((k_hat + rho^2) / phi), and r_of_rho inverts the map by Newton's
-    method with it.  build_substitution checks the arguments.
+    sqrt((k_hat + rho^2) / phi).  build_substitution checks the arguments.
     """
 
     def __init__(self, potential: RadialPotential, r_start: float, r_end: float):
@@ -194,7 +189,6 @@ class SubstitutionMap:
             raise NumericalError("substitution output is not strictly increasing")
         if abs(rho[-1] / r_end - 1.0) > 1e-6:
             raise NumericalError("rho/r failed to reach 1 at the outer radius")
-        self._c_end, self._rho_start, self._rho_end = c[-1], rho[0], rho[-1]
 
     # -- domain -------------------------------------------------------
 
@@ -281,53 +275,6 @@ class SubstitutionMap:
         r, c = self._at(r)
         return _scalar_or_array(1.0 / (1.0 - c / r ** 3) ** 2)
 
-    def mu_at(self, r):
-        """(3/2) rho (r^2 - rho^2) evaluated without cancellation."""
-        r, c = self._at(r)
-        return _scalar_or_array(3.0 * c - 4.5 * c ** 2 / r ** 3 + 1.5 * c ** 3 / r ** 6)
-
-    def r_of_rho(self, rho):
-        """The radius where the map takes the value rho.
-
-        Newton's method, each target on its own: on rho(r) - rho with slope
-        sqrt((k_hat + rho^2)/phi), and on the pieces below r = 2 of a
-        k_hat = -1 map, where rho nears 1 and that slope 0, on
-        u(r) - arccosh(rho) with slope 1/sqrt(phi).  A step leaving the
-        bracket kept around each root bisects it instead.
-        """
-        rho = np.asarray(rho, dtype=float)
-        lo_rho, hi_rho = self._rho_start, self._rho_end
-        if np.any(rho < lo_rho * (1.0 - 1e-12)) or np.any(rho > hi_rho * (1.0 + 1e-12)):
-            raise DomainError(f"rho outside map range [{lo_rho}, {hi_rho}]")
-        target = np.clip(rho.ravel(), lo_rho, hi_rho)
-        # rho = r - c/r^2 with c near its outer value: the first guess
-        r = np.clip(target + self._c_end / target ** 2, self.r_start, self.r_end)
-        lo, hi = np.full(r.size, self.r_start), np.full(r.size, self.r_end)
-        active = np.arange(r.size)
-        for _ in range(_NEWTON_STEPS):
-            ra, want = r[active], target[active]
-            arg, piece = self._values(ra)
-            phi = self.potential.phi(ra)
-            rho_a = ra - self._deviation_from(ra, arg, piece) / ra ** 2
-            residual = rho_a - want
-            step = residual / np.sqrt((self._k + rho_a * rho_a) / phi)
-            inner = piece < self._inner
-            if inner.any():
-                residual[inner] = arg[inner] - np.arccosh(want[inner])
-                step[inner] = residual[inner] * np.sqrt(phi[inner])
-            lo_a = lo[active] = np.where(residual < 0.0, ra, lo[active])
-            hi_a = hi[active] = np.where(residual > 0.0, ra, hi[active])
-            tol = 4.0 * _ULP * ra
-            going = (np.abs(step) > tol) & (hi_a - lo_a > tol)
-            new = ra - step
-            stray = going & ~((new > lo_a) & (new < hi_a))
-            new[stray] = 0.5 * (lo_a[stray] + hi_a[stray])
-            r[active] = new
-            active = active[going]
-            if not active.size:
-                return _scalar_or_array(r.reshape(rho.shape))
-        raise NumericalError(f"r_of_rho did not converge for {active.size} values")
-
 
 def _scalar_or_array(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
@@ -356,8 +303,6 @@ ARCCOSH_BELOW = 2.0
 #: Panels per octave of a map's partition: at 2.9% wide, a panel away from a
 #: horizon passes its first test, so it costs one bisection into two pieces.
 _PANELS_PER_OCTAVE = 24
-#: Newton steps of r_of_rho, bisections included, before it gives up.
-_NEWTON_STEPS = 100
 
 
 def _weighted(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,66 +438,52 @@ def require_map_extent(k_hat: int, r_start: float, r_end: float) -> None:
                           f"and this one would end at r = {r_end:g}")
 
 
-def mass_aspect_extract(sub_map: SubstitutionMap) -> MassAspectResult:
-    """Extract mu = (3/2) lim rho (r^2 - rho^2) by dyadic extrapolation."""
+def _dyadic_deviation(sub_map: SubstitutionMap) -> tuple[np.ndarray, np.ndarray]:
+    """The radii r = r_end / 2^k, k < MU_SAMPLES, ascending, and the map's
+    c = r^2 (r - rho) there: the one read that each extraction makes."""
     if sub_map.decades < 3.0 - 1e-9:
         raise DomainError("map must cover at least 3 decades")
-    max_halvings = int(math.floor(math.log2(sub_map.r_end / sub_map.r_start)))
-    count = min(MU_SAMPLES, max_halvings + 1)
-    radii = sub_map.r_end / 2.0 ** np.arange(count - 1, -1, -1)
-    values = sub_map.mu_at(radii)
-    mu, err = richardson(values)
+    r = sub_map.r_end / 2.0 ** np.arange(MU_SAMPLES - 1, -1, -1)
+    return r, sub_map.deviation_scale(r)
+
+
+def _mass_aspect(r: np.ndarray, c: np.ndarray) -> MassAspectResult:
+    """mu from the dyadic c: (3/2) rho (r^2 - rho^2) without cancellation,
+    Richardson-extrapolated in 1/r."""
+    mu, err = richardson(3.0 * c - 4.5 * c ** 2 / r ** 3 + 1.5 * c ** 3 / r ** 6)
     if err > MU_TOLERANCE:
         raise ExtractionError(
             f"extrapolation levels disagree by {err:.3e} > {MU_TOLERANCE:.3e}")
     return MassAspectResult(mu=mu, error_estimate=err)
 
 
-def dyadic_profile_samples(sub_map: SubstitutionMap, *values_of_r) -> np.ndarray:
-    """Sample radial quantities on PROFILE_COUNT dyadic rho values, as
-    (rho, value, ...) rows with one value column per quantity.
+def mass_aspect_extract(sub_map: SubstitutionMap) -> MassAspectResult:
+    """Extract mu = (3/2) lim rho (r^2 - rho^2) by dyadic extrapolation."""
+    return _mass_aspect(*_dyadic_deviation(sub_map))
 
-    Each of `values_of_r` takes an array of radii and returns the values
-    there; the radii are solved once for all of them.  The outer rho is
-    min(rho(r_end)/4, PROFILE_RHO_MAX): for quantities growing like rho^2
-    the coefficient elimination loses the 1/rho signal to rounding once
-    eps * rho^3 approaches it.
+
+def expansion_extract(sub_map: SubstitutionMap
+                      ) -> tuple[MassAspectResult, ExpansionFit, ExpansionFit]:
+    """mu, and a2 of V^2 = rho^2 + k_hat + a2/rho and of
+    |grad V|^2 = rho^2 + a2/rho (-4m/3 and 8m/3 on these profiles), from
+    the one read of mass_aspect_extract.
+
+    Each deviation from the model is formed without cancellation from c,
+    the potential's tail = phi - r^2 - k_hat and its
+    gradient_tail h = phi'/2 - r:
+
+        r^2 - rho^2 = c (2r - c/r^2) / r^2,
+        V^2 - rho^2 - k_hat = (r^2 - rho^2) + tail,
+        |grad V|^2 - rho^2 = h (2r + h) + (r^2 - rho^2),
+
+    and rho times it is Richardson-extrapolated in 1/r, as mu is.
     """
-    rho_max = min(sub_map.rho(sub_map.r_end) / 4.0, PROFILE_RHO_MAX)
-    rhos = rho_max / 2.0 ** np.arange(PROFILE_COUNT - 1, -1, -1)
-    radii = sub_map.r_of_rho(rhos)
-    return np.column_stack((rhos, *(values(radii) for values in values_of_r)))
-
-
-def expansion_fit(samples) -> ExpansionFit:
-    """Fit value = a0 rho^2 + a1 + a2/rho on dyadic samples.
-
-    Dyadic spacing lets the two leading terms be eliminated exactly
-    (4 y_j - y_{j+1} kills rho^2, differencing kills the constant), after
-    which the 1/rho coefficient sequence is Richardson-accelerated over up
-    to three levels.  The samples must double in rho from one to the next,
-    as dyadic_profile_samples gives them; other spacings raise DomainError.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
-        raise DomainError("need at least 4 (rho, value) samples")
-    order = np.argsort(arr[:, 0])
-    rho, y = arr[order, 0], arr[order, 1]
-    if np.any(rho <= 0.0):
-        raise DomainError("sample radii must be positive")
-    if rho[-1] / rho[0] < 100.0 * (1.0 - 1e-9):
-        raise DomainError("samples must span at least 2 decades")
-    if np.max(np.abs(rho[1:] / rho[:-1] - 2.0)) > 1e-6:
-        raise DomainError("sample radii must double from one to the next")
-    u = (4.0 * y[:-1] - y[1:]) / 3.0
-    v = u[:-1] - u[1:]
-    a2_seq = (12.0 / 7.0) * rho[: v.size] * v
-    a2, a2_err = richardson(a2_seq)
-    a1_seq = u - (7.0 / 6.0) * a2 / rho[: u.size]
-    a1, _ = richardson(a1_seq)
-    a0 = (y[-1] - a1 - a2 / rho[-1]) / rho[-1] ** 2
-    return ExpansionFit(a0=float(a0), a1=float(a1), a2=float(a2),
-                        error_estimate=a2_err)
+    r, c = _dyadic_deviation(sub_map)
+    p = sub_map.potential
+    gap, rho = c * (2.0 * r - c / r ** 2) / r ** 2, r - c / r ** 2
+    h = p.gradient_tail(r)
+    return (_mass_aspect(r, c), ExpansionFit(*richardson(rho * (gap + p.tail(r)))),
+            ExpansionFit(*richardson(rho * (h * (2.0 * r + h) + gap))))
 
 
 def conformal_area(inf: ConformalInfinity, sub_map: SubstitutionMap, r: float) -> float:

@@ -78,7 +78,9 @@ _GENUS_MAX = 1e200
 #: The last radius of a kottler profile or a flow: the profile's d2phi cubes r
 #: (overflow from 5.6e102), the flow's area squares it (from 3.8e153 at genus 2).
 _R_MAX = 1e100
-#: The c^3/r^6 term of SubstitutionMap.mu_at overflows from about r = 2.4e51.
+#: At the radii the mass-aspect kind reads, up to r_end: the c^3/r^6 term of the
+#: mu sequence (asymptotics._mass_aspect) overflows from about r = 2.4e51; the
+#: r^3 of the map's deviation and of gradient_tail only from 5.6e102.
 _MU_R_MAX = 1e50
 #: |eps|: from eps = 1.5e56 the substitution quadrature beyond r_end stops
 #: converging on maps from r = 2 to 2e3, where the tail's scale eps^(1/4)
@@ -348,9 +350,10 @@ def _run_kottler(cfg, path, checks):
         radii = np.geomspace(r_m * 1.05, r_m * cfg["r_max_factor"], cfg["n_radii"])
     else:
         radii = np.geomspace(0.5, 0.5 * cfg["r_max_factor"], cfg["n_radii"])
-    curv = geometry.scalar_curvature(p, radii)
-    res = geometry.static_residual(p, radii)
-    m_h = geometry.hawking_mass_sphere(inf, p, radii)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks raise on overflow
+        curv = geometry.scalar_curvature(p, radii)
+        res = geometry.static_residual(p, radii)
+        m_h = geometry.hawking_mass_sphere(inf, p, radii)
     target = inf.gamma * cfg["m"]
     checks.add("scalar_curvature", float(np.max(np.abs(curv + 6.0))))
     checks.add("static_residual",
@@ -386,21 +389,15 @@ def _run_flow(cfg, path, checks):
 
 
 def _run_mass_aspect(cfg, path, checks):
-    p = cfg.potential
-    sub_map = asymptotics.build_substitution(p, cfg["r_start"], cfg["r_end"])
-    result = asymptotics.mass_aspect_extract(sub_map)
+    sub_map = asymptotics.build_substitution(cfg.potential, cfg["r_start"], cfg["r_end"])
+    result, potential, gradient = asymptotics.expansion_extract(sub_map)
     checks.add("extraction_converged", result.error_estimate)
     checks.add("mu_matches_mass", abs(result.mu - cfg["m"]))
 
-    samples = asymptotics.dyadic_profile_samples(
-        sub_map, lambda rr: geometry.potential_gradient_squared(p, rr), p.phi)
     fits = []
-    for column, (quantity, target) in enumerate(
-            (("gradient_squared", 8.0 * cfg["m"] / 3.0),
-             ("potential_squared", -4.0 * cfg["m"] / 3.0)), start=1):
-        fit = asymptotics.expansion_fit(samples[:, [0, column]])
-        fits.append({"quantity": quantity, "a0": fit.a0, "a1": fit.a1,
-                     "a2": fit.a2, "error_estimate": fit.error_estimate})
+    for quantity, fit, target in (("gradient_squared", gradient, 8.0 * cfg["m"] / 3.0),
+                                  ("potential_squared", potential, -4.0 * cfg["m"] / 3.0)):
+        fits.append({"quantity": quantity, **asdict(fit)})
         checks.add(f"{quantity}_coefficient", abs(fit.a2 - target))
     write_json(fits, path)
     return {"mu": result.mu, "error_estimate": result.error_estimate, "expansions": fits}
@@ -488,11 +485,7 @@ _KINDS = {
         # key because perfbench's aspect workload varies it over 192, 384, 768
         "nodes_per_decade": _Field(int, 16,
                                    message="nodes_per_decade must be an integer >= 16"),
-        # the innermost rho the profile fits sample, 4096 / 2^7 = 32; loose where
-        # rho(r_start) = r_start - c / r_start^2 exceeds r_start (c < 0)
-        "r_start": _Field(float, _POSITIVE, asymptotics.PROFILE_RHO_MAX
-                          / 2.0 ** (asymptotics.PROFILE_COUNT - 1),
-                          "need 0 < r_start < r_end"),
+        "r_start": _Field(float, _POSITIVE, message="need 0 < r_start < r_end"),
         "r_end": _Field(float, hi=_MU_R_MAX),
         "eps": _EPS,
     }, {"eps": 0.0, "nodes_per_decade": 192}, {

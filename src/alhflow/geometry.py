@@ -104,9 +104,10 @@ class RadialPotential:
     """The perturbed Kottler profile phi(r) = V(r)^2 = r^2 + k_hat - 2m/r + eps/r^2.
 
     Its scalar curvature is -6 + 2 eps/r^4; eps = 0 gives the Kottler
-    family.  `tail` evaluates phi(r) - r^2 - k_hat in closed form, so that
-    large-radius asymptotics are free of catastrophic cancellation.  The
-    Geroch rate needs no derivative of it: tail + r tail' = -eps/r^2 here.
+    family.  `tail` evaluates phi(r) - r^2 - k_hat and `gradient_tail`
+    phi'(r)/2 - r in closed form, so that large-radius asymptotics are free
+    of catastrophic cancellation.  The Geroch rate needs no derivative of
+    tail: tail + r tail' = -eps/r^2 here.
     Every evaluator takes a float or an array of radii.  The domain is
     [domain_start, inf), where domain_start is derived, not given: the
     horizon, the largest zero of phi, or 0 without one, so phi > 0 beyond it.
@@ -143,6 +144,11 @@ class RadialPotential:
 
     def tail(self, r):
         return self._plus_eps(-2.0 * self.m / r, 1.0, r, 2)
+
+    def gradient_tail(self, r):
+        """phi'/2 - r = m/r^2 - eps/r^3 in closed form, as tail is:
+        |grad V|^2 = (r + gradient_tail)^2."""
+        return self._plus_eps(self.m / (r * r), -1.0, r, 3)
 
     def require_inside(self, r) -> None:
         """Accept radii r >= domain_start with r > 0.

@@ -16,6 +16,14 @@ three k_hat, half of them Kottler (eps = 0).  An error is |column - exact|
 in units of the ulp of the exact value rounded to a double.  Each budget is
 the worst error measured on these rows; a column over its budget lost
 accuracy, and the fix belongs in the program, not in the budget.
+
+The mass-aspect kind's extrapolated limits have closed targets on the same
+family: mu = m, and a2 = -4m/3 for V^2 = rho^2 + k_hat + a2/rho and 8m/3
+for |grad V|^2 = rho^2 + a2/rho.  Their errors are |value - target| over
+max(1, |m|) on MAP_COUNT seeded maps (k_hat uniform, m uniform from the
+critical mass to 2, eps 0 in half the maps and else uniform up to 0.5,
+r_start uniform in [2, 10], 3 to 7 decades), each budget again the worst
+measured.
 """
 
 import importlib
@@ -27,7 +35,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from alhflow import conformal_infinity, imcf_integrate
+from alhflow import (build_substitution, conformal_infinity, critical_mass,
+                     expansion_extract, imcf_integrate, kottler_potential)
 from alhflow.cli import expand_sweep, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,3 +112,35 @@ def test_kottler_rate_is_positive_zero(trajectories):
     assert len(kottler) == 12
     for traj in kottler:
         assert not np.any(traj.geroch_rate.view(np.uint64))
+
+
+#: Worst measured error over max(1, |m|) per extracted limit, rounded up
+#: to three digits.
+EXTRACTION_BUDGETS = {"mu": 1.76e-13, "potential_squared": 1.19e-13,
+                      "gradient_squared": 2.06e-13}
+
+MAP_COUNT = 300
+
+
+@pytest.fixture(scope="module")
+def worst_extraction_errors():
+    rng = np.random.default_rng(30)
+    worst = dict.fromkeys(EXTRACTION_BUDGETS, 0.0)
+    for _ in range(MAP_COUNT):
+        k_hat = int(rng.integers(-1, 2))
+        m = float(rng.uniform(critical_mass(k_hat), 2.0))
+        eps = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.5))
+        r_start = float(rng.uniform(2.0, 10.0))
+        r_end = r_start * 10.0 ** float(rng.uniform(3.0, 7.0))
+        result, potential, gradient = expansion_extract(
+            build_substitution(kottler_potential(k_hat, m, eps), r_start, r_end))
+        for name, value, target in (("mu", result.mu, m),
+                                    ("potential_squared", potential.a2, -4.0 * m / 3.0),
+                                    ("gradient_squared", gradient.a2, 8.0 * m / 3.0)):
+            worst[name] = max(worst[name], abs(value - target) / max(1.0, abs(m)))
+    return worst
+
+
+@pytest.mark.parametrize("limit", sorted(EXTRACTION_BUDGETS))
+def test_extracted_limit_within_its_budget(worst_extraction_errors, limit):
+    assert worst_extraction_errors[limit] <= EXTRACTION_BUDGETS[limit]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from alhflow import (DomainError, ExtractionError, asymptotics, build_substitution,
-                     conformal_area, conformal_infinity,
-                     conformal_mean_curvature_residual, dyadic_profile_samples,
-                     expansion_fit, imcf_integrate, kottler_potential,
-                     mass_aspect_extract, potential_gradient_squared, richardson)
+from alhflow import (DomainError, ExtractionError, SubstitutionMap, asymptotics,
+                     build_substitution, conformal_area, conformal_infinity,
+                     conformal_mean_curvature_residual, expansion_extract,
+                     imcf_integrate, kottler_potential, mass_aspect_extract,
+                     richardson)
 
 
 class TestRichardson:
@@ -31,20 +31,15 @@ class TestBuildSubstitution:
             assert sub_map.rho(r) == pytest.approx(r, rel=1e-14)
 
     def test_tangential_correction_limit(self, submap):
-        # rho (r^2 - rho^2) -> 2m/3, i.e. (2/3) mu -> 2m/3
+        # rho (r^2 - rho^2) = 2c - 3c^2/r^3 + c^3/r^6 -> 2m/3, with
+        # c = r^2 (r - rho) the map's deviation
         m = 0.5
         sub_map = submap(-1, m)
         for r in (1e3, 1e4, 1e5):
-            correction = (2.0 / 3.0) * sub_map.mu_at(r)
+            c = sub_map.deviation_scale(r)
+            correction = 2.0 * c - 3.0 * c ** 2 / r ** 3 + c ** 3 / r ** 6
             assert correction == pytest.approx(2 * m / 3, abs=1e-4)
-        assert sub_map.mu_at(1e5) == pytest.approx(m, abs=1e-7)
-
-    def test_round_trip_on_grid(self, submap):
-        sub_map = submap(-1, 0.5)
-        radii = np.geomspace(2.0, 1e6, 1095)[::97]
-        for r in radii:
-            assert sub_map.r_of_rho(sub_map.rho(r)) == pytest.approx(
-                r, rel=1e-10)
+        assert 3.0 * sub_map.deviation_scale(1e5) == pytest.approx(m, abs=1e-7)
 
     def test_monotone_and_normalized(self, submap):
         sub_map = submap(-1, 0.5)
@@ -73,7 +68,7 @@ class TestBuildSubstitution:
         with pytest.raises(DomainError):
             sub_map.rho(1.0)
         with pytest.raises(DomainError):
-            sub_map.r_of_rho(sub_map.rho(sub_map.r_end) * 2.0)
+            sub_map.rho(sub_map.r_end * 2.0)
 
 
 class TestMassAspect:
@@ -104,7 +99,6 @@ class TestMassAspect:
 
     def test_coverage_required(self, submap):
         # a truncated map cannot support the extrapolation
-        from alhflow import SubstitutionMap
         p = kottler_potential(-1, 0.5)
         full = submap(-1, 0.5)
         short = SubstitutionMap(p, full.r_start, full.r_start * 100.0)
@@ -121,75 +115,42 @@ class TestMassAspect:
 class TestExpansionFit:
     def test_gradient_squared_coefficient(self, submap):
         m = 0.5
-        p = kottler_potential(-1, m)
-        samples = dyadic_profile_samples(
-            submap(-1, m), lambda r: potential_gradient_squared(p, r))
-        fit = expansion_fit(samples)
-        assert fit.a0 == pytest.approx(1.0, abs=1e-6)
-        assert abs(fit.a1) <= 1e-3
+        _, _, fit = expansion_extract(submap(-1, m))
         assert fit.a2 == pytest.approx(8 * m / 3, abs=1e-3)
 
     def test_potential_squared_coefficient(self, submap):
         m = 0.5
-        p = kottler_potential(-1, m)
-        samples = dyadic_profile_samples(submap(-1, m), p.phi)
-        fit = expansion_fit(samples)
-        assert fit.a0 == pytest.approx(1.0, abs=1e-6)
-        assert fit.a1 == pytest.approx(-1.0, abs=1e-3)
+        _, fit, _ = expansion_extract(submap(-1, m))
         assert fit.a2 == pytest.approx(-4 * m / 3, abs=1e-3)
 
-    def test_constant_samples(self):
-        rho = 4.0 * 2.0 ** np.arange(8)
-        samples = np.column_stack([rho, np.full(8, 7.0)])
-        fit = expansion_fit(samples)
-        assert fit.a0 == pytest.approx(0.0, abs=1e-12)
-        assert fit.a1 == pytest.approx(7.0, rel=1e-12)
-        assert fit.a2 == pytest.approx(0.0, abs=1e-9)
-
-    def test_exact_basis_recovery(self):
-        # elimination amplifies rounding by rho^3 * eps, hence the abs slack
-        rho = 3.0 * 2.0 ** np.arange(9)
-        y = 2.5 * rho ** 2 - 4.0 + 1.25 / rho
-        fit = expansion_fit(np.column_stack([rho, y]))
-        assert fit.a0 == pytest.approx(2.5, rel=1e-12)
-        assert fit.a1 == pytest.approx(-4.0, rel=1e-8)
-        assert fit.a2 == pytest.approx(1.25, abs=2e-6)
-        assert fit.error_estimate <= 1e-5
-
-    @pytest.mark.parametrize("rho", [np.geomspace(3.0, 450.0, 9),
-                                     np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 150.0])],
-                             ids=["geometric", "clustered"])
-    def test_non_dyadic_rejected(self, rho):
-        y = 0.5 * rho ** 2 + 2.0 - 3.0 / rho
-        with pytest.raises(DomainError, match="double"):
-            expansion_fit(np.column_stack([rho, y]))
-
-    def test_input_validation(self):
+    def test_input_validation(self, submap):
+        # the expansions read the map where mu does: three decades are needed
+        full = submap(-1, 0.5)
+        short = SubstitutionMap(full.potential, full.r_start, full.r_start * 100.0)
         with pytest.raises(DomainError):
-            expansion_fit([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0)])
-        with pytest.raises(DomainError):
-            # only one decade of span
-            rho = 2.0 * 2.0 ** np.arange(4)
-            expansion_fit(np.column_stack([rho, rho ** 2]))
+            expansion_extract(short)
 
     @pytest.mark.parametrize("k_hat, m, eps", [(-1, 0.5, 0.0), (1, 0.2, 0.0),
                                                (0, 0.3, 0.2), (-1, -0.15, 0.3)])
-    def test_samples_equal_scalar_calls_bitwise(self, submap, k_hat, m, eps):
+    def test_samples_equal_scalar_calls_bitwise(self, submap, k_hat, m, eps, monkeypatch):
+        # the one array read at the dyadic radii gives the scalar calls'
+        # values, and mu is mass_aspect_extract's to the bit
         sub_map = submap(k_hat, m, eps=eps)
-        p = sub_map.potential
-        for fn in (p.phi, lambda r: potential_gradient_squared(p, r)):
-            samples = dyadic_profile_samples(sub_map, fn)
-            scalar = [(rho, fn(sub_map.r_of_rho(float(rho)))) for rho in samples[:, 0]]
-            assert samples.tolist() == [[rho, float(v)] for rho, v in scalar]
+        reads = []
+        deviation_scale = SubstitutionMap.deviation_scale
+        monkeypatch.setattr(SubstitutionMap, "deviation_scale",
+                            lambda self, r: reads.append(r) or deviation_scale(self, r))
+        result, _, _ = expansion_extract(sub_map)
+        [radii] = reads
+        c = deviation_scale(sub_map, radii)
+        assert c.tolist() == [deviation_scale(sub_map, float(r)) for r in radii]
+        assert result == mass_aspect_extract(sub_map)
 
     def test_mu_routes_mutually_consistent(self, submap):
         m = 0.5
-        p = kottler_potential(-1, m)
         sub_map = submap(-1, m)
         mu_direct = mass_aspect_extract(sub_map).mu
-        w_fit = expansion_fit(dyadic_profile_samples(
-            sub_map, lambda r: potential_gradient_squared(p, r)))
-        v_fit = expansion_fit(dyadic_profile_samples(sub_map, p.phi))
+        _, v_fit, w_fit = expansion_extract(sub_map)
         mu_from_w = 3.0 * w_fit.a2 / 8.0
         mu_from_v = -3.0 * v_fit.a2 / 4.0
         assert abs(mu_direct - mu_from_w) <= 1e-3

@@ -296,9 +296,11 @@ def test_overflowing_flow_is_a_run_error(tmp_path):
         assert not re.search("NaN|Infinity", path.read_text()), path
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_check_is_a_run_error(tmp_path):
     # at genus 1e198, gamma r / 2 overflows from r = 3.6e11 on, before the
-    # Hawking mass meets tail(r): the check, not the profile, says so
+    # Hawking mass meets tail(r): the check, not the profile, says so, and
+    # numpy warns of nothing on the way
     cfg = {"kind": "kottler", "k_hat": -1, "m": 5.0, "genus": 10**198,
            "r_max_factor": 1e40}
     out = tmp_path / "o"
@@ -490,13 +492,16 @@ class TestBuildOnce:
             assert len(calls) == 2  # one potential per member
 
     def test_mass_aspect_solves_profile_radii_once(self, tmp_path, monkeypatch):
-        from alhflow.asymptotics import SubstitutionMap
+        # mu and both expansions read the map in one call, at r_end / 2^k
+        from alhflow.asymptotics import MU_SAMPLES, SubstitutionMap
         calls = []
-        r_of_rho = SubstitutionMap.r_of_rho
-        monkeypatch.setattr(SubstitutionMap, "r_of_rho",
-                            lambda sub_map, rho: calls.append(rho) or r_of_rho(sub_map, rho))
+        values = SubstitutionMap._values
+        monkeypatch.setattr(SubstitutionMap, "_values",
+                            lambda sub_map, r: calls.append(r) or values(sub_map, r))
         run_scenario(ASPECT_CFG, tmp_path / "o")
-        assert len(calls) == 1  # both profile fits read the same radii
+        [radii] = calls
+        assert radii.tolist() == [ASPECT_CFG["r_end"] / 2.0 ** k
+                                  for k in range(MU_SAMPLES - 1, -1, -1)]
 
     def test_sweep_members_match_single_runs(self, tmp_path):
         run_sweep(self.SWEEP, tmp_path / "sweep")
@@ -567,8 +572,8 @@ _SECOND_VALUES = {
 _NO_ARTIFACT = {
     # the map's quadrature is adaptive; the aspect workload varies it
     ("mass-aspect", "nodes_per_decade"),
-    # the extraction and the profile fits read the map no further in than
-    # r_end / 2^9, and r_end >= 1e3 r_start; the aspect workload sets it
+    # the extraction reads the map no further in than r_end / 2^9, and
+    # r_end >= 1e3 r_start; the aspect workload sets it
     ("mass-aspect", "r_start"),
     # the area radius sqrt(|Sigma| r_h^2 / (4 pi (genus - 1))) is r_h on
     # every genus >= 2; the compare workload sets it
@@ -657,8 +662,8 @@ class TestRegistry:
         dict(ASPECT_CFG, r_end=1e80),
         dict(ASPECT_CFG, r_end=1e103),
         dict(ASPECT_CFG, r_start=1e51, r_end=1e55),
-        # the profile samples reach down to rho = 32
-        dict(ASPECT_CFG, r_start=33.0, r_end=3.3e4),
+        # r_start's range ends at r_end / 1e3, 1e47 with r_end at its cap
+        dict(ASPECT_CFG, r_start=1.1e47, r_end=1e50),
         # starts below the inner root 0.2296 of m = -0.1, where phi > 0 again
         dict(FLOW_CFG, r0=0.1, t_max=1.0, steps=64),
         dict(ASPECT_CFG, m=-0.1, r_start=0.1, r_end=200.0),
@@ -771,6 +776,15 @@ class TestRegistry:
     ])
     def test_values_below_the_overflows_validate(self, cfg):
         validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        # past rho = 32, the innermost rho that the old profile fits sampled
+        dict(ASPECT_CFG, r_start=33.0, r_end=3.3e4),
+        dict(ASPECT_CFG, r_start=1e47, r_end=1e50),
+    ])
+    def test_mass_aspect_r_start_runs_to_its_range_end(self, tmp_path, cfg):
+        path = write_cfg(tmp_path, "a.json", cfg)
+        assert main(["mass-aspect", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("cfg,code", [
         (dict(KOTTLER_CFG, m=-0.1, r_max_factor=1e90), 0),

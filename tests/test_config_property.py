@@ -5,8 +5,8 @@ kind, sweeps included: each drawn config runs through `main`.  A config that
 validation rejects exits 2; every other one writes report.json or leaves
 error.json naming a DomainError or NumericalError (HypothesesNotMet,
 FlowError and ExtractionError are subclasses).  No other exception may
-escape, no run may end without either file, and no file written may hold a
-NaN or infinite number.
+escape, no run may end without either file, no run may emit a numpy
+RuntimeWarning, and no file written may hold a NaN or infinite number.
 
 Each key has a strategy of its own in `_DRAWS`, so a key added to the
 registry fails here until it gets one.  Half the masses lie from 1e-15 to
@@ -20,6 +20,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -110,8 +111,11 @@ def test_validated_configs_run_or_keep_a_typed_error(kind, data):
         path, out = Path(tmp, "config.json"), Path(tmp, "out")
         path.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             code = cli.main([cfg["kind"], "--config", str(path), "--out", str(out)])
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
         if code == 2:
             with pytest.raises(errors.ConfigError):
                 cli.validate_config(cfg)

@@ -255,8 +255,8 @@ class TestRicci:
         p = kottler_potential(-1, m)
         sub_map = submap(-1, m)
         errs = []
-        for rho in (25.0, 50.0, 100.0, 200.0):  # rho^3 * eps noise floor above
-            r = sub_map.r_of_rho(rho)
+        for r in (25.0, 50.0, 100.0, 200.0):  # rho^3 * eps noise floor above
+            rho = sub_map.rho(r)
             rad, _ = ricci_components(p, r)
             errs.append(abs(rho ** 3 * (rad + 2.0) + 2 * m))
         for a, b in zip(errs, errs[1:]):

@@ -20,9 +20,9 @@ _UNREAD_KEPT = {
 #: Public class members kept although no reader above reads them, each with
 #: its reason.
 _UNREAD_MEMBERS_KEPT = {
-    # the mpmath oracle tests of test_substitution.py need c itself: rho
-    # cannot give it without cancellation
-    "SubstitutionMap.deviation_scale",
+    # the coordinate the map is named for: the mpmath oracle tests of
+    # test_substitution.py check it, while the runs read c = r^2 (r - rho)
+    "SubstitutionMap.rho",
 }
 
 #: Top-level modules the package may import besides the standard library.

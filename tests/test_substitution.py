@@ -127,9 +127,6 @@ def test_array_calls_equal_scalar_calls_bitwise(k_hat, m, eps, r_start):
     rho = sub_map.rho(radii)
     assert rho.tolist() == [sub_map.rho(float(r)) for r in radii]
     assert sub_map.rho(radii[::-3]).tolist() == rho[::-3].tolist()
-    back = sub_map.r_of_rho(rho)
-    assert back.tolist() == [sub_map.r_of_rho(float(v)) for v in rho]
-    np.testing.assert_allclose(back, radii, rtol=1e-12, atol=0)
 
 
 def test_gauss_rule_matches_numpy():
