@@ -44,7 +44,7 @@ import numpy as np
 from . import asymptotics, flow, geometry, static_compare
 from ._text import csv_text
 from .errors import ConfigError, DomainError, NumericalError
-from .geometry import FOUR_PI, conformal_infinity, critical_mass, kottler_potential
+from .geometry import conformal_infinity, critical_mass, kottler_potential
 
 __all__ = ["main", "run_scenario", "run_sweep", "load_config"]
 
@@ -94,8 +94,6 @@ _EPS_MAX = 1e56
 _STEPS_MAX = 5_000_000
 #: A kottler profile keeps about 152 B a radius: 5e6 radii take 0.76 GB.
 _N_RADII_MAX = 5_000_000
-#: A penrose scan keeps about 40 B a point: 2e7 points take 0.80 GB.
-_SCAN_POINTS_MAX = 20_000_000
 #: The least positive float: the range [_POSITIVE, hi] is (0, hi].
 _POSITIVE = math.ulp(0.0)
 
@@ -288,11 +286,6 @@ def _check_penrose(cfg) -> None:
             raise ConfigError("'masses' entries must be numbers")
         geometry.require_admissible(-1, m)
         _check_field("masses", _MASS, m)
-    # a scan that ends before the minimizer fails minimizer_location
-    _, minimizer = flow.hawking_lower_bound(cfg["genus"])
-    if cfg["scan_area_max"] < minimizer:
-        raise ConfigError(f"scan_area_max {cfg['scan_area_max']} is below the "
-                          f"minimizer area {minimizer} of genus {cfg['genus']}")
 
 
 def _check_static_compare(cfg) -> None:
@@ -414,17 +407,10 @@ def _run_penrose(cfg, path, checks):
         rows.append((r_h, area, rhs, abs(rhs - m)))
         checks.add(f"equality_m{i}", abs(rhs - m), tol_name="equality")
     bound, minimizer = flow.hawking_lower_bound(genus)
-    grid = np.linspace(0.0, cfg["scan_area_max"], cfg["scan_points"])
-    vals = np.sqrt(grid / (16.0 * math.pi)) * (1.0 - genus + grid / FOUR_PI)
-    spacing = grid[1] - grid[0]
-    checks.add("scan_above_bound", float(max(0.0, bound - vals.min())))
-    checks.add("minimizer_location",
-               float(abs(grid[int(np.argmin(vals))] - minimizer) / spacing))
     # the masses are config values: an int mass reads as an int
     write_csv(("m", "horizon_radius", "boundary_area", "bound_rhs", "residual"),
               (cfg["masses"], *np.array(rows, dtype=float).T), path)
-    return {"lower_bound": bound, "minimizer_area": minimizer,
-            "scan_min": float(vals.min())}
+    return {"lower_bound": bound, "minimizer_area": minimizer}
 
 
 def _run_static_compare(cfg, path, checks):
@@ -495,14 +481,7 @@ _KINDS = {
     "penrose": _Kind({
         "genus": _Field(int, 2, _GENUS_MAX, "penrose scenarios require integer genus >= 2"),
         "masses": None,
-        "scan_points": _Field(int, 10, _SCAN_POINTS_MAX,
-                              "scan_points must be an integer >= 10"),
-        # the scanned A^(3/2) overflows from about A = 6e206
-        "scan_area_max": _Field(float, hi=1e200),
-    }, {"scan_points": 10000, "scan_area_max": 40.0 * math.pi}, {
-        "equality": 1e-10, "scan_above_bound": 1e-9,
-        "minimizer_location": 1.0,  # in units of the grid spacing
-    }, _check_penrose, _run_penrose, "equality.csv"),
+    }, {}, {"equality": 1e-10}, _check_penrose, _run_penrose, "equality.csv"),
     "static-compare": _Kind({
         # the admissible minimum is _check_static_compare's
         "m": _Field(float, hi=0.0, above="static-compare requires critical mass <= m <= 0"),

@@ -250,7 +250,7 @@ def test_criterion_9_plumbing_determinism(tmp_path):
 
     sweep = {"kind": "sweep",
              "base": {"kind": "penrose", "genus": 2,
-                      "masses": [-0.15, -0.1, 0.0], "scan_points": 1024},
+                      "masses": [-0.15, -0.1, 0.0]},
              "vary": {"genus": [2, 3, 4]}}
     run_sweep(sweep, tmp_path / "first")
     run_sweep(sweep, tmp_path / "second")

@@ -14,6 +14,7 @@ from alhflow.cli import (ConfigError, expand_sweep, load_config, main,
                          run_scenario, run_sweep, validate_config)
 from alhflow.errors import NumericalError
 from alhflow.flow import TRAJECTORY_COLUMNS, penrose_rhs
+from alhflow.geometry import critical_mass
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -32,8 +33,7 @@ FLOW_CFG = {"kind": "flow", "k_hat": -1, "m": -0.1, "genus": 2,
             "r0": 2.0, "t_max": 2.0, "steps": 256}
 ASPECT_CFG = {"kind": "mass-aspect", "k_hat": -1, "m": 0.5,
               "r_start": 2.0, "r_end": 2e3, "nodes_per_decade": 16}
-PENROSE_CFG = {"kind": "penrose", "genus": 2, "masses": [-0.1, 0.0],
-               "scan_points": 64}
+PENROSE_CFG = {"kind": "penrose", "genus": 2, "masses": [-0.1, 0.0]}
 STATIC_CFG = {"kind": "static-compare", "m": -0.1, "genus": 2, "map_r_end": 1e4}
 SWEEP_CFG = {"kind": "sweep", "base": PENROSE_CFG, "vary": {"genus": [2, 3]}}
 #: a sweep of no members, whose base alone would fail validation
@@ -80,8 +80,7 @@ class TestValidation:
 
     def test_sweep_expansion_order(self):
         cfg = {"kind": "sweep",
-               "base": {"kind": "penrose", "genus": 2, "masses": [0.0],
-                        "scan_points": 100},
+               "base": {"kind": "penrose", "genus": 2, "masses": [0.0]},
                "vary": {"genus": [2, 3, 4]}}
         members = expand_sweep(validate_config(cfg))
         assert [m["genus"] for m in members] == [2, 3, 4]
@@ -320,8 +319,7 @@ class TestDeterminism:
         assert read_bytes_map(a) == read_bytes_map(b)
 
     def test_summary_rows_in_input_order(self, tmp_path):
-        base = {"kind": "penrose", "genus": 2, "masses": [0.0],
-                "scan_points": 128}
+        base = {"kind": "penrose", "genus": 2, "masses": [0.0]}
         cfg = {"kind": "sweep", "base": base, "vary": {"genus": [4, 2, 3]}}
         _, code = run_sweep(cfg, tmp_path / "o")
         assert code == 0
@@ -553,8 +551,6 @@ _SECOND_VALUES = {
     "penrose": {
         "genus": ({}, {"genus": 3}),
         "masses": ({}, {"masses": [-0.1]}),
-        "scan_points": ({}, {"scan_points": 65}),
-        "scan_area_max": ({}, {"scan_area_max": 30.0 * math.pi}),
         "tolerances": ({}, {"tolerances": {"equality": 1e-9}}),
     },
     "static-compare": {
@@ -651,10 +647,11 @@ class TestRegistry:
         assert "--tolerance must be a positive number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg", [
-        dict(PENROSE_CFG, scan_area_max="x"),
-        dict(PENROSE_CFG, scan_area_max=-1.0),
-        # the default scan, 40 pi, ends before the minimizer area 124 pi / 3
-        {"kind": "penrose", "genus": 32, "masses": [0.0]},
+        # not a penrose key
+        dict(PENROSE_CFG, scan_points=64),
+        # a penrose mass and genus past their caps
+        dict(PENROSE_CFG, masses=[-0.1, 1e101]),
+        dict(PENROSE_CFG, genus=10**201),
         dict(STATIC_CFG, map_r_end=-5.0),
         dict(STATIC_CFG, map_r_end=1e100),
         dict(STATIC_CFG, map_r_end=1e300),
@@ -742,7 +739,6 @@ class TestRegistry:
     @pytest.mark.parametrize("cfg", [
         dict(FLOW_CFG, steps=cli._STEPS_MAX),
         dict(KOTTLER_CFG, n_radii=cli._N_RADII_MAX),
-        dict(PENROSE_CFG, scan_points=cli._SCAN_POINTS_MAX),
     ])
     def test_allocating_fields_at_their_caps_validate(self, cfg):
         validate_config(cfg)  # not run: a member at a cap may take 0.8 GB
@@ -752,8 +748,6 @@ class TestRegistry:
          "config key 'steps' must be at most 5e+06, got 5000001"),
         (dict(KOTTLER_CFG, n_radii=cli._N_RADII_MAX + 1),
          "config key 'n_radii' must be at most 5e+06, got 5000001"),
-        (dict(PENROSE_CFG, scan_points=cli._SCAN_POINTS_MAX + 1),
-         "config key 'scan_points' must be at most 2e+07, got 20000001"),
     ])
     def test_allocating_fields_past_their_caps_rejected(self, cfg, message):
         with pytest.raises(ConfigError) as info:
@@ -770,7 +764,7 @@ class TestRegistry:
         dict(FLOW_CFG, t_max=400.0),
         # the last radius 3e99 e = 8.2e99
         dict(FLOW_CFG, r0=3e99),
-        dict(PENROSE_CFG, masses=[2e3], genus=10**5, scan_area_max=1e6),
+        dict(PENROSE_CFG, masses=[2e3], genus=10**5),
         dict(STATIC_CFG, genus=10**300),
         dict(ASPECT_CFG, r_start=32.0, r_end=3.2e4),
     ])
@@ -822,10 +816,13 @@ class TestRegistry:
         with pytest.raises(NumericalError, match="did not converge"):
             build_substitution(p, 2.0, 2.02e3)
 
-    def test_scan_may_end_at_the_minimizer(self, tmp_path):
-        cfg = {"kind": "penrose", "genus": 32, "masses": [0.0],
-               "scan_area_max": 4.0 * math.pi * 31 / 3.0}
-        assert run_scenario(cfg, tmp_path)["all_pass"]
+    @pytest.mark.parametrize("genus", [32, 10**5])
+    def test_penrose_defaults_run_at_every_genus(self, tmp_path, genus):
+        # the m_crit row sits at the minimizer area 4 pi (genus - 1) / 3
+        cfg = {"kind": "penrose", "genus": genus, "masses": [critical_mass(-1), 0.0]}
+        path = write_cfg(tmp_path, "p.json", cfg)
+        assert main(["penrose", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["all_pass"]
 
     @pytest.mark.parametrize("cfg,message", [
         ({"kind": "warp"}, "unknown scenario kind 'warp'; expected one of "
@@ -856,7 +853,8 @@ class TestRegistry:
         (dict(PENROSE_CFG, masses=["x"]), "'masses' entries must be numbers"),
         (dict(PENROSE_CFG, masses=[-1]),
          "mass -1 below the admissible minimum -0.19245008972987526"),
-        (dict(PENROSE_CFG, scan_points=9), "scan_points must be an integer >= 10"),
+        (dict(PENROSE_CFG, masses=[-0.1, 1e101]),
+         "config key 'masses' must be at most 1e+100, got 1e+101"),
         (dict(STATIC_CFG, m=0.1), "static-compare requires critical mass <= m <= 0"),
         (dict(STATIC_CFG, genus=1), "static-compare requires integer genus >= 2"),
         (dict(STATIC_CFG, m=-1.0 / (3.0 * math.sqrt(3.0))),

@@ -78,8 +78,6 @@ _DRAWS = {
     "r_end": lambda draw, cfg: cfg["r_start"] * draw(_log(3, 8)),
     "masses": lambda draw, cfg: [_mass(draw, {"kind": "penrose"})
                                  for _ in range(draw(st.integers(1, 3)))],
-    "scan_points": lambda draw, cfg: draw(st.integers(10, 512)),
-    "scan_area_max": lambda draw, cfg: draw(_log(1.5, 4)),
     "map_r_end": lambda draw, cfg: draw(_log(3.4, 8)),
 }
 

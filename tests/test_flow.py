@@ -12,6 +12,7 @@ from alhflow import (DomainError, FlowError, HypothesesNotMet, conformal_infinit
                      penrose_rhs, write_trajectory_csv)
 from alhflow.cli import run_scenario
 from alhflow.flow import TRAJECTORY_COLUMNS
+from alhflow.geometry import critical_mass
 
 FOUR_PI = 4.0 * math.pi
 
@@ -261,6 +262,18 @@ class TestHawkingLowerBound:
         before = (f(minimizer - 1e-3 + h) - f(minimizer - 1e-3 - h)) / (2 * h)
         after = (f(minimizer + 1e-3 + h) - f(minimizer + 1e-3 - h)) / (2 * h)
         assert before < 0 < after
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 7, 32, 10**5, 10**100])
+    def test_critical_horizon_sits_at_the_minimizer(self, genus):
+        # the bound is sharp at m_crit: the Penrose right-hand side takes its
+        # minimum, gamma m_crit, at the area of the critical Kottler horizon
+        m_crit = critical_mass(-1)
+        bound, minimizer = hawking_lower_bound(genus)
+        inf = conformal_infinity(genus)
+        area = inf.area * kottler_potential(-1, m_crit).domain_start ** 2
+        assert abs(penrose_rhs(genus, minimizer) - m_crit) <= 2 * math.ulp(m_crit)
+        assert abs(bound / inf.gamma - m_crit) <= 2 * math.ulp(m_crit)
+        assert abs(area - minimizer) <= 2 * math.ulp(minimizer)
 
 
 def _admissible_jump_tuple(rng, genus):

@@ -139,8 +139,7 @@ def test_sweep_summary_with_mixed_vary_values(tmp_path):
 
 
 def test_sweep_summary_keeps_list_and_object_values_in_one_cell(tmp_path):
-    cfg = {"kind": "sweep", "base": {"kind": "penrose", "genus": 2, "masses": [0.0],
-                                     "scan_points": 64},
+    cfg = {"kind": "sweep", "base": {"kind": "penrose", "genus": 2, "masses": [0.0]},
            "vary": {"masses": [[0.0, 0.1], [0.2]], "tolerances": [{"equality": 1e-9}]}}
     run_sweep(cfg, tmp_path)
     with open(tmp_path / "summary.csv", newline="") as f:

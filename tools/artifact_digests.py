@@ -3,8 +3,12 @@
 Usage: python tools/artifact_digests.py SRC SEED...
 
 SRC is the directory that holds the alhflow package to run (a checkout's
-src/).  For each seed, each workload of perfbench/workloads.py generates its
-sweeps, and each sweep runs through alhflow.cli.main in a temporary
+src/).  The first line reads "numpy <version> dispatch <target>...": numpy's
+version and the dispatch targets in effect ("baseline" when none is).
+numpy's exp, log and other kernels round differently per target, so two
+outputs whose first lines differ come from different machines or numpy
+builds.  For each seed, each workload of perfbench/workloads.py generates
+its sweeps, and each sweep runs through alhflow.cli.main in a temporary
 directory.  Every file written prints as "<sha256>  <workload>/seed<n>/
 sweep<i>/<path>", and each sweep adds "exit <code>  <workload>/seed<n>/
 sweep<i>".  Two source trees write the same bytes when their outputs diff
@@ -25,10 +29,14 @@ def main(argv) -> int:
     src = Path(src).resolve()
     sys.path[:0] = [str(src), str(Path(__file__).resolve().parents[1] / "perfbench")]
     import alhflow.cli
+    import numpy
     import workloads
+    from numpy._core import _multiarray_umath as umath
 
     if Path(alhflow.cli.__file__).parents[1] != src:
         raise SystemExit(f"error: imported alhflow from {alhflow.cli.__file__}")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    print(f"numpy {numpy.__version__} dispatch {' '.join(targets) or 'baseline'}")
     with tempfile.TemporaryDirectory() as tmp:
         for seed in map(int, seeds):
             for workload in workloads.WORKLOADS:
